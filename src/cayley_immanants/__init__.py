@@ -1,64 +1,10 @@
 """Exact immanants of Cayley-table matrices of finite abelian groups."""
 
-from .characters import (
-    CycleType,
-    Partition,
-    char_n3_3,
-    char_n3_111,
-    cohook_char,
-    cycle_type,
-    dimension,
-    hook_char_n11,
-    mn_character,
-    partitions_of,
-    twin_diff_char,
-)
-from .groups import (
-    GroupSpec,
-    add,
-    double,
-    doubling_preimage_count,
-    elements,
-    in_2G,
-    neg,
-    negation_parity,
-    parse_group,
-)
-from .immanants import (
-    EnvelopeError,
-    PermClassStats,
-    determinant,
-    immanant,
-    perm_class_stats,
-    permanent,
-    twin_difference,
-)
-from .minors import (
-    F1,
-    T2,
-    T12,
-    IdentityCheckError,
-    InverseProfile,
-    inverse_profile,
-    jacobi_check,
-    lemma43_scalars,
-    random_specialization,
-    reduction_check,
-)
-from .polynomials import GroupPolynomial, RationalSpecialization, monomial_of_perm
-from .supports import (
-    ValuationProfile,
-    ZeroSumSetPartition,
-    count_D,
-    count_I_nearhook,
-    count_P,
-    det_coeff,
-    hall_support,
-    labelled_det_coeff,
-    near_hook_coeff,
-    padic_profile,
-    zero_sum_set_partitions,
-)
-from .verify import VerifyReport, run_suite
+from .characters import Partition
+from .groups import GroupSpec, parse_group
+from .immanants import EnvelopeError, determinant, immanant, permanent, twin_difference
+from .polynomials import GroupPolynomial
+from .supports import count_D, count_I_nearhook, count_P, det_coeff, hall_support, padic_profile
+from .verify import VerifyReport, run_minor_checks, run_suite
 
 __version__ = "0.1.0"

@@ -47,13 +47,6 @@ class Partition:
         return "(" + ",".join(map(str, self.parts)) + ")"
 
 
-def hook_partition(n: int, arm: int) -> Partition:
-    """The hook (arm, 1^(n-arm)); arm = n gives the one-row shape."""
-    if not 1 <= arm <= n:
-        raise ValueError(f"hook arm {arm} out of range for weight {n}")
-    return Partition((arm,) + (1,) * (n - arm))
-
-
 @dataclass(frozen=True)
 class CycleType:
     """Conjugacy-class data of a permutation: cycle lengths, weakly decreasing."""

@@ -3,8 +3,10 @@
 Subcommands: imm, twin, support, padic, minors, verify, explore,
 search-pd-gap.  Output is JSON on stdout (CSV for padic) unless --out is
 given; all randomness sits behind --seed.  Exit codes: 0 ok, 1 check failed,
-2 usage or parse error, 3 enumeration envelope exceeded.  The IMM_THREADS
-environment variable caps the engine's worker count (0 = auto).
+2 usage or parse error, 3 enumeration envelope exceeded, 4 a check raised an
+unexpected error (this wins over 1).  search-pd-gap writes one progress line
+per group to stderr.  The IMM_THREADS environment variable caps the engine's
+worker count (0 = auto).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import io
 import json
 import sys
+import time
 
 from .characters import Partition
 from .groups import GroupSpec, _prime_factorization, parse_group
@@ -22,18 +25,6 @@ from .immanants import (
     immanant,
     perm_class_stats,
     twin_difference,
-)
-from .minors import (
-    F1,
-    T2,
-    T12,
-    IdentityCheckError,
-    inverse_profile,
-    jacobi_check,
-    lemma43_scalars,
-    random_specialization,
-    reduction_check,
-    specialized_det,
 )
 from .supports import (
     count_D,
@@ -45,9 +36,7 @@ from .supports import (
     padic_profile,
     sorted_hall_support,
 )
-from .verify import SUITES, run_suite
-
-MINOR_CHECKS = ("conv", "jacobi", "f1", "t2t12", "scalars", "reduction")
+from .verify import MINOR_CHECKS, SUITES, exit_code, run_minor_checks, run_suite
 
 
 def _group_arg(text: str) -> GroupSpec:
@@ -55,6 +44,19 @@ def _group_arg(text: str) -> GroupSpec:
         return parse_group(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _partition_arg(text: str) -> Partition:
@@ -176,72 +178,11 @@ def cmd_padic(args) -> int:
 
 
 def cmd_minors(args) -> int:
-    spec = args.group
-    checks = args.checks.split(",") if args.checks else list(MINOR_CHECKS)
-    for name in checks:
-        if name not in MINOR_CHECKS:
-            print(
-                f"error: unknown check {name!r} (choose from {', '.join(MINOR_CHECKS)})",
-                file=sys.stderr,
-            )
-            return 2
-    n = spec.order
-    results: dict[str, dict] = {}
-
-    def record(name, status, counterexample=None):
-        results[name] = {"status": status, "counterexample": counterexample}
-
-    twin = None
-    if "reduction" in checks and n >= 6:
-        twin = twin_difference(spec)
-    for name in checks:
-        failure = None
-        skipped = None
-        if name in ("f1", "t2t12", "scalars") and n % 2 == 0:
-            skipped = "odd order required"
-        elif name == "reduction" and n < 6:
-            skipped = "group order below 6"
-        if skipped:
-            record(name, "skipped", skipped)
-            continue
-        for i in range(args.seeds):
-            rho = random_specialization(spec, args.seed + i, args.range)
-            try:
-                if name == "conv":
-                    inverse_profile(spec, rho)
-                elif name == "jacobi":
-                    report = jacobi_check(spec, rho)
-                    if not report.passed:
-                        subset, lhs, rhs = report.violations[0]
-                        failure = {"seed": args.seed + i, "subset": list(subset),
-                                   "lhs": str(lhs), "rhs": str(rhs)}
-                elif name == "f1":
-                    lhs, rhs = F1(spec, rho), specialized_det(spec, rho)
-                    if lhs != rhs:
-                        failure = {"seed": args.seed + i, "F1": str(lhs), "det": str(rhs)}
-                elif name == "t2t12":
-                    lhs, rhs = T12(spec, rho), T2(spec, rho)
-                    if lhs != rhs:
-                        failure = {"seed": args.seed + i, "T12": str(lhs), "T2": str(rhs)}
-                elif name == "scalars":
-                    lemma43_scalars(spec, rho)
-                elif name == "reduction":
-                    report = reduction_check(spec, rho, twin=twin)
-                    if not report.passed:
-                        failure = {
-                            "seed": args.seed + i,
-                            "twin_value": str(report.twin_value),
-                            "minor_value": str(report.minor_value),
-                        }
-            except IdentityCheckError as exc:
-                failure = {"seed": args.seed + i, "equation": exc.equation,
-                           "lhs": str(exc.lhs), "rhs": str(exc.rhs)}
-            if failure:
-                break
-        record(name, "fail" if failure else "pass", failure)
-    doc = {"group": spec.name, "seeds": args.seeds, "checks": results}
-    _emit(_json(doc), args.out)
-    return 0 if all(r["status"] != "fail" for r in results.values()) else 1
+    names = args.checks.split(",") if args.checks else list(MINOR_CHECKS)
+    reports = run_minor_checks(names, args.group, args.seeds, args.seed, args.range)
+    checks = {r.theorem: {"status": r.status, "counterexample": r.witness} for r in reports}
+    _emit(_json({"group": args.group.name, "seeds": args.seeds, "checks": checks}), args.out)
+    return exit_code(reports)
 
 
 def cmd_verify(args) -> int:
@@ -250,10 +191,10 @@ def cmd_verify(args) -> int:
     doc = {
         "suite": args.suite,
         "reports": [r.to_json_dict(with_timings=args.timings) for r in reports],
-        "passed": all(r.status != "fail" for r in reports),
+        "passed": exit_code(reports) == 0,
     }
     _emit(_json(doc), args.out)
-    return 0 if doc["passed"] else 1
+    return exit_code(reports)
 
 
 def cmd_explore(args) -> int:
@@ -300,7 +241,14 @@ def cmd_search_pd_gap(args) -> int:
     gap_orders = set()
     for order in range(2, args.max_order + 1):
         for spec in _abelian_groups_of_order(order):
+            start = time.perf_counter()
             p, d = count_P(spec), count_D(spec)
+            print(
+                f"order {order:3d}  {spec.name:<12} P = {p:7d}  D = {d:7d}  "
+                f"{'D<P' if d < p else '   '}  ({time.perf_counter() - start:.1f}s)",
+                file=sys.stderr,
+                flush=True,
+            )
             rows.append({"group": spec.name, "order": order, "P": p, "D": d,
                          "gap": d < p})
             if d < p:
@@ -354,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minors", help="exact minor-identity checks at random points")
     add_common(p)
-    p.add_argument("--seeds", type=int, default=5)
+    p.add_argument("--seeds", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--range", type=int, default=32)
+    p.add_argument("--range", type=_int_at_least(2), default=32)
     p.add_argument("--checks", help=f"comma list from: {','.join(MINOR_CHECKS)}")
     p.set_defaults(func=cmd_minors)
 

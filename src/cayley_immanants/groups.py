@@ -118,10 +118,6 @@ def _index_map(spec: GroupSpec) -> dict[Element, int]:
     return {a: i for i, a in enumerate(elements(spec))}
 
 
-def element_at(spec: GroupSpec, index: int) -> Element:
-    return elements(spec)[index]
-
-
 def index_of(spec: GroupSpec, a: Element) -> int:
     _check_element(spec, a)
     return _index_map(spec)[a]

@@ -303,16 +303,6 @@ def _legendre(m: int, p: int) -> int:
     return total
 
 
-def _int_valuation(value: int, p: int) -> int:
-    if value == 0:
-        raise ValueError("the zero value has no finite valuation")
-    v = 0
-    while value % p == 0:
-        value //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class ValuationProfile:
     """p-adic valuations of the partition-formula terms of one sequence."""
@@ -353,7 +343,10 @@ def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
             k = len(shape)
             shape_val[shape] = k * r + sum(_legendre(b - 1, p) for b in shape)
     one_block = r + _legendre(n - 1, p)
-    assert shape_val.get((n,)) == one_block
+    if shape_val.get((n,)) != one_block:
+        raise ArithmeticError(
+            f"one-block valuation {shape_val.get((n,))} != r + v_p((n-1)!) = {one_block}"
+        )
     strictly = all(v > one_block for shape, v in shape_val.items() if len(shape) >= 2)
     return ValuationProfile(
         p=p,

@@ -2,14 +2,19 @@
 
 Each suite returns machine-parseable reports.  Group lists default to the
 orders the checks were designed around and can be overridden; all randomness
-is derived from the caller's seed.
+is derived from the caller's seed.  The exact minor checks live in one table,
+MINOR_CHECKS, which both the jacobi/scalars suites and the `minors` command
+run.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .characters import (
     CycleType,
@@ -63,8 +68,6 @@ from .supports import (
     sorted_hall_support,
 )
 
-SUITES = ("hall", "thm13", "thm14", "thm15", "prop42", "jacobi", "scalars", "all")
-
 HALL_GROUPS = ("c4", "c5", "c6", "c7", "c8", "c2xc2", "c2xc4", "c3xc3")
 PRIME_POWER_GROUPS = (
     "c2", "c3", "c4", "c2xc2", "c5", "c7", "c8", "c2xc4", "c2xc2xc2", "c9", "c3xc3",
@@ -76,6 +79,11 @@ JACOBI_GROUPS = ("c3", "c4", "c5", "c6", "c7", "c8", "c2xc2", "c2xc4", "c2xc2xc2
 SCALAR_GROUPS = ("c3", "c5", "c7", "c9")
 REDUCTION_GROUPS = ("c6", "c7", "c8", "c9")
 REGULAR_CHAR_GROUPS = ("c2", "c3", "c4", "c2xc2", "c5", "c6")
+TWO_MOD_FOUR_GROUPS = ("c6", "c10")
+MASTER_FORMULA_GROUPS = ("c6", "c7")
+
+MINOR_SEEDS = 5
+REDUCTION_SEEDS = 3
 
 
 @dataclass
@@ -85,8 +93,8 @@ class VerifyReport:
     theorem: str
     group: str
     params: dict = field(default_factory=dict)
-    status: str = "pass"
-    witness: str | None = None
+    status: str = "pass"  # pass, fail, skipped or error
+    witness: str | dict | None = None
     seconds: float = 0.0
 
     def to_json_dict(self, with_timings: bool = False) -> dict:
@@ -120,6 +128,9 @@ def _run(theorem: str, group: str, params: dict, fn) -> VerifyReport:
         status, witness = "skipped", str(exc)
     except (IdentityCheckError, ArithmeticError, ValueError) as exc:
         status, witness = "fail", f"{type(exc).__name__}: {exc}"
+    except Exception as exc:  # noqa: BLE001 - a crash is reported; the other checks still run
+        traceback.print_exc(file=sys.stderr)
+        status, witness = "error", f"{type(exc).__name__}: {exc}"
     return VerifyReport(
         theorem=theorem,
         group=group,
@@ -130,12 +141,132 @@ def _run(theorem: str, group: str, params: dict, fn) -> VerifyReport:
     )
 
 
+def exit_code(reports: list[VerifyReport]) -> int:
+    """0 if every check passed or was skipped, 4 if one crashed, else 1 if one failed."""
+    statuses = {r.status for r in reports}
+    if "error" in statuses:
+        return 4
+    return 1 if "fail" in statuses else 0
+
+
 def _groups(names, override, max_order):
     chosen = tuple(override) if override else tuple(names)
     specs = [parse_group(name) for name in chosen]
     if max_order is not None:
         specs = [s for s in specs if s.order <= max_order]
     return specs
+
+
+class MinorCheck(NamedTuple):
+    """An exact minor identity checked at seeded random points.
+
+    body(spec, rho, twin) returns None or an (equation, lhs, rhs) failure; an
+    IdentityCheckError it raises is the same failure.  twin is the twin-immanant
+    difference when uses_twin is set (swept once per group, not once per seed),
+    else None.  odd_order and min_order are the identity's hypothesis.
+    """
+
+    body: Callable
+    odd_order: bool = False
+    min_order: int = 1
+    uses_twin: bool = False
+
+
+def _conv_body(spec, rho, twin):
+    add = add_table(spec)
+    n = spec.order
+    profile = inverse_profile(spec, rho)
+    for s in range(n):
+        residual = sum(rho.values[r] * profile.y[add[r][s]] for r in range(n))
+        expected = 1 if s == 0 else 0
+        if residual != expected:
+            return f"sum_r x_r y_(r+s) = [s = 0] at s={s}", residual, expected
+    return None
+
+
+def _jacobi_body(spec, rho, twin):
+    report = jacobi_check(spec, rho)
+    if report.passed:
+        return None
+    subset, lhs, rhs = report.violations[0]
+    return f"complementary minor {list(subset)}", lhs, rhs
+
+
+def _f1_body(spec, rho, twin):
+    lhs, rhs = F1(spec, rho), specialized_det(spec, rho)
+    return None if lhs == rhs else ("F1 = det", lhs, rhs)
+
+
+def _t2t12_body(spec, rho, twin):
+    lhs, rhs = T12(spec, rho), T2(spec, rho)
+    return None if lhs == rhs else ("T12 = T2", lhs, rhs)
+
+
+def _scalars_body(spec, rho, twin):
+    lemma43_scalars(spec, rho)
+    return None
+
+
+def _reduction_body(spec, rho, twin):
+    report = reduction_check(spec, rho, twin=twin)
+    if report.passed:
+        return None
+    return "twin = F1 - det + 2*(T12 - T2)", report.twin_value, report.minor_value
+
+
+MINOR_CHECKS = {
+    "conv": MinorCheck(_conv_body),
+    "jacobi": MinorCheck(_jacobi_body),
+    "f1": MinorCheck(_f1_body, odd_order=True),
+    "t2t12": MinorCheck(_t2t12_body, odd_order=True),
+    "scalars": MinorCheck(_scalars_body, odd_order=True),
+    "reduction": MinorCheck(_reduction_body, min_order=6, uses_twin=True),
+}
+
+
+def minor_failure(
+    name: str, spec: GroupSpec, seeds: int, seed: int, value_range: int = 32
+) -> dict | None:
+    """First counterexample of a minor check over seeds seed, seed+1, ..., or None.
+
+    Raises SkipCheck when the group does not meet the check's hypothesis.
+    """
+    check = MINOR_CHECKS[name]
+    _require(not check.odd_order or spec.order % 2 == 1, "odd order required")
+    _require(spec.order >= check.min_order, f"group order below {check.min_order}")
+    twin = twin_difference(spec) if check.uses_twin else None
+    for s in range(seed, seed + seeds):
+        rho = random_specialization(spec, s, value_range)
+        try:
+            failure = check.body(spec, rho, twin)
+        except IdentityCheckError as exc:
+            failure = exc.equation, exc.lhs, exc.rhs
+        if failure is not None:
+            equation, lhs, rhs = failure
+            return {"seed": s, "equation": equation, "lhs": str(lhs), "rhs": str(rhs)}
+    return None
+
+
+def run_minor_checks(
+    names, spec: GroupSpec, seeds: int, seed: int = 1, value_range: int = 32
+) -> list[VerifyReport]:
+    """One report per named minor check; a failure's witness is its counterexample."""
+    for name in names:
+        if name not in MINOR_CHECKS:
+            raise ValueError(f"unknown check {name!r} (choose from {', '.join(MINOR_CHECKS)})")
+    return [
+        _run(name, spec.name, {},
+             lambda name=name: minor_failure(name, spec, seeds, seed, value_range))
+        for name in names
+    ]
+
+
+def _minor_witness(names, spec: GroupSpec, seeds: int, seed: int) -> str | None:
+    for name in names:
+        failure = minor_failure(name, spec, seeds, seed)
+        if failure is not None:
+            return "{equation}: {lhs} != {rhs} at seed {seed}".format(**failure)
+    return None
 
 
 DET_C3 = {(3, 0, 0): -1, (0, 3, 0): -1, (0, 0, 3): -1, (1, 1, 1): 3}
@@ -229,31 +360,28 @@ def suite_thm14(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
 
         reports.append(_run("odd-order-near-hooks-vanish", spec.name, {}, check))
 
-    def c6_check():
-        spec = GroupSpec((6,))
-        hook = immanant(spec, Partition((5, 1)))
-        cohook = immanant(spec, Partition((2, 1, 1, 1, 1)))
-        counts = count_I_nearhook(spec)
-        if counts != (hook.support_size, cohook.support_size):
-            return f"formula counts {counts} differ from brute force"
-        if counts != (count_P(spec), count_D(spec)):
-            return f"(I_hook, I_cohook) = {counts} != (P, D)"
-        return None
+    for spec in _groups(TWO_MOD_FOUR_GROUPS, groups, max_order):
+        path = "bruteforce" if spec.order <= 8 else "formula"
 
-    reports.append(_run("two-mod-four-near-hook-counts", "c6", {"path": "bruteforce"}, c6_check))
+        def check(spec=spec, path=path):
+            n = spec.order
+            _require(n % 4 == 2, f"order {n} is not 2 mod 4")
+            counts = count_I_nearhook(spec)
+            if path == "bruteforce":
+                hook = immanant(spec, Partition((n - 1, 1)))
+                cohook = immanant(spec, Partition((2,) + (1,) * (n - 2)))
+                if counts != (hook.support_size, cohook.support_size):
+                    return f"formula counts {counts} differ from brute force"
+            expected = (count_P(spec), count_D(spec))
+            if counts != expected:
+                return f"(I_hook, I_cohook) = {counts} != (P, D) = {expected}"
+            return None
 
-    def c10_check():
-        spec = GroupSpec((10,))
-        counts = count_I_nearhook(spec)
-        expected = (count_P(spec), count_D(spec))
-        if counts != expected:
-            return f"(I_hook, I_cohook) = {counts} != (P, D) = {expected}"
-        return None
+        reports.append(
+            _run("two-mod-four-near-hook-counts", spec.name, {"path": path}, check)
+        )
 
-    reports.append(_run("two-mod-four-near-hook-counts", "c10", {"path": "formula"}, c10_check))
-
-    for name in ("c6", "c7"):
-        spec = parse_group(name)
+    for spec in _groups(MASTER_FORMULA_GROUPS, groups, max_order):
 
         def check(spec=spec):
             n = spec.order
@@ -312,62 +440,25 @@ def suite_prop42(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
     return reports
 
 
-def suite_jacobi(groups=None, max_order=None, seed=1, seeds=5) -> list[VerifyReport]:
-    reports = []
-    for spec in _groups(JACOBI_GROUPS, groups, max_order):
-
-        def check(spec=spec):
-            add = add_table(spec)
-            n = spec.order
-            for i in range(seeds):
-                rho = random_specialization(spec, seed + i)
-                profile = inverse_profile(spec, rho)
-                for s in range(n):
-                    residual = sum(rho.values[r] * profile.y[add[r][s]] for r in range(n))
-                    if residual != (1 if s == 0 else 0):
-                        return f"convolution residual {residual} at s={s}, seed {seed + i}"
-                report = jacobi_check(spec, rho)
-                if not report.passed:
-                    subset, lhs, rhs = report.violations[0]
-                    return f"minor {subset}: {lhs} != {rhs} at seed {seed + i}"
-            return None
-
-        reports.append(_run("jacobi-complementary-minors", spec.name, {"seeds": seeds}, check))
-    return reports
+def suite_jacobi(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
+    return [
+        _run("jacobi-complementary-minors", spec.name, {"seeds": MINOR_SEEDS},
+             lambda spec=spec: _minor_witness(("conv", "jacobi"), spec, MINOR_SEEDS, seed))
+        for spec in _groups(JACOBI_GROUPS, groups, max_order)
+    ]
 
 
-def suite_scalars(groups=None, max_order=None, seed=1, seeds=5) -> list[VerifyReport]:
-    reports = []
-    for spec in _groups(SCALAR_GROUPS, groups, max_order):
-
-        def check(spec=spec):
-            _require(spec.order % 2 == 1, f"order {spec.order} is not odd")
-            for i in range(seeds):
-                rho = random_specialization(spec, seed + i)
-                if F1(spec, rho) != specialized_det(spec, rho):
-                    return f"F1 != det at seed {seed + i}"
-                if T12(spec, rho) != T2(spec, rho):
-                    return f"T12 != T2 at seed {seed + i}"
-                lemma43_scalars(spec, rho)
-            return None
-
-        reports.append(_run("odd-order-minor-scalars", spec.name, {"seeds": seeds}, check))
-    for spec in _groups(REDUCTION_GROUPS, groups, max_order):
-
-        def check(spec=spec):
-            _require(spec.order >= 6, f"order {spec.order} is below 6")
-            twin = twin_difference(spec)
-            for i in range(3):
-                rho = random_specialization(spec, seed + i)
-                report = reduction_check(spec, rho, twin=twin)
-                if not report.passed:
-                    return (
-                        f"twin value {report.twin_value} != minor value "
-                        f"{report.minor_value} at seed {seed + i}"
-                    )
-            return None
-
-        reports.append(_run("principal-minor-reduction", spec.name, {"seeds": 3}, check))
+def suite_scalars(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
+    reports = [
+        _run("odd-order-minor-scalars", spec.name, {"seeds": MINOR_SEEDS},
+             lambda spec=spec: _minor_witness(("f1", "t2t12", "scalars"), spec, MINOR_SEEDS, seed))
+        for spec in _groups(SCALAR_GROUPS, groups, max_order)
+    ]
+    reports += [
+        _run("principal-minor-reduction", spec.name, {"seeds": REDUCTION_SEEDS},
+             lambda spec=spec: _minor_witness(("reduction",), spec, REDUCTION_SEEDS, seed))
+        for spec in _groups(REDUCTION_GROUPS, groups, max_order)
+    ]
     return reports
 
 
@@ -418,6 +509,7 @@ def suite_charlayer(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
     return reports
 
 
+# The single ordered registry of suites; "all" runs them in this order.
 _SUITE_FUNCS = {
     "hall": suite_hall,
     "thm13": suite_thm13,
@@ -426,16 +518,14 @@ _SUITE_FUNCS = {
     "prop42": suite_prop42,
     "jacobi": suite_jacobi,
     "scalars": suite_scalars,
+    "charlayer": suite_charlayer,
 }
+SUITES = (*_SUITE_FUNCS, "all")
 
 
 def run_suite(suite: str, groups=None, max_order=None, seed: int = 1) -> list[VerifyReport]:
     if suite == "all":
-        reports = []
-        for name in ("hall", "thm13", "thm14", "thm15", "prop42", "jacobi", "scalars"):
-            reports.extend(_SUITE_FUNCS[name](groups, max_order, seed))
-        reports.extend(suite_charlayer(groups, max_order, seed))
-        return reports
+        return [r for fn in _SUITE_FUNCS.values() for r in fn(groups, max_order, seed)]
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
     return _SUITE_FUNCS[suite](groups, max_order, seed)

@@ -14,7 +14,6 @@ from cayley_immanants.characters import (
     cycle_type,
     dimension,
     hook_char_n11,
-    hook_partition,
     mn_character,
     partitions_of,
     twin_diff_char,
@@ -192,10 +191,3 @@ def test_twin_diff_char():
     for n in (6, 8):
         mu = CycleType.from_lengths([2] * ((n - 2) // 2) + [1, 1])
         assert twin_diff_char(mu) == (-1) ** ((n - 2) // 2) * (3 - n)
-
-
-def test_hook_partition_helper():
-    assert hook_partition(5, 4) == Partition((4, 1))
-    assert hook_partition(5, 1) == Partition((1, 1, 1, 1, 1))
-    with pytest.raises(ValueError):
-        hook_partition(5, 6)

@@ -221,3 +221,65 @@ def test_search_pd_gap(capsys):
     assert by_name["c6"]["P"] == 80 and by_name["c6"]["D"] == 68
     assert by_name["c4"]["gap"] is False
     assert by_name["c2xc2"]["gap"] is False
+
+
+@pytest.mark.parametrize("argv", [("--seeds", "0"), ("--seeds", "-3"), ("--range", "1")])
+def test_minors_rejects_counts_that_check_nothing(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(["minors", "--group", "c5", *argv])
+    assert err.value.code == 2
+
+
+def test_forced_failure_names_one_equation(capsys, monkeypatch):
+    from fractions import Fraction
+
+    from cayley_immanants import verify
+
+    monkeypatch.setattr(verify, "specialized_det", lambda spec, rho: Fraction(0))
+    code, doc = run_json(capsys, "minors", "--group", "c5", "--seeds", "2", "--checks", "f1")
+    assert code == 1
+    counterexample = doc["checks"]["f1"]["counterexample"]
+    assert set(counterexample) == {"seed", "equation", "lhs", "rhs"}
+    assert counterexample["rhs"] == "0"
+    code, doc = run_json(capsys, "verify", "--suite", "scalars", "--groups", "c5")
+    assert code == 1 and doc["passed"] is False
+    (report,) = [r for r in doc["reports"] if r["status"] == "fail"]
+    assert report["witness"].startswith(counterexample["equation"] + ": ")
+
+
+def _raise_key_error(*args, **kwargs):
+    raise KeyError("boom")
+
+
+def test_crashing_check_is_an_error_and_the_rest_still_report(capsys, monkeypatch):
+    from cayley_immanants import verify
+
+    monkeypatch.setattr(verify, "padic_profile", _raise_key_error)
+    code, doc = run_json(capsys, "verify", "--suite", "thm13", "--max-order", "4")
+    assert code == 4 and doc["passed"] is False
+    by_theorem = {(r["theorem"], r["group"]): r for r in doc["reports"]}
+    crashed = by_theorem[("padic-certificate", "c4")]
+    assert crashed["status"] == "error"
+    assert crashed["witness"] == "KeyError: 'boom'"
+    assert by_theorem[("prime-power-P-equals-D", "c4")]["status"] == "pass"
+
+    monkeypatch.setattr(verify, "T2", _raise_key_error)
+    code, doc = run_json(
+        capsys, "minors", "--group", "c5", "--seeds", "1", "--checks", "conv,t2t12"
+    )
+    assert code == 4
+    assert doc["checks"]["conv"]["status"] == "pass"
+    assert doc["checks"]["t2t12"] == {"status": "error", "counterexample": "KeyError: 'boom'"}
+
+
+def test_verify_charlayer_selectable(capsys):
+    code, doc = run_json(capsys, "verify", "--suite", "charlayer")
+    assert code == 0
+    assert len(doc["reports"]) == 7
+
+
+def test_search_pd_gap_progress_goes_to_stderr(capsys):
+    main(["search-pd-gap", "--max-order", "4"])
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["max_order"] == 4
+    assert [line.split()[2] for line in captured.err.splitlines()] == ["c2", "c3", "c2xc2", "c4"]

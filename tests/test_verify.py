@@ -63,3 +63,23 @@ def test_report_serialization():
     assert "seconds" not in data
     data = report.to_json_dict(with_timings=True)
     assert data["seconds"] == 0.125
+
+
+def test_all_is_every_registered_suite_in_order():
+    from cayley_immanants.verify import _SUITE_FUNCS, SUITES
+
+    assert SUITES == (*_SUITE_FUNCS, "all")
+
+    def rows(reports):
+        return [r.to_json_dict() for r in reports]
+
+    expected = [r for name in _SUITE_FUNCS for r in rows(run_suite(name, max_order=4))]
+    assert rows(run_suite("all", max_order=4)) == expected
+
+
+def test_max_order_filters_fixed_groups():
+    from cayley_immanants.groups import parse_group
+
+    reports = run_suite("thm14", max_order=5)
+    assert reports
+    assert all(parse_group(r.group).order <= 5 for r in reports)
