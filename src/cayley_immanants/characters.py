@@ -93,23 +93,6 @@ class CycleType:
         return cls(tuple(sorted(lengths, reverse=True)))
 
 
-def cycle_type(images: tuple[int, ...]) -> CycleType:
-    """Cycle type of a permutation given as an image vector on 0..n-1."""
-    n = len(images)
-    seen = [False] * n
-    lengths = []
-    for u0 in range(n):
-        if not seen[u0]:
-            size = 0
-            u = u0
-            while not seen[u]:
-                seen[u] = True
-                u = images[u]
-                size += 1
-            lengths.append(size)
-    return CycleType.from_lengths(lengths)
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in descending lexicographic order."""

@@ -83,12 +83,12 @@ def _json(data) -> str:
 
 def cmd_imm(args) -> int:
     spec = args.group
-    poly = immanant(spec, args.partition, mode=args.mode)
+    poly = immanant(spec, args.partition)
     doc = poly.to_json_dict()
     summary = {
         "group": spec.name,
         "partition": list(args.partition.parts),
-        "mode": args.mode,
+        "mode": "bruteforce",
         "support_size": poly.support_size,
     }
     if args.out:
@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--partition", type=_partition_arg, required=True,
                    help="comma-separated decreasing parts, e.g. 4,1,1,1")
-    p.add_argument("--mode", choices=("bruteforce", "orbit"), default="bruteforce")
     p.set_defaults(func=cmd_imm)
 
     p = sub.add_parser("twin", help="support size of the twin-immanant difference")

@@ -1,28 +1,27 @@
 """Exact immanants of the Cayley-table matrix (x_{a+b}).
 
-The brute-force path walks all n! permutations of the group in lexicographic
-image order, weighting each monomial by the character of the permutation's
-cycle type.  The orbit path groups permutations into orbits of the
-translation action (gamma * sigma)(u) = sigma(u - gamma) - gamma, which
-preserves sign and monomial (but not cycle type), so the monomial is built
-once per orbit while characters are summed over the orbit's members.
+Every immanant is one sweep over all n! permutations of the group in
+lexicographic image order, weighting each monomial by the character of the
+permutation's cycle type.  With IMM_THREADS above 1 the sweep is split by
+sigma(0) over a process pool; if the pool cannot start, the sweep runs
+serially and says so on stderr.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import sys
 from dataclasses import dataclass
 
 from .characters import (
     CycleType,
     Partition,
-    cycle_type,
     mn_character,
     partitions_of,
     twin_diff_char,
 )
-from .groups import GroupSpec, add_table, neg_table
+from .groups import GroupSpec, add_table
 from .polynomials import GroupPolynomial, Monomial
 
 MAX_SWEEP_ORDER = 10
@@ -102,14 +101,13 @@ def _sweep_block_task(args):
     return _sweep_terms(GroupSpec(factors), weights, first)
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit value, else the IMM_THREADS env cap (0 = auto)."""
-    if workers is None:
-        raw = os.environ.get("IMM_THREADS", "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"IMM_THREADS must be an integer, got {raw!r}")
+def resolve_workers() -> int:
+    """Worker count from the IMM_THREADS environment variable (0 = auto)."""
+    raw = os.environ.get("IMM_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"IMM_THREADS must be an integer, got {raw!r}")
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers < 0:
@@ -117,10 +115,8 @@ def resolve_workers(workers: int | None = None) -> int:
     return workers
 
 
-def _sweep(
-    spec: GroupSpec, weights: dict[tuple[int, ...], int], workers: int | None = None
-) -> dict[Monomial, int]:
-    workers = resolve_workers(workers)
+def _sweep(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> dict[Monomial, int]:
+    workers = resolve_workers()
     n = spec.order
     if workers <= 1 or n < 4:
         return _sweep_terms(spec, weights)
@@ -131,7 +127,12 @@ def _sweep(
         tasks = [(spec.factors, weights, first) for first in range(n)]
         with ctx.Pool(min(workers, n)) as pool:
             partials = pool.map(_sweep_block_task, tasks)
-    except (ImportError, OSError, ValueError):
+    except (ImportError, OSError, ValueError) as exc:
+        print(
+            f"warning: worker pool unavailable ({type(exc).__name__}: {exc}); "
+            "sweeping serially",
+            file=sys.stderr,
+        )
         return _sweep_terms(spec, weights)
     merged: dict[Monomial, int] = {}
     for part in partials:
@@ -144,92 +145,31 @@ def _sweep(
     return merged
 
 
-def translated(spec: GroupSpec, images: tuple[int, ...], gamma: int) -> tuple[int, ...]:
-    """The translation action on permutations, in element-index form."""
-    add = add_table(spec)
-    ng = neg_table(spec)[gamma]
-    return tuple(add[images[add[u][ng]]][ng] for u in range(spec.order))
-
-
-def _orbit_terms(
-    spec: GroupSpec, weights: dict[tuple[int, ...], int]
-) -> dict[Monomial, int]:
-    """Orbit-reduced sweep: one monomial per orbit, characters summed over it.
-
-    The action preserves the monomial but can change cycle type, so the
-    character must be accumulated member by member; weighting a single
-    representative by orbit size would be wrong for general shapes.
-    """
-    n = spec.order
-    add = add_table(spec)
-    negs = neg_table(spec)
-    terms: dict[Monomial, int] = {}
-    seen: set[tuple[int, ...]] = set()
-    for images in itertools.permutations(range(n)):
-        if images in seen:
-            continue
-        orbit = {images}
-        for gamma in range(1, n):
-            ng = negs[gamma]
-            orbit.add(tuple(add[images[add[u][ng]]][ng] for u in range(n)))
-        seen |= orbit
-        w = sum(weights[cycle_type(member).lengths] for member in orbit)
-        if w == 0:
-            continue
-        exp = [0] * n
-        for u in range(n):
-            exp[add[u][images[u]]] += 1
-        key = tuple(exp)
-        new = terms.get(key, 0) + w
-        if new:
-            terms[key] = new
-        else:
-            terms.pop(key, None)
-    return terms
-
-
-def orbit_of(spec: GroupSpec, images: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """All distinct translates of a permutation; size divides |G|."""
-    return {translated(spec, images, g) for g in range(spec.order)}
-
-
-def immanant(
-    spec: GroupSpec,
-    lam: Partition,
-    mode: str = "bruteforce",
-    workers: int | None = None,
-) -> GroupPolynomial:
+def immanant(spec: GroupSpec, lam: Partition) -> GroupPolynomial:
     """imm_lam of the Cayley-table matrix of the group, exactly."""
     _check_envelope(spec)
     if lam.weight != spec.order:
         raise ValueError(
             f"partition weight {lam.weight} != group order {spec.order}"
         )
-    weights = _char_weights(lam)
-    if mode == "bruteforce":
-        terms = _sweep(spec, weights, workers)
-    elif mode == "orbit":
-        terms = _orbit_terms(spec, weights)
-    else:
-        raise ValueError(f"unknown mode {mode!r} (expected 'bruteforce' or 'orbit')")
-    return GroupPolynomial.from_terms(spec, terms)
+    return GroupPolynomial.from_terms(spec, _sweep(spec, _char_weights(lam)))
 
 
-def determinant(spec: GroupSpec, mode: str = "bruteforce", workers: int | None = None):
-    return immanant(spec, Partition((1,) * spec.order), mode, workers)
+def determinant(spec: GroupSpec) -> GroupPolynomial:
+    return immanant(spec, Partition((1,) * spec.order))
 
 
-def permanent(spec: GroupSpec, mode: str = "bruteforce", workers: int | None = None):
-    return immanant(spec, Partition((spec.order,)), mode, workers)
+def permanent(spec: GroupSpec) -> GroupPolynomial:
+    return immanant(spec, Partition((spec.order,)))
 
 
-def twin_difference(spec: GroupSpec, workers: int | None = None) -> GroupPolynomial:
+def twin_difference(spec: GroupSpec) -> GroupPolynomial:
     """imm_(4,1^(n-4)) - imm_(2,2,2,1^(n-6)) in a single weighted sweep."""
     _check_envelope(spec)
     n = spec.order
     if n < 6:
         raise ValueError(f"both twin shapes need group order >= 6, got {n}")
-    return GroupPolynomial.from_terms(spec, _sweep(spec, _twin_weights(n), workers))
+    return GroupPolynomial.from_terms(spec, _sweep(spec, _twin_weights(n)))
 
 
 @dataclass(frozen=True)
@@ -238,8 +178,6 @@ class PermClassStats:
 
     p_m: int
     d_m: int
-    fix_sum: int
-    signed_fix_sum: int
     per_a_counts: tuple[int, ...]
     per_a_signed: tuple[int, ...]
 
@@ -257,19 +195,16 @@ def perm_class_stats(spec: GroupSpec, mono: Monomial) -> PermClassStats:
     capacity = list(mono)
     images = [0] * n
     used = [False] * n
-    p = d = fix_sum = signed_fix_sum = 0
+    p = d = 0
     per_a = [0] * n
     per_a_signed = [0] * n
 
     def descend(u: int) -> None:
-        nonlocal p, d, fix_sum, signed_fix_sum
+        nonlocal p, d
         if u == n:
             sign = 1
             seen = [False] * n
-            fixed = 0
             for s in range(n):
-                if images[s] == s:
-                    fixed += 1
                 if not seen[s]:
                     size = 0
                     v = s
@@ -281,8 +216,6 @@ def perm_class_stats(spec: GroupSpec, mono: Monomial) -> PermClassStats:
                         sign = -sign
             p += 1
             d += sign
-            fix_sum += fixed
-            signed_fix_sum += sign * fixed
             per_a[images[0]] += 1
             per_a_signed[images[0]] += sign
             return
@@ -297,6 +230,4 @@ def perm_class_stats(spec: GroupSpec, mono: Monomial) -> PermClassStats:
                 capacity[row[b]] += 1
 
     descend(0)
-    return PermClassStats(
-        p, d, fix_sum, signed_fix_sum, tuple(per_a), tuple(per_a_signed)
-    )
+    return PermClassStats(p, d, tuple(per_a), tuple(per_a_signed))

@@ -69,20 +69,6 @@ def hall_support(spec: GroupSpec) -> frozenset[Monomial]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ZeroSumSetPartition:
-    """A set partition of sequence positions, every block summing to zero."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    def shape(self) -> tuple[int, ...]:
-        return tuple(sorted((len(b) for b in self.blocks), reverse=True))
-
-
 def _zero_sum_partitions(spec: GroupSpec, seq: tuple[int, ...]):
     """Yield zero-sum set partitions of range(len(seq)) as block tuples.
 
@@ -136,12 +122,6 @@ def _zero_sum_partitions(spec: GroupSpec, seq: tuple[int, ...]):
             used[q] = False
 
     yield from start()
-
-
-def zero_sum_set_partitions(spec: GroupSpec, sequence) -> list[ZeroSumSetPartition]:
-    """The lattice Pi_0 of a sequence of group elements."""
-    seq = tuple(index_of(spec, g) for g in sequence)
-    return [ZeroSumSetPartition(blocks) for blocks in _zero_sum_partitions(spec, seq)]
 
 
 def _block_term(n: int, sizes) -> int:

@@ -275,18 +275,19 @@ PER_C3 = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 3}
 
 def suite_hall(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
     reports = []
+    for spec in _groups(("c3",), groups, max_order):
 
-    def c3_ground_truth():
-        spec = GroupSpec((3,))
-        if determinant(spec) != GroupPolynomial.from_terms(spec, DET_C3):
-            return "det(M_C3) differs from the expanded form"
-        if permanent(spec) != GroupPolynomial.from_terms(spec, PER_C3):
-            return "per(M_C3) differs from the expanded form"
-        if (count_P(spec), count_D(spec)) != (4, 4):
-            return f"(P, D)(C3) = {(count_P(spec), count_D(spec))} != (4, 4)"
-        return None
+        def c3_ground_truth(spec=spec):
+            _require(spec.factors == (3,), f"{spec.name} is not c3")
+            if determinant(spec) != GroupPolynomial.from_terms(spec, DET_C3):
+                return "det(M_C3) differs from the expanded form"
+            if permanent(spec) != GroupPolynomial.from_terms(spec, PER_C3):
+                return "per(M_C3) differs from the expanded form"
+            if (count_P(spec), count_D(spec)) != (4, 4):
+                return f"(P, D)(C3) = {(count_P(spec), count_D(spec))} != (4, 4)"
+            return None
 
-    reports.append(_run("c3-ground-truth", "c3", {}, c3_ground_truth))
+        reports.append(_run("c3-ground-truth", spec.name, {}, c3_ground_truth))
     for spec in _groups(HALL_GROUPS, groups, max_order):
 
         def check(spec=spec):
@@ -490,7 +491,10 @@ def suite_charlayer(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
                         return f"closed form {got} != MN {expected} on class {mu.lengths}"
         return None
 
-    reports.append(_run("closed-character-forms", "s6..s9", {}, closed_forms))
+    # The closed forms are checked on S_6..S_9, not on a group: they run only
+    # when neither --groups nor a --max-order below 9 narrows the suite.
+    if groups is None and (max_order is None or max_order >= 9):
+        reports.append(_run("closed-character-forms", "s6..s9", {}, closed_forms))
     for spec in _groups(REGULAR_CHAR_GROUPS, groups, max_order):
 
         def check(spec=spec):

@@ -11,7 +11,6 @@ from cayley_immanants.characters import (
     char_n3_3,
     char_n3_111,
     cohook_char,
-    cycle_type,
     dimension,
     hook_char_n11,
     mn_character,
@@ -62,16 +61,6 @@ def test_twin_shapes_are_conjugate():
         twin_b = Partition((2, 2, 2) + (1,) * (n - 6))
         assert twin_a.conjugate() == Partition((n - 3, 1, 1, 1))
         assert twin_b.conjugate() == Partition((n - 3, 3))
-
-
-def test_cycle_type_from_images():
-    assert cycle_type((0, 1, 2)) == CycleType((1, 1, 1))
-    assert cycle_type((1, 0, 2)) == CycleType((2, 1))
-    assert cycle_type((1, 2, 0)) == CycleType((3,))
-    ct = cycle_type((1, 0, 3, 2, 4))
-    assert ct == CycleType((2, 2, 1))
-    assert ct.sign == 1
-    assert ct.count(2) == 2
 
 
 def test_mn_character_small_values():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -38,15 +39,6 @@ def test_imm_c5_near_hook_empty(capsys):
     assert code == 0
     assert doc["support_size"] == 0
     assert doc["terms"] == []
-
-
-def test_imm_orbit_mode(capsys):
-    code, doc = run_json(
-        capsys, "imm", "--group", "c4", "--partition", "2,1,1", "--mode", "orbit"
-    )
-    code2, doc2 = run_json(capsys, "imm", "--group", "c4", "--partition", "2,1,1")
-    assert code == code2 == 0
-    assert doc["terms"] == doc2["terms"]
 
 
 def test_imm_out_file(tmp_path, capsys):
@@ -283,3 +275,27 @@ def test_search_pd_gap_progress_goes_to_stderr(capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["max_order"] == 4
     assert [line.split()[2] for line in captured.err.splitlines()] == ["c2", "c3", "c2xc2", "c4"]
+
+
+# sha256 of stdout for fixed calls: a refactor must leave these bytes unchanged.
+STDOUT_SHA256 = {
+    "imm --group c4 --partition 2,1,1":
+        "b1d3ea68d1c06ed8ba48850a3968bfbbd25921b4937ab4088544d0796c478407",
+    "twin --group c6":
+        "d7599b9650aec39014003a2b3d5290cf671b8da8eeb2ec0b5733a2fe0071d21f",
+    "support --group c6 --report full":
+        "71534368fd5082fb6be854666356302808ba0fb2b0ba6d746aef522045fd91ae",
+    "padic --group c4 --all":
+        "db948cc830c4c687bf8d8482c94a684efa3c87e975123893b3702429f7f9bd6d",
+    "minors --group c5 --seeds 2":
+        "1e3c6bd11937b96b71104d86355adbe8ad27b620bcd12e0198ba24d806fe9beb",
+    "verify --suite hall --max-order 6":
+        "7720cd6ab9aaa9167e9efda9768314b2a72f832109fd634b71d221ab150e670f",
+}
+
+
+@pytest.mark.parametrize("call", sorted(STDOUT_SHA256))
+def test_stdout_is_byte_identical(capsys, call):
+    code, out = run_cli(capsys, *call.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[call]

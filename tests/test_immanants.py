@@ -1,16 +1,9 @@
-import itertools
 import math
-import random
 
 import pytest
 
-from cayley_immanants.characters import Partition, cycle_type, partitions_of
-from cayley_immanants.groups import (
-    GroupSpec,
-    doubling_counts,
-    neg_table,
-    perm_parity,
-)
+from cayley_immanants.characters import Partition, partitions_of
+from cayley_immanants.groups import GroupSpec, doubling_counts, neg_table
 from cayley_immanants.immanants import (
     EnvelopeError,
     PermClassStats,
@@ -18,10 +11,9 @@ from cayley_immanants.immanants import (
     _sweep,
     determinant,
     immanant,
-    orbit_of,
     perm_class_stats,
     permanent,
-    translated,
+    resolve_workers,
     twin_difference,
 )
 from cayley_immanants.polynomials import GroupPolynomial, monomial_of_perm
@@ -63,91 +55,42 @@ def test_weight_mismatch_and_envelope():
     with pytest.raises(EnvelopeError):
         determinant(GroupSpec((12,)))
     with pytest.raises(ValueError):
-        immanant(C5, Partition((4, 1)), mode="magic")
-    with pytest.raises(ValueError):
         twin_difference(C5)
 
 
-def test_translation_action_preserves_sign_and_monomial():
-    # exhaustive on n <= 6, randomized spot checks on n = 7 and 8
-    for spec in (C3, C4, C2xC2, C5, C6, GroupSpec((2, 3))):
-        n = spec.order
-        for images in itertools.permutations(range(n)):
-            m = monomial_of_perm(spec, images)
-            s = perm_parity(images)
-            for gamma in range(n):
-                moved = translated(spec, images, gamma)
-                assert perm_parity(moved) == s
-                assert monomial_of_perm(spec, moved) == m
-    rng = random.Random(7)
-    for spec in (C7, GroupSpec((8,)), GroupSpec((2, 4))):
-        n = spec.order
-        for _ in range(200):
-            images = tuple(rng.sample(range(n), n))
-            m = monomial_of_perm(spec, images)
-            s = perm_parity(images)
-            for gamma in range(1, n):
-                moved = translated(spec, images, gamma)
-                assert perm_parity(moved) == s
-                assert monomial_of_perm(spec, moved) == m
-
-
-def test_translation_action_is_group_action():
-    spec = C6
-    rng = random.Random(11)
-    for _ in range(50):
-        images = tuple(rng.sample(range(6), 6))
-        for g1 in range(6):
-            for g2 in range(6):
-                lhs = translated(spec, translated(spec, images, g2), g1)
-                rhs = translated(spec, images, (g1 + g2) % 6)
-                assert lhs == rhs
-
-
-def test_translation_action_can_change_cycle_type():
-    # the orbit of the transposition (0 1) in C4 contains a 4-cycle, so
-    # per-representative character weighting would miscount general shapes
-    swap = (1, 0, 2, 3)
-    types = {cycle_type(member).lengths for member in orbit_of(C4, swap)}
-    assert types == {(2, 1, 1), (4,)}
-
-
-def test_orbit_sizes_divide_group_order():
-    for spec in (C4, C5, C2xC2, C6):
-        n = spec.order
-        total = 0
-        seen = set()
-        for images in itertools.permutations(range(n)):
-            if images in seen:
-                continue
-            orb = orbit_of(spec, images)
-            seen |= orb
-            assert n % len(orb) == 0
-            total += len(orb)
-        assert total == math.factorial(n)
-
-
-def test_orbit_mode_matches_bruteforce():
-    for spec in (C2, C3, C4, C2xC2, C5, C6, GroupSpec((2, 3)), C7):
-        n = spec.order
-        for lam in partitions_of(n):
-            assert immanant(spec, lam, mode="orbit") == immanant(spec, lam)
-
-
-def test_parallel_sweep_matches_serial():
+def test_parallel_sweep_matches_serial(monkeypatch):
     lam = Partition((3, 2))
-    assert immanant(C5, lam, workers=2) == immanant(C5, lam, workers=1)
-    assert twin_difference(C6, workers=2) == twin_difference(C6, workers=1)
+    monkeypatch.setenv("IMM_THREADS", "1")
+    serial = immanant(C5, lam), twin_difference(C6)
+    monkeypatch.setenv("IMM_THREADS", "2")
+    assert (immanant(C5, lam), twin_difference(C6)) == serial
+
+
+def test_pool_fallback_is_reported(monkeypatch, capsys):
+    import multiprocessing
+
+    lam = Partition((2, 1, 1))
+    monkeypatch.setenv("IMM_THREADS", "1")
+    serial = immanant(C4, lam)
+
+    def no_pool(method=None):
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setenv("IMM_THREADS", "2")
+    capsys.readouterr()
+    assert immanant(C4, lam) == serial
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "OSError: no fork here" in captured.err
 
 
 def test_imm_threads_env(monkeypatch):
-    from cayley_immanants.immanants import resolve_workers
-
     monkeypatch.delenv("IMM_THREADS", raising=False)
     assert resolve_workers() == 1
     monkeypatch.setenv("IMM_THREADS", "3")
     assert resolve_workers() == 3
-    assert resolve_workers(2) == 2  # explicit argument wins
     monkeypatch.setenv("IMM_THREADS", "0")
     assert resolve_workers() >= 1
     monkeypatch.setenv("IMM_THREADS", "lots")
@@ -156,10 +99,10 @@ def test_imm_threads_env(monkeypatch):
     monkeypatch.setenv("IMM_THREADS", "-1")
     with pytest.raises(ValueError):
         resolve_workers()
+    monkeypatch.setenv("IMM_THREADS", "1")
+    serial = immanant(C4, Partition((2, 1, 1)))
     monkeypatch.setenv("IMM_THREADS", "2")
-    assert immanant(C4, Partition((2, 1, 1))) == immanant(
-        C4, Partition((2, 1, 1)), workers=1
-    )
+    assert immanant(C4, Partition((2, 1, 1))) == serial
 
 
 def test_perm_class_stats_c3_all_distinct():
@@ -199,7 +142,7 @@ def test_perm_class_stats_match_det_per_coefficients():
         absent = (n - 1, 1) + (0,) * (n - 2)
         if absent not in per.support():
             empty = perm_class_stats(spec, absent)
-            assert empty == PermClassStats(0, 0, 0, 0, (0,) * n, (0,) * n)
+            assert empty == PermClassStats(0, 0, (0,) * n, (0,) * n)
 
 
 def test_translation_fiber_counts():

@@ -83,3 +83,8 @@ def test_max_order_filters_fixed_groups():
     reports = run_suite("thm14", max_order=5)
     assert reports
     assert all(parse_group(r.group).order <= 5 for r in reports)
+    reports = run_suite("all", max_order=4)
+    assert reports
+    assert all(parse_group(r.group).order <= 4 for r in reports)
+    st = statuses(run_suite("hall", groups=["c5"]))
+    assert st == {("c3-ground-truth", "c5"): "skipped", ("hall-permanent-support", "c5"): "pass"}
