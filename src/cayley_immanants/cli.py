@@ -12,11 +12,14 @@ worker count (0 = auto).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import sys
 import time
+from collections.abc import Iterator
 
 from .characters import Partition
 from .groups import GroupSpec, _prime_factorization, parse_group
@@ -67,18 +70,25 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+def _emit(payload: str | Iterator[str], out: str | None) -> None:
+    """Write a CSV string or streamed JSON chunks to --out or to stdout.
+
+    Chunks are joined into blocks of 4096 before writing, since one write
+    per chunk is slow on a pipe.  Stdout always ends with a newline; a file
+    gets the payload as it is.
+    """
+    chunks = iter((payload,) if isinstance(payload, str) else payload)
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
+        last = ""
+        while block := "".join(itertools.islice(chunks, 4096)):
+            handle.write(block)
+            last = block
+        if not out and not last.endswith("\n"):
+            handle.write("\n")
 
 
-def _json(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True)
+def _json(data) -> Iterator[str]:
+    return json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
 
 
 def cmd_imm(args) -> int:

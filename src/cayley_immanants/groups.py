@@ -219,3 +219,48 @@ def negation_parity(spec: GroupSpec) -> int:
     columns differ by this permutation.
     """
     return perm_parity(neg_table(spec))
+
+
+def automorphisms(spec: GroupSpec) -> list[tuple[int, ...]]:
+    """Every automorphism phi of the group, as index maps phi[g].
+
+    Each cyclic generator may go to any element whose order divides its
+    factor; that choice fixes a homomorphism, which is kept when it is a
+    bijection.
+    """
+    els = elements(spec)
+    idx = _index_map(spec)
+    n = spec.order
+    choices = [
+        [h for h in els if all(d * r % f == 0 for r, f in zip(h, spec.factors))]
+        for d in spec.factors
+    ]
+    out = []
+    for gens in itertools.product(*choices):
+        phi = tuple(
+            idx[tuple(
+                sum(c * h[j] for c, h in zip(g, gens)) % f
+                for j, f in enumerate(spec.factors)
+            )]
+            for g in els
+        )
+        if len(set(phi)) == n:
+            out.append(phi)
+    return out
+
+
+def affine_maps(spec: GroupSpec) -> list[tuple[int, ...]]:
+    """The relabellings g -> phi(g) + 2*gamma of the group's elements.
+
+    Conjugating a permutation sigma by the affine map u -> phi(u) + gamma
+    keeps its cycle type and relabels the monomial prod_u x_{u+sigma(u)}
+    by exactly this map, so immanant coefficients are constant on its
+    orbits.  One index tuple per distinct (phi, 2*gamma).
+    """
+    add = add_table(spec)
+    shifts = sorted(set(double_table(spec)))
+    return [
+        tuple(add[phi[g]][s] for g in range(spec.order))
+        for phi in automorphisms(spec)
+        for s in shifts
+    ]

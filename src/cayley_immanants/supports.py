@@ -3,8 +3,9 @@
 Three independent routes to determinant coefficients live here and in the
 engine: the labelled zero-sum set-partition sum (the partition-lattice
 formula), its multiset-level regrouping with binomial weights (same sum,
-memoized across monomials), and the brute-force sweep.  Tests pin all three
-against each other at small orders.
+memoized across monomials), and the engine's permutation-class walks over
+the orbits of the Hall support.  Tests pin all three against each other and
+against a brute-force sum over all n! permutations at small orders.
 """
 
 from __future__ import annotations
@@ -12,20 +13,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .groups import (
     Element,
     GroupSpec,
     _prime_factorization,
     add_table,
+    affine_maps,
     doubling_counts,
     elements,
     index_of,
     neg_table,
     negation_parity,
 )
-from .immanants import PermClassStats
 from .polynomials import Monomial
+
+if TYPE_CHECKING:
+    from .immanants import PermClassStats
 
 
 @lru_cache(maxsize=None)
@@ -67,6 +72,31 @@ def hall_support(spec: GroupSpec) -> frozenset[Monomial]:
 
     descend(0, n, 0)
     return frozenset(out)
+
+
+def hall_orbits(spec: GroupSpec) -> list[tuple[Monomial, ...]]:
+    """The Hall support split into orbits of `groups.affine_maps`.
+
+    Each orbit is a tuple led by its lexicographically least monomial, its
+    representative; orbits come in the order of their representatives.
+    """
+    n = spec.order
+    maps = affine_maps(spec)
+    seen: set[Monomial] = set()
+    orbits = []
+    for mono in sorted(hall_support(spec)):
+        if mono in seen:
+            continue
+        orbit = {mono}
+        for r in maps:
+            image = [0] * n
+            for g, e in enumerate(mono):
+                image[r[g]] = e
+            orbit.add(tuple(image))
+        seen |= orbit
+        orbit.discard(mono)
+        orbits.append((mono, *orbit))
+    return orbits
 
 
 def _zero_sum_partitions(spec: GroupSpec, seq: tuple[int, ...]):

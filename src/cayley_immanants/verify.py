@@ -316,9 +316,9 @@ def suite_thm13(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
                 return f"P = {p} != D = {d}"
             if spec.order <= 8:
                 if permanent(spec).support_size != p:
-                    return "formula P differs from brute force"
+                    return "formula P differs from the immanant engine"
                 if determinant(spec).support_size != d:
-                    return "formula D differs from brute force"
+                    return "formula D differs from the immanant engine"
             return None
 
         reports.append(
@@ -372,7 +372,7 @@ def suite_thm14(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
                 hook = immanant(spec, Partition((n - 1, 1)))
                 cohook = immanant(spec, Partition((2,) + (1,) * (n - 2)))
                 if counts != (hook.support_size, cohook.support_size):
-                    return f"formula counts {counts} differ from brute force"
+                    return f"formula counts {counts} differ from the immanant engine"
             expected = (count_P(spec), count_D(spec))
             if counts != expected:
                 return f"(I_hook, I_cohook) = {counts} != (P, D) = {expected}"

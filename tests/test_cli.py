@@ -277,8 +277,17 @@ def test_search_pd_gap_progress_goes_to_stderr(capsys):
     assert [line.split()[2] for line in captured.err.splitlines()] == ["c2", "c3", "c2xc2", "c4"]
 
 
-# sha256 of stdout for fixed calls: a refactor must leave these bytes unchanged.
+# sha256 of stdout for fixed calls (of the written file, for `--out FILE`):
+# a refactor must leave these bytes unchanged.
 STDOUT_SHA256 = {
+    "imm --group c2xc4 --partition 3,2,1,1,1":
+        "60de1bdf2f72639cbd11579699671454ca5d66d44e4cf8adcea1cb999b2b4c59",
+    "imm --group c2xc2xc2 --partition 2,2,2,1,1":
+        "27b53a05275f78080fce32848ff56bca246150cf52a97e904d09daff2279b670",
+    "twin --group c8":
+        "57a76299209c7c5e9bfeb444f7f68ac0bec7484df59db638e7793854984dbc04",
+    "imm --group c5 --partition 3,1,1 --out FILE":
+        "8de205397259727d40e51740dcf81a62caf626f79342ed8d197cfdb2ba750c99",
     "imm --group c4 --partition 2,1,1":
         "b1d3ea68d1c06ed8ba48850a3968bfbbd25921b4937ab4088544d0796c478407",
     "twin --group c6":
@@ -295,7 +304,9 @@ STDOUT_SHA256 = {
 
 
 @pytest.mark.parametrize("call", sorted(STDOUT_SHA256))
-def test_stdout_is_byte_identical(capsys, call):
-    code, out = run_cli(capsys, *call.split())
+def test_stdout_is_byte_identical(capsys, tmp_path, call):
+    path = tmp_path / "out.json"
+    code, out = run_cli(capsys, *call.replace("FILE", str(path)).split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[call]
+    data = path.read_bytes() if "FILE" in call else out.encode()
+    assert hashlib.sha256(data).hexdigest() == STDOUT_SHA256[call]

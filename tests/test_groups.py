@@ -8,6 +8,8 @@ from cayley_immanants.groups import (
     GroupSpec,
     add,
     add_table,
+    affine_maps,
+    automorphisms,
     double,
     doubling_counts,
     doubling_preimage_count,
@@ -203,3 +205,28 @@ def test_bad_spec_rejected():
         GroupSpec((1,))
     with pytest.raises(ValueError):
         GroupSpec((0, 3))
+
+
+@pytest.mark.parametrize(
+    "factors, count",
+    [((7,), 6), ((8,), 4), ((2, 2), 6), ((2, 4), 8), ((2, 2, 2), 168), ((3, 3), 48)],
+)
+def test_automorphism_counts(factors, count):
+    spec = GroupSpec(factors)
+    auts = automorphisms(spec)
+    assert len(auts) == len(set(auts)) == count
+    table = add_table(spec)
+    for phi in auts:
+        assert sorted(phi) == list(range(spec.order))
+        for a in range(spec.order):
+            for b in range(spec.order):
+                assert phi[table[a][b]] == table[phi[a]][phi[b]]
+
+
+@pytest.mark.parametrize("factors, count", [((10,), 20), ((9,), 54), ((3, 3), 432)])
+def test_affine_map_counts(factors, count):
+    spec = GroupSpec(factors)
+    maps = affine_maps(spec)
+    assert len(maps) == len(set(maps)) == count
+    for r in maps:
+        assert sorted(r) == list(range(spec.order))

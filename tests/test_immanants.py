@@ -1,14 +1,20 @@
+import functools
+import itertools
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cayley_immanants.characters import Partition, partitions_of
-from cayley_immanants.groups import GroupSpec, doubling_counts, neg_table
+from cayley_immanants.groups import GroupSpec, affine_maps, doubling_counts, neg_table
 from cayley_immanants.immanants import (
     EnvelopeError,
     PermClassStats,
     _char_weights,
     _sweep,
+    _twin_weights,
     determinant,
     immanant,
     perm_class_stats,
@@ -17,6 +23,7 @@ from cayley_immanants.immanants import (
     twin_difference,
 )
 from cayley_immanants.polynomials import GroupPolynomial, monomial_of_perm
+from cayley_immanants.supports import hall_orbits, hall_support
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
@@ -25,6 +32,37 @@ C5 = GroupSpec((5,))
 C6 = GroupSpec((6,))
 C7 = GroupSpec((7,))
 C2xC2 = GroupSpec((2, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def brute_histogram(spec: GroupSpec) -> dict:
+    """monomial -> Counter of descending cycle lengths, over all n! permutations."""
+    n = spec.order
+    hist: dict = {}
+    for images in itertools.permutations(range(n)):
+        seen = [False] * n
+        lengths = []
+        for u in range(n):
+            size = 0
+            while not seen[u]:
+                seen[u] = True
+                u = images[u]
+                size += 1
+            if size:
+                lengths.append(size)
+        mono = monomial_of_perm(spec, images)
+        hist.setdefault(mono, Counter())[tuple(sorted(lengths, reverse=True))] += 1
+    return hist
+
+
+def brute_terms(spec: GroupSpec, weights) -> dict:
+    """The brute-force oracle of _sweep: nonzero sum of weight(type) per monomial."""
+    terms = {}
+    for mono, types in brute_histogram(spec).items():
+        coeff = sum(weights[t] * c for t, c in types.items())
+        if coeff:
+            terms[mono] = coeff
+    return terms
 
 DET_C3 = GroupPolynomial.from_terms(
     C3, {(3, 0, 0): -1, (0, 3, 0): -1, (0, 0, 3): -1, (1, 1, 1): 3}
@@ -217,3 +255,48 @@ def test_negation_monomial_in_every_support():
         assert (n,) + (0,) * (n - 1) in permanent(spec).support()
         images = tuple(neg_table(spec))
         assert monomial_of_perm(spec, images) == (n,) + (0,) * (n - 1)
+
+
+ORACLE_SPECS = [GroupSpec((n,)) for n in range(2, 9)] + [
+    GroupSpec((2, 2)), GroupSpec((2, 4)), GroupSpec((2, 2, 2))
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
+def test_sweep_matches_brute_force_oracle(spec):
+    n = spec.order
+    for lam in partitions_of(n):
+        weights = _char_weights(lam)
+        assert _sweep(spec, weights) == brute_terms(spec, weights), lam
+    if n >= 6:
+        assert _sweep(spec, _twin_weights(n)) == brute_terms(spec, _twin_weights(n))
+
+
+@pytest.mark.parametrize(
+    "factors, lam", [((3, 3), (4, 1, 1, 1, 1, 1)), ((9,), (1,) * 9)], ids=str
+)
+def test_sweep_matches_brute_force_oracle_order_9(factors, lam):
+    spec = GroupSpec(factors)
+    weights = _char_weights(Partition(lam))
+    assert _sweep(spec, weights) == brute_terms(spec, weights)
+
+
+SMALL_SPECS = [GroupSpec((n,)) for n in range(2, 8)] + [GroupSpec((2, 2))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_relabelling_keeps_oracle_coefficients(data):
+    # the invariance the orbit engine relies on, checked on the oracle alone
+    spec = data.draw(st.sampled_from(SMALL_SPECS), label="spec")
+    r = data.draw(st.sampled_from(affine_maps(spec)), label="map")
+    lam = data.draw(st.sampled_from(partitions_of(spec.order)), label="lam")
+    terms = brute_terms(spec, _char_weights(lam))
+    for mono in hall_support(spec):
+        image = [0] * spec.order
+        for g, e in enumerate(mono):
+            image[r[g]] = e
+        assert terms.get(tuple(image), 0) == terms.get(mono, 0)
+    orbits = hall_orbits(spec)
+    assert sum(len(orbit) for orbit in orbits) == len(hall_support(spec))
+    assert set().union(*orbits) == hall_support(spec)
