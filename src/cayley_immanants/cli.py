@@ -34,10 +34,11 @@ from .supports import (
     count_I_nearhook,
     count_P,
     det_coeff,
+    hall_orbits,
     monomial_sequence,
     near_hook_coeff,
     padic_profile,
-    sorted_hall_support,
+    padic_profiles,
 )
 from .verify import MINOR_CHECKS, SUITES, exit_code, run_minor_checks, run_suite
 
@@ -132,21 +133,23 @@ def cmd_support(args) -> int:
         "I_cohook": cohook,
     }
     if args.report == "full":
+        # every column is constant on an affine orbit: compute it on the
+        # representative, copy it to the members, then sort by exponent
         rows = []
-        for mono in sorted_hall_support(spec):
-            stats = perm_class_stats(spec, mono)
-            h, c = near_hook_coeff(spec, mono, stats)
-            rows.append(
-                {
-                    "exp": list(mono),
-                    "p_m": stats.p_m,
-                    "d_m": stats.d_m,
-                    "det_coeff": det_coeff(spec, mono),
-                    "hook_coeff": h,
-                    "cohook_coeff": c,
-                }
-            )
-        doc["monomials"] = rows
+        for orbit in hall_orbits(spec):
+            rep = orbit[0]
+            stats = perm_class_stats(spec, rep)
+            h, c = near_hook_coeff(spec, rep, stats)
+            values = {
+                "p_m": stats.p_m,
+                "d_m": stats.d_m,
+                "det_coeff": det_coeff(spec, rep),
+                "hook_coeff": h,
+                "cohook_coeff": c,
+            }
+            rows.extend((mono, values) for mono in orbit)
+        rows.sort(key=lambda row: row[0])
+        doc["monomials"] = [{"exp": list(mono)} | values for mono, values in rows]
     _emit(_json(doc), args.out)
     return 0
 
@@ -169,17 +172,17 @@ def cmd_padic(args) -> int:
         print(f"error: {spec.name} does not have prime-power order", file=sys.stderr)
         return 2
     if args.sequence:
-        sequences = [_parse_sequence(args.sequence)]
+        seq = _parse_sequence(args.sequence)
+        profiles = [(seq, padic_profile(spec, seq))]
     elif args.all:
-        sequences = [monomial_sequence(spec, m) for m in sorted_hall_support(spec)]
+        profiles = [(monomial_sequence(spec, m), prof) for m, prof in padic_profiles(spec)]
     else:
         print("error: provide --all or --sequence", file=sys.stderr)
         return 2
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["sequence", "min_valuation", "strictly_minimal"])
-    for seq in sequences:
-        profile = padic_profile(spec, seq)
+    for seq, profile in profiles:
         rendered = " ".join(_format_element(g) for g in seq)
         min_val = min(v for _, v in profile.terms)
         writer.writerow([rendered, min_val, profile.strictly_minimal])

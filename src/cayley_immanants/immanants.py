@@ -56,14 +56,12 @@ def _twin_weights(n: int) -> dict[tuple[int, ...], int]:
     return {p.parts: twin_diff_char(CycleType(p.parts)) for p in partitions_of(n)}
 
 
-def _class_walk(
-    spec: GroupSpec, mono: Monomial
-) -> dict[tuple[int, tuple[int, ...]], int]:
+def _class_walk(spec: GroupSpec, mono: Monomial) -> dict[tuple[int, ...], int]:
     """Count the permutations sigma with prod_u x_{u+sigma(u)} = mono.
 
     Capacity-constrained backtracking: sigma(u) may only be an unused b with
     remaining demand for x_{u+b}, so the cost scales with the class size,
-    not n!.  Counts are keyed by (sigma(0), descending cycle lengths).
+    not n!.  Counts are keyed by the descending cycle lengths.
     """
     n = spec.order
     # (b, u + b) for every image b of u that mono has a variable for
@@ -76,7 +74,7 @@ def _class_walk(
     used = [False] * n
     visited = [0] * n
     stamp = 0
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
+    counts: dict[tuple[int, ...], int] = {}
 
     def descend(u: int) -> None:
         nonlocal stamp
@@ -93,7 +91,7 @@ def _class_walk(
                         size += 1
                     lengths.append(size)
             lengths.sort(reverse=True)
-            key = (images[0], tuple(lengths))
+            key = tuple(lengths)
             counts[key] = counts.get(key, 0) + 1
             return
         for b, g in moves[u]:
@@ -114,7 +112,7 @@ def _orbit_coeff(
 ) -> int:
     """The coefficient of rep, hence of its whole orbit: sum of weight(type)."""
     counts = _class_walk(spec, rep)
-    return sum(weights[lengths] * c for (_, lengths), c in counts.items())
+    return sum(weights[lengths] * c for lengths, c in counts.items())
 
 
 def _orbit_task(args):
@@ -203,22 +201,15 @@ class PermClassStats:
 
     p_m: int
     d_m: int
-    per_a_counts: tuple[int, ...]
-    per_a_signed: tuple[int, ...]
 
 
 def perm_class_stats(spec: GroupSpec, mono: Monomial) -> PermClassStats:
-    """p_m, d_m and their split by sigma(0) over the class P(m)."""
+    """p_m = |P(m)| and d_m, the signed count of P(m)."""
     n = spec.order
     if len(mono) != n or sum(mono) != n:
         raise ValueError(f"monomial {mono!r} is not a degree-{n} exponent vector")
     p = d = 0
-    per_a = [0] * n
-    per_a_signed = [0] * n
-    for (first, lengths), count in _class_walk(spec, mono).items():
-        signed = -count if (n - len(lengths)) % 2 else count
+    for lengths, count in _class_walk(spec, mono).items():
         p += count
-        d += signed
-        per_a[first] += count
-        per_a_signed[first] += signed
-    return PermClassStats(p, d, tuple(per_a), tuple(per_a_signed))
+        d += -count if (n - len(lengths)) % 2 else count
+    return PermClassStats(p, d)

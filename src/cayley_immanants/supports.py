@@ -6,6 +6,12 @@ formula), its multiset-level regrouping with binomial weights (same sum,
 memoized across monomials), and the engine's permutation-class walks over
 the orbits of the Hall support.  Tests pin all three against each other and
 against a brute-force sum over all n! permutations at small orders.
+
+The counts D and I_(n-1,1), I_(2,1^(n-2)) evaluate one representative per
+orbit of `groups.affine_maps` and weight it by the orbit size: det_coeff and
+the near-hook scalar are constant on those orbits.  The p-adic profile reads
+the block shapes of the zero-sum partitions, which a translation changes, so
+`padic_profiles` uses the orbits of `groups.automorphisms` only.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from .groups import (
     _prime_factorization,
     add_table,
     affine_maps,
+    automorphisms,
     doubling_counts,
     elements,
     index_of,
@@ -74,14 +81,36 @@ def hall_support(spec: GroupSpec) -> frozenset[Monomial]:
     return frozenset(out)
 
 
-def hall_orbits(spec: GroupSpec) -> list[tuple[Monomial, ...]]:
-    """The Hall support split into orbits of `groups.affine_maps`.
+def count_P_closed(spec: GroupSpec) -> int:
+    """|Hall support| in closed form: (1/n) sum_d N_d C(2n/d - 1, n/d).
 
-    Each orbit is a tuple led by its lexicographically least monomial, its
-    representative; orbits come in the order of their representatives.
+    N_d counts the elements (equally, the characters) of order d; a
+    character of order d gives prod_g (1 - chi(g) t) = (1 - t^d)^(n/d).
+    O(n) and enumeration-free, so it is an oracle for `hall_support`.
     """
     n = spec.order
-    maps = affine_maps(spec)
+    total = 0
+    for g in elements(spec):
+        d = math.lcm(*(f // math.gcd(r, f) for r, f in zip(g, spec.factors)))
+        total += math.comb(2 * n // d - 1, n // d)
+    if total % n:
+        raise ArithmeticError(f"closed-form P sum {total} not divisible by {n}")
+    return total // n
+
+
+@lru_cache(maxsize=None)
+def hall_orbits(
+    spec: GroupSpec, relabellings=affine_maps
+) -> tuple[tuple[Monomial, ...], ...]:
+    """The Hall support split into orbits of `relabellings(spec)`.
+
+    `relabellings` returns index maps g -> r[g] that form a group, by
+    default `groups.affine_maps`.  Each orbit is a tuple led by its
+    lexicographically least monomial, its representative; orbits come in
+    the order of their representatives.
+    """
+    n = spec.order
+    maps = relabellings(spec)
     seen: set[Monomial] = set()
     orbits = []
     for mono in sorted(hall_support(spec)):
@@ -96,7 +125,7 @@ def hall_orbits(spec: GroupSpec) -> list[tuple[Monomial, ...]]:
         seen |= orbit
         orbit.discard(mono)
         orbits.append((mono, *orbit))
-    return orbits
+    return tuple(orbits)
 
 
 def _zero_sum_partitions(spec: GroupSpec, seq: tuple[int, ...]):
@@ -254,9 +283,10 @@ def count_D(spec: GroupSpec) -> int:
     """Number of monomials of the determinant.
 
     Every determinant monomial is a permanent monomial (same permutation
-    sum, different weights), so only the Hall support is scanned.
+    sum, different weights), so only the Hall support is scanned, one
+    representative per affine orbit.
     """
-    return sum(1 for m in hall_support(spec) if det_coeff(spec, m) != 0)
+    return sum(len(o) for o in hall_orbits(spec) if det_coeff(spec, o[0]) != 0)
 
 
 def near_hook_scalar_numerator(spec: GroupSpec, mono: Monomial) -> int:
@@ -292,14 +322,15 @@ def count_I_nearhook(spec: GroupSpec) -> tuple[int, int]:
 
     On the Hall support p_m > 0 always, so the hook count needs just the
     scalar; the cohook count additionally needs d_m, taken from the
-    partition formula.  No n! sweep is involved at any order.
+    partition formula.  No n! sweep is involved at any order.  Both tests
+    run once per affine orbit, which then counts with its size.
     """
     hook = cohook = 0
-    for mono in hall_support(spec):
-        if near_hook_scalar_numerator(spec, mono) != 0:
-            hook += 1
-            if det_coeff(spec, mono) != 0:
-                cohook += 1
+    for orbit in hall_orbits(spec):
+        if near_hook_scalar_numerator(spec, orbit[0]) != 0:
+            hook += len(orbit)
+            if det_coeff(spec, orbit[0]) != 0:
+                cohook += len(orbit)
     return hook, cohook
 
 
@@ -365,6 +396,22 @@ def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
         one_block_valuation=one_block,
         strictly_minimal=strictly,
     )
+
+
+def padic_profiles(spec: GroupSpec) -> list[tuple[Monomial, ValuationProfile]]:
+    """(monomial, padic_profile of its sequence) over the Hall support, sorted.
+
+    The profile is computed once per orbit of `groups.automorphisms` and
+    shared by the orbit: an automorphism maps zero-sum blocks to zero-sum
+    blocks of the same sizes.  Translations do not, so affine orbits would
+    be wrong here.
+    """
+    rows = []
+    for orbit in hall_orbits(spec, automorphisms):
+        profile = padic_profile(spec, monomial_sequence(spec, orbit[0]))
+        rows.extend((mono, profile) for mono in orbit)
+    rows.sort(key=lambda row: row[0])
+    return rows
 
 
 def sorted_hall_support(spec: GroupSpec) -> list[Monomial]:

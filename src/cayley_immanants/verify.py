@@ -60,11 +60,11 @@ from .supports import (
     count_D,
     count_I_nearhook,
     count_P,
+    count_P_closed,
     hall_support,
-    monomial_sequence,
     near_hook_coeff,
     near_hook_scalar_numerator,
-    padic_profile,
+    padic_profiles,
     sorted_hall_support,
 )
 
@@ -296,6 +296,11 @@ def suite_hall(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
             if got != expected:
                 extra = sorted(got ^ expected)[:3]
                 return f"support mismatch, e.g. {extra}"
+            # the engine reads its monomials from hall_support, so a missing
+            # orbit would be missing from both sides above
+            closed = count_P_closed(spec)
+            if len(expected) != closed:
+                return f"|hall_support| = {len(expected)} != closed-form P = {closed}"
             return None
 
         reports.append(_run("hall-permanent-support", spec.name, {}, check))
@@ -331,8 +336,7 @@ def suite_thm13(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
                 len(_prime_factorization(spec.order)) == 1,
                 f"order {spec.order} is not a prime power",
             )
-            for mono in sorted_hall_support(spec):
-                profile = padic_profile(spec, monomial_sequence(spec, mono))
+            for mono, profile in padic_profiles(spec):
                 if not profile.strictly_minimal:
                     return f"one-block term not strictly minimal at {mono}"
             return None

@@ -244,9 +244,9 @@ def _raise_key_error(*args, **kwargs):
 
 
 def test_crashing_check_is_an_error_and_the_rest_still_report(capsys, monkeypatch):
-    from cayley_immanants import verify
+    from cayley_immanants import supports, verify
 
-    monkeypatch.setattr(verify, "padic_profile", _raise_key_error)
+    monkeypatch.setattr(supports, "padic_profile", _raise_key_error)
     code, doc = run_json(capsys, "verify", "--suite", "thm13", "--max-order", "4")
     assert code == 4 and doc["passed"] is False
     by_theorem = {(r["theorem"], r["group"]): r for r in doc["reports"]}
@@ -300,6 +300,16 @@ STDOUT_SHA256 = {
         "1e3c6bd11937b96b71104d86355adbe8ad27b620bcd12e0198ba24d806fe9beb",
     "verify --suite hall --max-order 6":
         "7720cd6ab9aaa9167e9efda9768314b2a72f832109fd634b71d221ab150e670f",
+    # largest orbits: 20 (c10) and 16 (c2xc4) affine; 4 (c8) and 48 (c3xc3)
+    # under automorphisms, the orbits that `padic` uses
+    "support --group c10 --report full":
+        "d2ffe0dbc0da5d4a01b05dcf7e19efa91b4438cf232f3538e8672044b073547a",
+    "support --group c2xc4 --report full":
+        "81024a9580f5416dcadc46b9b9400c2bffd8594ac2a16fb14a1c5f463fb006e6",
+    "padic --group c8 --all":
+        "61afd84aad70986f1f481c6cbce39f58db0e56cf619c272957ecf03d41893ed4",
+    "padic --group c3xc3 --all":
+        "c06ba00c149a84d54166b8857b7fc0b3c5bd844a25589812dc51c5de5481eaf6",
 }
 
 

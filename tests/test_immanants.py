@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_immanants.characters import Partition, partitions_of
-from cayley_immanants.groups import GroupSpec, affine_maps, doubling_counts, neg_table
+from cayley_immanants.groups import (
+    GroupSpec,
+    affine_maps,
+    automorphisms,
+    doubling_counts,
+    neg_table,
+    perm_parity,
+)
 from cayley_immanants.immanants import (
     EnvelopeError,
     PermClassStats,
@@ -23,7 +30,14 @@ from cayley_immanants.immanants import (
     twin_difference,
 )
 from cayley_immanants.polynomials import GroupPolynomial, monomial_of_perm
-from cayley_immanants.supports import hall_orbits, hall_support
+from cayley_immanants.supports import (
+    hall_orbits,
+    hall_support,
+    labelled_det_coeff,
+    monomial_sequence,
+    near_hook_scalar_numerator,
+    padic_profile,
+)
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
@@ -63,6 +77,15 @@ def brute_terms(spec: GroupSpec, weights) -> dict:
         if coeff:
             terms[mono] = coeff
     return terms
+
+
+def relabel(mono, r):
+    """The monomial with x_g renamed x_{r[g]}."""
+    image = [0] * len(mono)
+    for g, e in enumerate(mono):
+        image[r[g]] = e
+    return tuple(image)
+
 
 DET_C3 = GroupPolynomial.from_terms(
     C3, {(3, 0, 0): -1, (0, 3, 0): -1, (0, 0, 3): -1, (1, 1, 1): 3}
@@ -180,19 +203,30 @@ def test_perm_class_stats_match_det_per_coefficients():
         absent = (n - 1, 1) + (0,) * (n - 2)
         if absent not in per.support():
             empty = perm_class_stats(spec, absent)
-            assert empty == PermClassStats(0, 0, (0,) * n, (0,) * n)
+            assert empty == PermClassStats(0, 0)
+
+
+def brute_first_image_split(spec: GroupSpec) -> dict:
+    """monomial -> (count, signed count) per sigma(0), over all n! permutations."""
+    n = spec.order
+    split: dict = {}
+    for images in itertools.permutations(range(n)):
+        mono = monomial_of_perm(spec, images)
+        counts, signed = split.setdefault(mono, ([0] * n, [0] * n))
+        counts[images[0]] += 1
+        signed[images[0]] += perm_parity(images)
+    return split
 
 
 def test_translation_fiber_counts():
     # per-a class sizes refine p_m and d_m proportionally to the exponents
     for spec in (C3, C4, C2xC2, C5, C6, C7):
         n = spec.order
-        per = permanent(spec)
-        for mono in sorted(per.support()):
+        for mono, (counts, signed) in brute_first_image_split(spec).items():
             stats = perm_class_stats(spec, mono)
             for a in range(n):
-                assert n * stats.per_a_counts[a] == mono[a] * stats.p_m
-                assert n * stats.per_a_signed[a] == mono[a] * stats.d_m
+                assert n * counts[a] == mono[a] * stats.p_m
+                assert n * signed[a] == mono[a] * stats.d_m
 
 
 def test_regular_character_identity_polynomials():
@@ -293,10 +327,49 @@ def test_relabelling_keeps_oracle_coefficients(data):
     lam = data.draw(st.sampled_from(partitions_of(spec.order)), label="lam")
     terms = brute_terms(spec, _char_weights(lam))
     for mono in hall_support(spec):
-        image = [0] * spec.order
-        for g, e in enumerate(mono):
-            image[r[g]] = e
-        assert terms.get(tuple(image), 0) == terms.get(mono, 0)
+        assert terms.get(relabel(mono, r), 0) == terms.get(mono, 0)
     orbits = hall_orbits(spec)
     assert sum(len(orbit) for orbit in orbits) == len(hall_support(spec))
     assert set().union(*orbits) == hall_support(spec)
+
+
+def oracle_invariants(spec, mono):
+    """p_m and d_m from the n! oracle, the labelled det sum, the scalar numerator."""
+    types = brute_histogram(spec)[mono]
+    p_m = sum(types.values())
+    d_m = sum(-c if (spec.order - len(t)) % 2 else c for t, c in types.items())
+    return (
+        p_m,
+        d_m,
+        labelled_det_coeff(spec, monomial_sequence(spec, mono)),
+        near_hook_scalar_numerator(spec, mono),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_formula_path_values_are_constant_on_affine_orbits(data):
+    # what count_D, count_I_nearhook and `support --report full` weight or copy
+    spec = data.draw(st.sampled_from(SMALL_SPECS), label="spec")
+    orbit = data.draw(st.sampled_from(hall_orbits(spec)), label="orbit")
+    r = data.draw(st.sampled_from(affine_maps(spec)), label="map")
+    assert relabel(orbit[0], r) in orbit
+    expected = oracle_invariants(spec, orbit[0])
+    for mono in orbit:
+        assert oracle_invariants(spec, mono) == expected
+
+
+PRIME_POWER_SPECS = [GroupSpec(f) for f in ((2,), (3,), (4,), (2, 2), (5,), (7,))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_padic_profile_is_constant_on_automorphism_orbits(data):
+    # what `padic --all` and padic-certificate share over an orbit
+    spec = data.draw(st.sampled_from(PRIME_POWER_SPECS), label="spec")
+    orbit = data.draw(st.sampled_from(hall_orbits(spec, automorphisms)), label="orbit")
+    phi = data.draw(st.sampled_from(automorphisms(spec)), label="automorphism")
+    assert relabel(orbit[0], phi) in orbit
+    expected = padic_profile(spec, monomial_sequence(spec, orbit[0]))
+    for mono in orbit:
+        assert padic_profile(spec, monomial_sequence(spec, mono)) == expected

@@ -15,6 +15,7 @@ from cayley_immanants.supports import (
     count_D,
     count_I_nearhook,
     count_P,
+    count_P_closed,
     det_coeff,
     hall_support,
     labelled_det_coeff,
@@ -22,6 +23,7 @@ from cayley_immanants.supports import (
     near_hook_coeff,
     near_hook_scalar_numerator,
     padic_profile,
+    padic_profiles,
     sorted_hall_support,
 )
 
@@ -189,6 +191,27 @@ def test_count_d_matches_bruteforce_support():
         assert count_P(spec) == permanent(spec).support_size
 
 
+@pytest.mark.parametrize(
+    "factors, size",
+    [((3,), 4), ((6,), 80), ((9,), 2704), ((3, 3), 2710), ((2, 4), 819),
+     ((2, 2, 2), 835), ((10,), 9252), ((11,), 32066)],
+    ids=str,
+)
+def test_closed_form_P_matches_hall_enumeration(factors, size):
+    spec = GroupSpec(factors)
+    assert count_P_closed(spec) == count_P(spec) == size
+
+
+@pytest.mark.parametrize("factors", [(8,), (9,), (2, 4), (3, 3)], ids=str)
+def test_orbit_weighted_counts_match_per_monomial_scan(factors):
+    spec = GroupSpec(factors)
+    support = sorted_hall_support(spec)
+    assert count_D(spec) == sum(1 for m in support if det_coeff(spec, m) != 0)
+    hook = [m for m in support if near_hook_scalar_numerator(spec, m) != 0]
+    cohook = [m for m in hook if det_coeff(spec, m) != 0]
+    assert count_I_nearhook(spec) == (len(hook), len(cohook))
+
+
 def test_near_hook_coeff_c2():
     stats = perm_class_stats(C2, (2, 0))
     assert near_hook_coeff(C2, (2, 0), stats) == (1, 1)
@@ -287,6 +310,16 @@ def test_padic_certificate_forces_nonzero_det_coeff():
             profile = padic_profile(spec, monomial_sequence(spec, mono))
             assert profile.strictly_minimal
             assert det_coeff(spec, mono) != 0
+
+
+@pytest.mark.parametrize("factors", [(4,), (2, 2), (8,), (2, 4), (2, 2, 2)], ids=str)
+def test_padic_profiles_match_per_monomial_profiles(factors):
+    spec = GroupSpec(factors)
+    expected = [
+        (m, padic_profile(spec, monomial_sequence(spec, m)))
+        for m in sorted_hall_support(spec)
+    ]
+    assert padic_profiles(spec) == expected
 
 
 def test_downstream_counts_isomorphism_invariant():

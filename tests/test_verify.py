@@ -19,6 +19,26 @@ def test_hall_suite_small():
     assert ("c3-ground-truth", "c3") in statuses(reports)
 
 
+def test_hall_check_catches_an_orbit_missing_from_hall_support(monkeypatch):
+    # the engine reads hall_support too, so only the closed form sees the gap
+    from cayley_immanants import supports, verify
+
+    real = supports.hall_support
+
+    def without_pure_powers(spec):
+        return frozenset(m for m in real(spec) if max(m) < spec.order)
+
+    supports.hall_orbits.cache_clear()
+    monkeypatch.setattr(supports, "hall_support", without_pure_powers)
+    monkeypatch.setattr(verify, "hall_support", without_pure_powers)
+    try:
+        reports = run_suite("hall", groups=["c5"])
+    finally:
+        supports.hall_orbits.cache_clear()
+    assert statuses(reports)[("hall-permanent-support", "c5")] == "fail"
+    assert "closed-form P" in reports[-1].witness
+
+
 def test_thm13_suite_small():
     reports = run_suite("thm13", max_order=8)
     assert all(r.status == "pass" for r in reports)
