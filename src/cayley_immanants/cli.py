@@ -22,14 +22,15 @@ import time
 from collections.abc import Iterator
 
 from .characters import Partition
+from .errors import EnvelopeError
 from .groups import GroupSpec, _prime_factorization, parse_group
 from .immanants import (
-    EnvelopeError,
     immanant,
     perm_class_stats,
     twin_difference,
 )
 from .supports import (
+    check_hall_envelope,
     count_D,
     count_I_nearhook,
     count_P,
@@ -201,6 +202,11 @@ def cmd_minors(args) -> int:
 def cmd_verify(args) -> int:
     groups = args.groups.split(",") if args.groups else None
     reports = run_suite(args.suite, groups=groups, max_order=args.max_order, seed=args.seed)
+    if not reports:
+        # a run that checks nothing must not report a pass
+        print(f"error: --groups/--max-order leave no check in suite {args.suite!r}",
+              file=sys.stderr)
+        return 2
     doc = {
         "suite": args.suite,
         "reports": [r.to_json_dict(with_timings=args.timings) for r in reports],
@@ -250,22 +256,29 @@ def _abelian_groups_of_order(order: int) -> list[GroupSpec]:
 
 
 def cmd_search_pd_gap(args) -> int:
+    specs = [
+        spec
+        for order in range(2, args.max_order + 1)
+        for spec in _abelian_groups_of_order(order)
+    ]
+    for spec in specs:
+        check_hall_envelope(spec)  # refuse the whole run before any count
     rows = []
     gap_orders = set()
-    for order in range(2, args.max_order + 1):
-        for spec in _abelian_groups_of_order(order):
-            start = time.perf_counter()
-            p, d = count_P(spec), count_D(spec)
-            print(
-                f"order {order:3d}  {spec.name:<12} P = {p:7d}  D = {d:7d}  "
-                f"{'D<P' if d < p else '   '}  ({time.perf_counter() - start:.1f}s)",
-                file=sys.stderr,
-                flush=True,
-            )
-            rows.append({"group": spec.name, "order": order, "P": p, "D": d,
-                         "gap": d < p})
-            if d < p:
-                gap_orders.add(order)
+    for spec in specs:
+        order = spec.order
+        start = time.perf_counter()
+        p, d = count_P(spec), count_D(spec)
+        print(
+            f"order {order:3d}  {spec.name:<12} P = {p:7d}  D = {d:7d}  "
+            f"{'D<P' if d < p else '   '}  ({time.perf_counter() - start:.1f}s)",
+            file=sys.stderr,
+            flush=True,
+        )
+        rows.append({"group": spec.name, "order": order, "P": p, "D": d,
+                     "gap": d < p})
+        if d < p:
+            gap_orders.add(order)
     doc = {
         "max_order": args.max_order,
         "groups": rows,

@@ -25,15 +25,12 @@ from .characters import (
     partitions_of,
     twin_diff_char,
 )
+from .errors import EnvelopeError
 from .groups import GroupSpec, add_table
 from .polynomials import GroupPolynomial, Monomial
 from .supports import hall_orbits
 
 MAX_SWEEP_ORDER = 10
-
-
-class EnvelopeError(ValueError):
-    """A full-enumeration request above the supported group order."""
 
 
 def _check_envelope(spec: GroupSpec) -> None:

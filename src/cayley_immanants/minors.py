@@ -1,11 +1,18 @@
 """Exact-rational verification of the inverse/minor identities.
 
 Everything here is exact: determinants go through fraction-free Bareiss
-elimination on integer matrices (denominators cleared per row), the
-convolution system is solved by Cramer determinants, and the direct matrix
-inverse is a separate Gauss-Jordan route used to cross-check the
-group-Hankel structure.  Identity checks compare rationals for equality,
-never within a tolerance.
+elimination on integer matrices, the convolution system is solved by Cramer
+determinants, and the direct matrix inverse is a separate Gauss-Jordan route
+used to cross-check the group-Hankel structure.  Identity checks compare
+rationals for equality, never within a tolerance.
+
+Each specialization (spec, rho) gets one table, kept in a small LRU cache:
+the Cayley matrix with its denominators cleared in integers (every row holds
+the same values x_g, so one common denominator serves the whole matrix),
+delta, the inverse profile, and every principal minor the checks read, each
+computed the first time it is asked for.  F1, T2, T12, the Jacobi check, the
+Lemma 4.3 scalars and the reduction all read that table, so a minor shared by
+several checks or seeds is eliminated once.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .groups import GroupSpec, add_table, double_table, neg_table
@@ -59,6 +67,19 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _clear_denominators(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of int/Fraction values.
+
+    Anything without numerator/denominator (a float, say) is refused: its
+    binary value would pass for an exact one.
+    """
+    try:
+        mult = lcm(*(v.denominator for v in values))
+        return [v.numerator * (mult // v.denominator) for v in values], mult
+    except AttributeError:
+        raise TypeError(f"exact arithmetic needs int or Fraction entries: {values!r}") from None
+
+
 def exact_det(rows) -> Fraction:
     """Exact determinant of a rational matrix via row-wise denominator clearing."""
     n = len(rows)
@@ -67,9 +88,8 @@ def exact_det(rows) -> Fraction:
     cleared = []
     scale = 1
     for row in rows:
-        fracs = [Fraction(v) for v in row]
-        mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        cleared.append([int(f * mult) for f in fracs])
+        ints, mult = _clear_denominators(row)
+        cleared.append(ints)
         scale *= mult
     return Fraction(bareiss_det(cleared), scale)
 
@@ -83,7 +103,7 @@ def cayley_matrix(spec: GroupSpec, rho: RationalSpecialization) -> list[list[Fra
 
 
 def specialized_det(spec: GroupSpec, rho: RationalSpecialization) -> Fraction:
-    return exact_det(cayley_matrix(spec, rho))
+    return _minor_table(spec, rho).minor(())
 
 
 def random_specialization(
@@ -157,6 +177,90 @@ def _gauss_jordan_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in aug]
 
 
+class _MinorTable:
+    """The exact values the minor checks read at one specialization.
+
+    The matrix is cleared once: M = N / scale with N an integer matrix, so
+    the principal minor on k kept indices is det N[keep] / scale**k.  Each
+    minor, keyed by its sorted tuple of removed indices, is eliminated the
+    first time it is asked for; the sums F1, T2 and T12 and the inverse
+    profile are computed once each.
+    """
+
+    def __init__(self, spec: GroupSpec, rho: RationalSpecialization) -> None:
+        self.spec = spec
+        self.rho = rho
+        self.matrix = cayley_matrix(spec, rho)
+        ints, self.scale = _clear_denominators(rho.values)
+        add = add_table(spec)
+        n = spec.order
+        self.ints = [[ints[add[a][b]] for b in range(n)] for a in range(n)]
+        self.minors: dict[tuple[int, ...], Fraction] = {}
+
+    def minor(self, removed: tuple[int, ...]) -> Fraction:
+        """det A(removed|removed); removed is sorted, () gives delta."""
+        value = self.minors.get(removed)
+        if value is None:
+            keep = [i for i in range(self.spec.order) if i not in removed]
+            rows = self.ints
+            det = bareiss_det([[rows[r][c] for c in keep] for r in keep])
+            value = self.minors[removed] = Fraction(det, self.scale ** len(keep))
+        return value
+
+    @cached_property
+    def profile(self) -> InverseProfile:
+        spec = self.spec
+        n = spec.order
+        add = add_table(spec)
+        delta = self.minor(())
+        if delta == 0:
+            raise ValueError("specialized matrix is singular")
+        ys = _solve_convolution(spec, self.rho)
+        inv = _gauss_jordan_inverse(self.matrix)
+        for a in range(n):
+            for b in range(n):
+                if inv[a][b] != ys[add[a][b]]:
+                    raise IdentityCheckError(
+                        f"group-Hankel inverse at ({a},{b})", inv[a][b], ys[add[a][b]]
+                    )
+        return InverseProfile(y=ys, delta=delta)
+
+    @cached_property
+    def f1(self) -> Fraction:
+        m = self.matrix
+        return sum((m[i][i] * self.minor((i,)) for i in range(len(m))), Fraction(0))
+
+    @cached_property
+    def t2(self) -> Fraction:
+        m = self.matrix
+        total = Fraction(0)
+        for i, j in itertools.combinations(range(len(m)), 2):
+            total += m[i][j] * m[j][i] * self.minor((i, j))
+        return total
+
+    @cached_property
+    def t12(self) -> Fraction:
+        # each sorted triple a<b<c collects its three (i | j<k) splits
+        m = self.matrix
+        total = Fraction(0)
+        for a, b, c in itertools.combinations(range(len(m)), 3):
+            weight = (
+                m[a][a] * m[b][c] * m[c][b]
+                + m[b][b] * m[a][c] * m[c][a]
+                + m[c][c] * m[a][b] * m[b][a]
+            )
+            if weight:
+                total += weight * self.minor((a, b, c))
+        return total
+
+
+# Bounded: one table per specialization, and the checks of one group walk
+# the same MINOR_SEEDS (5) specializations one check after another.
+@lru_cache(maxsize=8)
+def _minor_table(spec: GroupSpec, rho: RationalSpecialization) -> _MinorTable:
+    return _MinorTable(spec, rho)
+
+
 def inverse_profile(spec: GroupSpec, rho: RationalSpecialization) -> InverseProfile:
     """Solve the convolution equations and confirm the group-Hankel inverse.
 
@@ -164,56 +268,22 @@ def inverse_profile(spec: GroupSpec, rho: RationalSpecialization) -> InverseProf
     from an independent Gauss-Jordan pass, and the two must agree at every
     position (a, b) through y_{a+b}.
     """
-    n = spec.order
-    add = add_table(spec)
-    delta = specialized_det(spec, rho)
-    if delta == 0:
-        raise ValueError("specialized matrix is singular")
-    ys = _solve_convolution(spec, rho)
-    inv = _gauss_jordan_inverse(cayley_matrix(spec, rho))
-    for a in range(n):
-        for b in range(n):
-            if inv[a][b] != ys[add[a][b]]:
-                raise IdentityCheckError(
-                    f"group-Hankel inverse at ({a},{b})", inv[a][b], ys[add[a][b]]
-                )
-    return InverseProfile(y=ys, delta=delta)
-
-
-def _principal_minor(matrix, removed) -> Fraction:
-    keep = [i for i in range(len(matrix)) if i not in removed]
-    return exact_det([[matrix[r][c] for c in keep] for r in keep])
+    return _minor_table(spec, rho).profile
 
 
 def F1(spec: GroupSpec, rho: RationalSpecialization) -> Fraction:
     """sum_i a_ii det A(i|i) over the specialized Cayley matrix."""
-    m = cayley_matrix(spec, rho)
-    return sum((m[i][i] * _principal_minor(m, {i}) for i in range(len(m))), Fraction(0))
+    return _minor_table(spec, rho).f1
 
 
 def T2(spec: GroupSpec, rho: RationalSpecialization) -> Fraction:
     """sum_{i<j} a_ij a_ji det A(i,j|i,j)."""
-    m = cayley_matrix(spec, rho)
-    n = len(m)
-    total = Fraction(0)
-    for i, j in itertools.combinations(range(n), 2):
-        total += m[i][j] * m[j][i] * _principal_minor(m, {i, j})
-    return total
+    return _minor_table(spec, rho).t2
 
 
 def T12(spec: GroupSpec, rho: RationalSpecialization) -> Fraction:
     """sum over i not in {j,k}, j<k of a_ii a_jk a_kj det A(i,j,k|i,j,k)."""
-    m = cayley_matrix(spec, rho)
-    n = len(m)
-    total = Fraction(0)
-    for j, k in itertools.combinations(range(n), 2):
-        cross = m[j][k] * m[k][j]
-        if cross == 0:
-            continue
-        for i in range(n):
-            if i != j and i != k:
-                total += m[i][i] * cross * _principal_minor(m, {i, j, k})
-    return total
+    return _minor_table(spec, rho).t12
 
 
 def gamma_expression(
@@ -252,9 +322,8 @@ class JacobiReport:
 def jacobi_check(spec: GroupSpec, rho: RationalSpecialization) -> JacobiReport:
     """Compare every principal minor of size n-1, n-2, n-3 with its y form."""
     n = spec.order
-    m = cayley_matrix(spec, rho)
-    profile = inverse_profile(spec, rho)
-    y, delta = profile.y, profile.delta
+    table = _minor_table(spec, rho)
+    y, delta = table.profile.y, table.profile.delta
     add = add_table(spec)
     dbl = double_table(spec)
     checked = 0
@@ -267,13 +336,13 @@ def jacobi_check(spec: GroupSpec, rho: RationalSpecialization) -> JacobiReport:
             violations.append((subset, lhs, rhs))
 
     for i in range(n):
-        record((i,), _principal_minor(m, {i}), delta * y[dbl[i]])
+        record((i,), table.minor((i,)), delta * y[dbl[i]])
     for i, j in itertools.combinations(range(n), 2):
         rhs = delta * (y[dbl[i]] * y[dbl[j]] - y[add[i][j]] ** 2)
-        record((i, j), _principal_minor(m, {i, j}), rhs)
+        record((i, j), table.minor((i, j)), rhs)
     for i, j, k in itertools.combinations(range(n), 3):
         rhs = delta * gamma_expression(spec, y, i, j, k)
-        record((i, j, k), _principal_minor(m, {i, j, k}), rhs)
+        record((i, j, k), table.minor((i, j, k)), rhs)
     return JacobiReport(checked=checked, violations=tuple(violations))
 
 
@@ -292,21 +361,20 @@ def lemma43_scalars(
     add = add_table(spec)
     dbl = double_table(spec)
     negs = neg_table(spec)
-    x = rho.values
     profile = inverse_profile(spec, rho)
-    y, delta = profile.y, profile.delta
-
-    c_val = sum(
-        (
-            x[s] ** 2 * y[t] * y[add[dbl[s]][negs[t]]]
-            for s in range(n)
-            for t in range(n)
-        ),
-        Fraction(0),
+    delta = profile.delta
+    # The sums run on integer numerators over the common denominators dx of
+    # x and dy of y; each sum is divided by its power of dx*dy once, at the end.
+    x, dx = _clear_denominators(rho.values)
+    y, dy = _clear_denominators(profile.y)
+    cs_den = dx**2 * dy**2
+    c_val = Fraction(
+        sum(x[s] ** 2 * y[t] * y[add[dbl[s]][negs[t]]] for s in range(n) for t in range(n)),
+        cs_den,
     )
-    s_val = sum((x[s] ** 2 * y[s] ** 2 for s in range(n)), Fraction(0))
+    s_val = Fraction(sum(x[s] ** 2 * y[s] ** 2 for s in range(n)), cs_den)
 
-    b1 = b2 = b3 = b4 = b5 = Fraction(0)
+    b1 = b2 = b3 = b4 = b5 = 0
     for i in range(n):
         x2i = x[dbl[i]]
         y2i = y[dbl[i]]
@@ -323,6 +391,8 @@ def lemma43_scalars(
                 b3 += w * y2i * yjk**2
                 b4 += w * y2j * yik**2
                 b5 += w * y2k * yij**2
+    b_den = dx**3 * dy**3
+    b1, b2, b3, b4, b5 = (Fraction(b, b_den) for b in (b1, b2, b3, b4, b5))
 
     t2 = T2(spec, rho)
     t12 = T12(spec, rho)

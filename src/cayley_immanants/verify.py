@@ -28,6 +28,7 @@ from .characters import (
     partitions_of,
     twin_diff_char,
 )
+from .errors import EnvelopeError
 from .groups import (
     GroupSpec,
     _prime_factorization,
@@ -36,7 +37,6 @@ from .groups import (
     parse_group,
 )
 from .immanants import (
-    EnvelopeError,
     determinant,
     immanant,
     perm_class_stats,

@@ -193,6 +193,38 @@ def test_verify_max_order_filter(capsys):
     assert "c8" not in orders and "c4" in orders
 
 
+@pytest.mark.parametrize("argv", [
+    ("--suite", "jacobi", "--max-order", "2"),
+    ("--suite", "charlayer", "--max-order", "1"),
+])
+def test_verify_that_checks_nothing_is_a_usage_error(capsys, argv):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "leave no check" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("support", "--group", "c14"),
+    ("support", "--group", "c20", "--report", "full"),
+    ("padic", "--group", "c16", "--all"),
+    ("search-pd-gap", "--max-order", "14"),
+])
+def test_hall_envelope_refuses_before_enumerating(capsys, argv):
+    from cayley_immanants import supports
+
+    supports.hall_support.cache_clear()
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    # the refusal comes first: no group was counted, not even the small ones
+    assert "above the enumeration envelope" in captured.err
+    assert "order" not in captured.err
+    assert supports.hall_support.cache_info().currsize == 0
+
+
 def test_explore_conjecture3(capsys):
     code, doc = run_json(capsys, "explore", "--conjecture", "3", "--n", "7")
     assert code == 0
@@ -310,6 +342,11 @@ STDOUT_SHA256 = {
         "61afd84aad70986f1f481c6cbce39f58db0e56cf619c272957ecf03d41893ed4",
     "padic --group c3xc3 --all":
         "c06ba00c149a84d54166b8857b7fc0b3c5bd844a25589812dc51c5de5481eaf6",
+    # every exact-minor check, through `minors` and through `verify`
+    "minors --group c7 --seeds 2 --checks conv,jacobi,f1,t2t12,scalars,reduction":
+        "d07b8253e85bab69efb36828efe07b64a301bea0c9aac5360d89ff5a2c5f58f0",
+    "verify --suite scalars --max-order 7 --seed 2":
+        "8b2abcbf2d283be7ffca6a7ba7639f92c3315d2a2ddd9969a457260ef643afb6",
 }
 
 

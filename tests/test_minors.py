@@ -4,14 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cayley_immanants.groups import GroupSpec, add_table, perm_parity
+from cayley_immanants.groups import (
+    GroupSpec,
+    add_table,
+    double_table,
+    neg_table,
+    perm_parity,
+)
+from cayley_immanants import minors
 from cayley_immanants.immanants import twin_difference
 from cayley_immanants.minors import (
     F1,
     T2,
     T12,
     IdentityCheckError,
+    JacobiReport,
+    _solve_convolution,
     bareiss_det,
     cayley_matrix,
     exact_det,
@@ -56,6 +67,34 @@ def test_bareiss_against_leibniz():
 def test_exact_det_with_fractions():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 7)]]
     assert exact_det(rows) == leibniz_det(rows)
+
+
+_INTS = st.integers(-20, 20)
+_FRACTIONS = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@st.composite
+def _rational_matrices(draw):
+    """Square matrices of ints, of Fractions, or of rows that mix the two."""
+    n = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("ints", "fractions", "mixed")))
+    entries = {"ints": _INTS, "fractions": _FRACTIONS, "mixed": _INTS | _FRACTIONS}[kind]
+    return [[draw(entries) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_matrices())
+def test_exact_det_matches_leibniz(rows):
+    det = exact_det(rows)
+    assert isinstance(det, Fraction)
+    assert det == leibniz_det(rows)
+
+
+@pytest.mark.parametrize("rows", [[[0.5]], [[1, 2], [Fraction(1, 3), 0.25]]])
+def test_exact_det_refuses_floats(rows):
+    # a float's binary value would pass for an exact rational
+    with pytest.raises(TypeError, match="int or Fraction"):
+        exact_det(rows)
 
 
 def test_empty_minor_is_one():
@@ -236,3 +275,142 @@ def test_identity_check_error_fields():
     err = IdentityCheckError("B2 = S", Fraction(1), Fraction(2))
     assert err.equation == "B2 = S"
     assert "B2 = S" in str(err)
+
+
+# --- the shared minor table against the per-call routes it replaced -------
+
+
+def oracle_minor(spec, rho, removed):
+    """A fresh exact_det of the principal submatrix, no table involved."""
+    m = cayley_matrix(spec, rho)
+    keep = [i for i in range(spec.order) if i not in removed]
+    return exact_det([[m[r][c] for c in keep] for r in keep])
+
+
+def oracle_sums(spec, rho):
+    """F1, T2 and T12 from one fresh determinant per term, as their definitions read."""
+    m = cayley_matrix(spec, rho)
+    n = spec.order
+    f1 = sum((m[i][i] * oracle_minor(spec, rho, {i}) for i in range(n)), Fraction(0))
+    t2 = sum(
+        (m[i][j] * m[j][i] * oracle_minor(spec, rho, {i, j})
+         for i, j in itertools.combinations(range(n), 2)),
+        Fraction(0),
+    )
+    t12 = sum(
+        (m[i][i] * m[j][k] * m[k][j] * oracle_minor(spec, rho, {i, j, k})
+         for j, k in itertools.combinations(range(n), 2)
+         for i in range(n) if i not in (j, k)),
+        Fraction(0),
+    )
+    return f1, t2, t12
+
+
+def oracle_jacobi(spec, rho):
+    n = spec.order
+    y = _solve_convolution(spec, rho)
+    delta = oracle_minor(spec, rho, set())
+    add, dbl = add_table(spec), double_table(spec)
+    checked, violations = 0, []
+    subsets = [(i,) for i in range(n)]
+    subsets += list(itertools.combinations(range(n), 2))
+    subsets += list(itertools.combinations(range(n), 3))
+    for subset in subsets:
+        if len(subset) == 1:
+            (i,) = subset
+            rhs = delta * y[dbl[i]]
+        elif len(subset) == 2:
+            i, j = subset
+            rhs = delta * (y[dbl[i]] * y[dbl[j]] - y[add[i][j]] ** 2)
+        else:
+            rhs = delta * gamma_expression(spec, y, *subset)
+        lhs = oracle_minor(spec, rho, set(subset))
+        checked += 1
+        if lhs != rhs:
+            violations.append((subset, lhs, rhs))
+    return JacobiReport(checked=checked, violations=tuple(violations))
+
+
+def oracle_scalars(spec, rho):
+    """C, S and B1..B5 summed in Fraction arithmetic, term by term."""
+    n = spec.order
+    add, dbl, negs = add_table(spec), double_table(spec), neg_table(spec)
+    x = rho.values
+    y = _solve_convolution(spec, rho)
+    c_val = sum(
+        (x[s] ** 2 * y[t] * y[add[dbl[s]][negs[t]]] for s in range(n) for t in range(n)),
+        Fraction(0),
+    )
+    s_val = sum((x[s] ** 2 * y[s] ** 2 for s in range(n)), Fraction(0))
+    b = [Fraction(0)] * 5
+    for i, j, k in itertools.product(range(n), repeat=3):
+        w = x[dbl[i]] * x[add[j][k]] ** 2
+        y2i, y2j, y2k = y[dbl[i]], y[dbl[j]], y[dbl[k]]
+        yij, yik, yjk = y[add[i][j]], y[add[i][k]], y[add[j][k]]
+        b[0] += w * y2i * y2j * y2k
+        b[1] += w * yij * yik * yjk
+        b[2] += w * y2i * yjk**2
+        b[3] += w * y2j * yik**2
+        b[4] += w * y2k * yij**2
+    return (c_val, s_val, *b)
+
+
+def _fraction_specialization(spec, seed):
+    """Nonsingular values with denominators up to 9, so clearing is exercised."""
+    rng = random.Random(seed)
+    while True:
+        values = tuple(
+            Fraction(rng.randint(1, 32), rng.randint(1, 9)) for _ in range(spec.order)
+        )
+        rho = RationalSpecialization(spec, values, seed)
+        if oracle_minor(spec, rho, set()) != 0:
+            return rho
+
+
+_TABLE_CASES = {
+    "c3": (C3, random_specialization(C3, 1)),
+    "c5": (C5, random_specialization(C5, 2)),
+    "c7": (C7, random_specialization(C7, 3)),
+    "c2xc4": (GroupSpec((2, 4)), random_specialization(GroupSpec((2, 4)), 4)),
+    "c5-fractions": (C5, _fraction_specialization(C5, 5)),
+}
+
+
+@pytest.mark.parametrize("spec, rho", _TABLE_CASES.values(), ids=_TABLE_CASES.keys())
+def test_minor_table_matches_fresh_determinants(spec, rho):
+    minors._minor_table.cache_clear()
+    assert specialized_det(spec, rho) == oracle_minor(spec, rho, set())
+    assert (F1(spec, rho), T2(spec, rho), T12(spec, rho)) == oracle_sums(spec, rho)
+    assert jacobi_check(spec, rho) == oracle_jacobi(spec, rho)
+    # every minor the checks filled in, read back from the table
+    table = minors._minor_table(spec, rho)
+    n = spec.order
+    assert len(table.minors) == 1 + n + math.comb(n, 2) + math.comb(n, 3)
+    for removed, value in table.minors.items():
+        assert value == oracle_minor(spec, rho, set(removed))
+    if any(v.denominator != 1 for v in rho.values):
+        assert table.scale > 1
+
+
+_ODD_CASES = {name: case for name, case in _TABLE_CASES.items() if case[0].order % 2}
+
+
+@pytest.mark.parametrize("spec, rho", _ODD_CASES.values(), ids=_ODD_CASES.keys())
+def test_integer_scalar_sums_match_fraction_loop(spec, rho):
+    minors._minor_table.cache_clear()
+    assert lemma43_scalars(spec, rho) == oracle_scalars(spec, rho)
+
+
+def test_specializations_with_one_seed_never_share_a_table():
+    # same seed, different --range: different values, so different minors
+    minors._minor_table.cache_clear()
+    narrow = random_specialization(C5, seed=3, value_range=8)
+    wide = random_specialization(C5, seed=3, value_range=64)
+    assert narrow.seed == wide.seed and narrow.values != wide.values
+    for rho in (narrow, wide, narrow):
+        assert jacobi_check(C5, rho).passed
+        assert (F1(C5, rho), T2(C5, rho), T12(C5, rho)) == oracle_sums(C5, rho)
+    assert minors._minor_table(C5, narrow) is not minors._minor_table(C5, wide)
+    for rho in (narrow, wide):
+        for removed, value in minors._minor_table(C5, rho).minors.items():
+            assert value == oracle_minor(C5, rho, set(removed))

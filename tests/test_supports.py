@@ -202,6 +202,22 @@ def test_closed_form_P_matches_hall_enumeration(factors, size):
     assert count_P_closed(spec) == count_P(spec) == size
 
 
+def test_hall_envelope_admits_c13_and_refuses_c14():
+    from cayley_immanants import errors, immanants, supports
+
+    assert immanants.EnvelopeError is supports.EnvelopeError is errors.EnvelopeError
+    budget = supports.MAX_HALL_MONOMIALS
+    assert count_P_closed(GroupSpec((13,))) == 400024 <= budget
+    supports.check_hall_envelope(GroupSpec((13,)))
+    for factors in [(14,), (15,), (2, 2, 2, 2), (20,)]:
+        spec = GroupSpec(factors)
+        assert count_P_closed(spec) > budget
+        with pytest.raises(errors.EnvelopeError, match=spec.name):
+            supports.check_hall_envelope(spec)
+        with pytest.raises(errors.EnvelopeError):
+            hall_support(spec)
+
+
 @pytest.mark.parametrize("factors", [(8,), (9,), (2, 4), (3, 3)], ids=str)
 def test_orbit_weighted_counts_match_per_monomial_scan(factors):
     spec = GroupSpec(factors)

@@ -51,6 +51,18 @@ def test_thm14_hypothesis_skip():
     assert st[("odd-order-near-hooks-vanish", "c4")] == "skipped"
 
 
+def test_hall_envelope_is_a_skip_and_enumerates_nothing():
+    from cayley_immanants import supports
+
+    supports.hall_support.cache_clear()
+    reports = run_suite("thm14", groups=["c14"])
+    refused = {(r.theorem, r.group): r for r in reports}[
+        ("two-mod-four-near-hook-counts", "c14")]
+    assert refused.status == "skipped"
+    assert "above the enumeration envelope" in refused.witness
+    assert supports.hall_support.cache_info().currsize == 0
+
+
 def test_thm15_and_prop42():
     reports = run_suite("thm15", max_order=7)
     assert statuses(reports) == {("odd-order-twin-immanants", "c7"): "pass"}
