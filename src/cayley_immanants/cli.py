@@ -5,8 +5,7 @@ search-pd-gap.  Output is JSON on stdout (CSV for padic) unless --out is
 given; all randomness sits behind --seed.  Exit codes: 0 ok, 1 check failed,
 2 usage or parse error, 3 enumeration envelope exceeded, 4 a check raised an
 unexpected error (this wins over 1).  search-pd-gap writes one progress line
-per group to stderr.  The IMM_THREADS environment variable caps the engine's
-worker count (0 = auto).
+per group to stderr.
 """
 
 from __future__ import annotations
@@ -217,9 +216,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    if args.conjecture != 3:
-        print("error: only conjecture 3 is implemented", file=sys.stderr)
-        return 2
     n = args.n
     spec = GroupSpec((n,))
     if n % 2 == 0 or n < 7:
@@ -350,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("search-pd-gap", help="orders where D < P (report only)")
-    p.add_argument("--max-order", type=int, required=True)
+    p.add_argument("--max-order", type=_int_at_least(2), required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_search_pd_gap)
 

@@ -7,15 +7,11 @@ keeps its cycle type and relabels m by g -> phi(g) + 2*gamma, so every
 coefficient is constant on the orbits of those relabellings.  The engine
 therefore walks P(m) for one representative per orbit of the Hall support
 (536 walks instead of 10! permutations at c10) and copies the coefficient
-over the orbit.  With IMM_THREADS above 1 the representatives are split over
-a process pool; if the pool cannot start, the walks run serially and the
-engine says so on stderr.
+over the orbit.
 """
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
 
 from .characters import (
@@ -104,61 +100,16 @@ def _class_walk(spec: GroupSpec, mono: Monomial) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def _orbit_coeff(
-    spec: GroupSpec, weights: dict[tuple[int, ...], int], rep: Monomial
-) -> int:
-    """The coefficient of rep, hence of its whole orbit: sum of weight(type)."""
-    counts = _class_walk(spec, rep)
-    return sum(weights[lengths] * c for lengths, c in counts.items())
-
-
-def _orbit_task(args):
-    factors, weights, rep = args
-    return _orbit_coeff(GroupSpec(factors), weights, rep)
-
-
-def resolve_workers() -> int:
-    """Worker count from the IMM_THREADS environment variable (0 = auto)."""
-    raw = os.environ.get("IMM_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"IMM_THREADS must be an integer, got {raw!r}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    if workers < 0:
-        raise ValueError("worker count cannot be negative")
-    return workers
-
-
 def _sweep(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> dict[Monomial, int]:
     """Every nonzero coefficient sum_{sigma in P(m)} weight(type(sigma)).
 
     One class walk per orbit representative of the Hall support; the
     coefficient is then given to every monomial of the orbit.
     """
-    orbits = hall_orbits(spec)
-    reps = [orbit[0] for orbit in orbits]
-    coeffs = None
-    workers = resolve_workers()
-    if workers > 1 and spec.order >= 4:
-        try:
-            import multiprocessing as mp
-
-            ctx = mp.get_context("fork")
-            tasks = [(spec.factors, weights, rep) for rep in reps]
-            with ctx.Pool(min(workers, len(reps))) as pool:
-                coeffs = pool.map(_orbit_task, tasks)
-        except (ImportError, OSError, ValueError) as exc:
-            print(
-                f"warning: worker pool unavailable ({type(exc).__name__}: {exc}); "
-                "sweeping serially",
-                file=sys.stderr,
-            )
-    if coeffs is None:
-        coeffs = [_orbit_coeff(spec, weights, rep) for rep in reps]
     terms: dict[Monomial, int] = {}
-    for orbit, coeff in zip(orbits, coeffs):
+    for orbit in hall_orbits(spec):
+        counts = _class_walk(spec, orbit[0])
+        coeff = sum(weights[lengths] * c for lengths, c in counts.items())
         if coeff:
             for mono in orbit:
                 terms[mono] = coeff

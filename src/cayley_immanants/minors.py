@@ -25,7 +25,6 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .groups import GroupSpec, add_table, double_table, neg_table
-from .immanants import twin_difference
 from .polynomials import GroupPolynomial, RationalSpecialization
 
 
@@ -106,25 +105,28 @@ def specialized_det(spec: GroupSpec, rho: RationalSpecialization) -> Fraction:
     return _minor_table(spec, rho).minor(())
 
 
+MAX_RETRIES = 16
+
+
 def random_specialization(
-    spec: GroupSpec, seed: int, value_range: int = 32, max_retries: int = 16
+    spec: GroupSpec, seed: int, value_range: int = 32
 ) -> RationalSpecialization:
     """Seeded integer specialization with a nonzero determinant.
 
     Values are uniform on [1, value_range]; singular draws are resampled up
-    to max_retries times (practically unreachable for value_range >= 8).
+    to MAX_RETRIES times (practically unreachable for value_range >= 8).
     """
     if value_range < 2:
         raise ValueError("value_range must be at least 2")
     rng = random.Random(seed)
     n = spec.order
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         values = tuple(Fraction(rng.randint(1, value_range)) for _ in range(n))
         rho = RationalSpecialization(spec, values, seed)
         if specialized_det(spec, rho) != 0:
             return rho
     raise RuntimeError(
-        f"no nonsingular specialization for {spec.name} after {max_retries} draws"
+        f"no nonsingular specialization for {spec.name} after {MAX_RETRIES} draws"
     )
 
 
@@ -426,18 +428,15 @@ class ReductionReport:
 def reduction_check(
     spec: GroupSpec,
     rho: RationalSpecialization,
-    twin: GroupPolynomial | None = None,
+    twin: GroupPolynomial,
 ) -> ReductionReport:
     """Evaluate the twin-immanant difference against F1 - det + 2(T12 - T2).
 
-    The identity is matrix-general, so it holds for even groups too.  A
-    precomputed twin polynomial can be passed to amortize the sweep across
-    seeds.
+    The identity is matrix-general, so it holds for even groups too.  The
+    caller computes the twin polynomial once and passes it for every seed.
     """
     if spec.order < 6:
         raise ValueError("both twin shapes need group order >= 6")
-    if twin is None:
-        twin = twin_difference(spec)
     lhs = twin.evaluate(rho)
     rhs = F1(spec, rho) - specialized_det(spec, rho) + 2 * (T12(spec, rho) - T2(spec, rho))
     return ReductionReport(twin_value=lhs, minor_value=rhs)

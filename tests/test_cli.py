@@ -186,6 +186,14 @@ def test_verify_groups_override_and_skip(capsys):
     assert by_group == {"c7": "pass", "c6": "skipped"}
 
 
+def test_verify_ignores_a_stray_imm_threads(capsys, monkeypatch):
+    # the engine has no worker setting: a junk value must not fail a theorem
+    monkeypatch.setenv("IMM_THREADS", "lots")
+    code, doc = run_json(capsys, "verify", "--suite", "thm15")
+    assert code == 0
+    assert {r["status"] for r in doc["reports"]} == {"pass"}
+
+
 def test_verify_max_order_filter(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "hall", "--max-order", "5")
     assert code == 0
@@ -235,6 +243,25 @@ def test_explore_conjecture3(capsys):
 
 def test_explore_rejects_even_n(capsys):
     assert main(["explore", "--conjecture", "3", "--n", "6"]) == 2
+
+
+def test_explore_rejects_unknown_conjecture(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["explore", "--conjecture", "4", "--n", "7"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 4" in captured.err
+
+
+@pytest.mark.parametrize("max_order", ["1", "0", "-3"])
+def test_search_pd_gap_rejects_orders_that_search_nothing(capsys, max_order):
+    with pytest.raises(SystemExit) as err:
+        main(["search-pd-gap", "--max-order", max_order])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be at least 2, got {max_order}" in captured.err
 
 
 def test_search_pd_gap(capsys):

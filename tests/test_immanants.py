@@ -26,7 +26,6 @@ from cayley_immanants.immanants import (
     immanant,
     perm_class_stats,
     permanent,
-    resolve_workers,
     twin_difference,
 )
 from cayley_immanants.polynomials import GroupPolynomial, monomial_of_perm
@@ -117,53 +116,6 @@ def test_weight_mismatch_and_envelope():
         determinant(GroupSpec((12,)))
     with pytest.raises(ValueError):
         twin_difference(C5)
-
-
-def test_parallel_sweep_matches_serial(monkeypatch):
-    lam = Partition((3, 2))
-    monkeypatch.setenv("IMM_THREADS", "1")
-    serial = immanant(C5, lam), twin_difference(C6)
-    monkeypatch.setenv("IMM_THREADS", "2")
-    assert (immanant(C5, lam), twin_difference(C6)) == serial
-
-
-def test_pool_fallback_is_reported(monkeypatch, capsys):
-    import multiprocessing
-
-    lam = Partition((2, 1, 1))
-    monkeypatch.setenv("IMM_THREADS", "1")
-    serial = immanant(C4, lam)
-
-    def no_pool(method=None):
-        raise OSError("no fork here")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
-    monkeypatch.setenv("IMM_THREADS", "2")
-    capsys.readouterr()
-    assert immanant(C4, lam) == serial
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1
-    assert "OSError: no fork here" in captured.err
-
-
-def test_imm_threads_env(monkeypatch):
-    monkeypatch.delenv("IMM_THREADS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("IMM_THREADS", "3")
-    assert resolve_workers() == 3
-    monkeypatch.setenv("IMM_THREADS", "0")
-    assert resolve_workers() >= 1
-    monkeypatch.setenv("IMM_THREADS", "lots")
-    with pytest.raises(ValueError):
-        resolve_workers()
-    monkeypatch.setenv("IMM_THREADS", "-1")
-    with pytest.raises(ValueError):
-        resolve_workers()
-    monkeypatch.setenv("IMM_THREADS", "1")
-    serial = immanant(C4, Partition((2, 1, 1)))
-    monkeypatch.setenv("IMM_THREADS", "2")
-    assert immanant(C4, Partition((2, 1, 1))) == serial
 
 
 def test_perm_class_stats_c3_all_distinct():

@@ -34,7 +34,7 @@ from cayley_immanants.minors import (
     reduction_check,
     specialized_det,
 )
-from cayley_immanants.polynomials import RationalSpecialization
+from cayley_immanants.polynomials import GroupPolynomial, RationalSpecialization
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
@@ -268,7 +268,7 @@ def test_reduction_check_c6_and_c7():
 
 def test_reduction_check_rejects_small_groups():
     with pytest.raises(ValueError):
-        reduction_check(C5, random_specialization(C5, seed=1))
+        reduction_check(C5, random_specialization(C5, seed=1), GroupPolynomial.zero(C5))
 
 
 def test_identity_check_error_fields():
