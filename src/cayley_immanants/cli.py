@@ -171,14 +171,11 @@ def cmd_padic(args) -> int:
     if len(_prime_factorization(spec.order)) != 1:
         print(f"error: {spec.name} does not have prime-power order", file=sys.stderr)
         return 2
-    if args.sequence:
-        seq = _parse_sequence(args.sequence)
-        profiles = [(seq, padic_profile(spec, seq))]
-    elif args.all:
+    if args.all:
         profiles = [(monomial_sequence(spec, m), prof) for m, prof in padic_profiles(spec)]
     else:
-        print("error: provide --all or --sequence", file=sys.stderr)
-        return 2
+        seq = _parse_sequence(args.sequence)
+        profiles = [(seq, padic_profile(spec, seq))]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["sequence", "min_valuation", "strictly_minimal"])
@@ -315,10 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("padic", help="valuation profiles of zero-sum sequences")
     add_common(p)
-    p.add_argument("--all", action="store_true",
-                   help="profile every zero-sum multiset of length n")
-    p.add_argument("--sequence",
-                   help="one sequence, elements comma-separated, residues colon-joined")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--all", action="store_true",
+                      help="profile every zero-sum multiset of length n")
+    mode.add_argument("--sequence",
+                      help="one sequence, elements comma-separated, residues colon-joined")
     p.set_defaults(func=cmd_padic)
 
     p = sub.add_parser("minors", help="exact minor-identity checks at random points")

@@ -256,8 +256,9 @@ class _MinorTable:
         return total
 
 
-# Bounded: one table per specialization, and the checks of one group walk
-# the same MINOR_SEEDS (5) specializations one check after another.
+# Bounded: one table per specialization, and the minor checks of one call
+# visit the seeds in turn, every check at a seed before the next seed, so a
+# call reads one table at a time however many seeds it asks for.
 @lru_cache(maxsize=8)
 def _minor_table(spec: GroupSpec, rho: RationalSpecialization) -> _MinorTable:
     return _MinorTable(spec, rho)

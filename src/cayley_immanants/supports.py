@@ -1,10 +1,13 @@
 """Support counts and coefficient formulas that avoid full n! enumeration.
 
-Three independent routes to determinant coefficients live here and in the
-engine: the labelled zero-sum set-partition sum (the partition-lattice
-formula), its multiset-level regrouping with binomial weights (same sum,
-memoized across monomials), and the engine's permutation-class walks over
-the orbits of the Hall support.  Tests pin all three against each other and
+Determinant coefficients come from the partition-lattice formula, a sum
+over the zero-sum set partitions of a sequence's positions.  Production
+code evaluates it on multisets only: `_anchored_block_sum` regroups the sum
+by block contents with binomial weights, memoized across monomials, and
+`_block_shapes` folds the same recursion into the set of block-size shapes
+that the p-adic profile reads.  The labelled enumeration of the partitions
+is a test oracle (`tests/test_supports.py`); the tests pin it, the multiset
+routes and the engine's permutation-class walks against each other and
 against a brute-force sum over all n! permutations at small orders.
 
 The counts D and I_(n-1,1), I_(2,1^(n-2)) evaluate one representative per
@@ -32,7 +35,6 @@ from .groups import (
     doubling_counts,
     elements,
     index_of,
-    neg_table,
     negation_parity,
 )
 from .polynomials import Monomial
@@ -150,94 +152,17 @@ def hall_orbits(
     return tuple(orbits)
 
 
-def _zero_sum_partitions(spec: GroupSpec, seq: tuple[int, ...]):
-    """Yield zero-sum set partitions of range(len(seq)) as block tuples.
-
-    Each new block is anchored at the least unused position and grown in
-    increasing position order, so every partition appears exactly once.
-    Branches whose open block cannot be cancelled by any subset of the
-    remaining suffix are cut.
-    """
-    n = len(seq)
-    add = add_table(spec)
-    negs = neg_table(spec)
-    reach: list[frozenset[int]] = [frozenset()] * (n + 1)
-    reach[n] = frozenset({0})
-    for i in range(n - 1, -1, -1):
-        prev = reach[i + 1]
-        reach[i] = prev | {add[s][seq[i]] for s in prev}
-    used = [False] * n
-    blocks: list[tuple[int, ...]] = []
-
-    def start():
-        anchor = -1
-        for i in range(n):
-            if not used[i]:
-                anchor = i
-                break
-        if anchor < 0:
-            yield tuple(blocks)
-            return
-        s = seq[anchor]
-        if s != 0 and negs[s] not in reach[anchor + 1]:
-            return
-        used[anchor] = True
-        yield from grow([anchor], s)
-        used[anchor] = False
-
-    def grow(block: list[int], psum: int):
-        if psum == 0:
-            blocks.append(tuple(block))
-            yield from start()
-            blocks.pop()
-        for q in range(block[-1] + 1, n):
-            if used[q]:
-                continue
-            s = add[psum][seq[q]]
-            if s != 0 and negs[s] not in reach[q + 1]:
-                continue
-            used[q] = True
-            block.append(q)
-            yield from grow(block, s)
-            block.pop()
-            used[q] = False
-
-    yield from start()
-
-
-def _block_term(n: int, sizes) -> int:
-    """(-1)^(n-k) n^k prod (|B|-1)!, factored as a product over blocks."""
-    term = 1
-    for b in sizes:
-        term *= (-1) ** (b - 1) * n * math.factorial(b - 1)
-    return term
-
-
-def labelled_det_coeff(spec: GroupSpec, sequence) -> int:
-    """The zero-sum set-partition sum for a length-n sequence over G.
-
-    Equals (prod of multiplicities factorial) times the coefficient of the
-    sequence's monomial in the determinant of the Toeplitz companion
-    (x_{a-b}); zero whenever the sequence is not zero-sum.
-    """
-    n = spec.order
-    if len(sequence) != n:
-        raise ValueError(f"sequence length {len(sequence)} != group order {n}")
-    seq = tuple(index_of(spec, g) for g in sequence)
-    total = 0
-    for blocks in _zero_sum_partitions(spec, seq):
-        total += _block_term(n, (len(b) for b in blocks))
-    return total
-
-
 @lru_cache(maxsize=None)
 def _anchored_block_sum(spec: GroupSpec, counts: tuple[int, ...]) -> int:
-    """labelled_det_coeff regrouped by block contents, memoized on multisets.
+    """The zero-sum set-partition sum of a multiset, memoized on multisets.
 
-    The block containing one fixed copy of the smallest present element is
-    chosen as a zero-sum sub-multiset; binomials count the labelled ways.
-    Residual states repeat heavily across monomials, which is what makes the
-    order-10 formula path affordable.
+    The sum runs over the zero-sum set partitions of the n labelled positions
+    of any sequence with these counts, each partition weighted by
+    (-1)^(n-k) n^k prod (|B|-1)! over its k blocks.  It is regrouped by block
+    contents: the block containing one fixed copy of the smallest present
+    element is chosen as a zero-sum sub-multiset, and binomials count the
+    labelled ways.  Residual states repeat heavily across monomials, which
+    is what makes the order-10 formula path affordable.
     """
     n = spec.order
     anchor = -1
@@ -274,6 +199,63 @@ def _anchored_block_sum(spec: GroupSpec, counts: tuple[int, ...]) -> int:
         pick(0, mult[anchor][j], j, math.comb(counts[anchor] - 1, j - 1))
     chosen[anchor] = 0
     return total
+
+
+@lru_cache(maxsize=None)
+def _with_block(size: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """shape with one more block of this size, still descending.
+
+    Memoized, so the many equal shapes in the `_block_shapes` memo share a
+    few tuple objects.
+    """
+    return tuple(sorted((size, *shape), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _block_shapes(spec: GroupSpec, counts: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Block-size shapes of the zero-sum set partitions of a multiset.
+
+    counts holds at most n elements in all, like a length-n sequence and its
+    residuals.  Each shape is a descending tuple of block sizes.  The
+    skeleton is that of `_anchored_block_sum`: the block holding one fixed
+    copy of the smallest present element is a zero-sum sub-multiset, and its
+    size joins every shape of the residual.  The empty multiset has the one
+    empty shape; a multiset that is not zero-sum has none.  Residual states
+    repeat across the sequences of one group, so the memo is shared by all
+    of them.
+    """
+    n = spec.order
+    anchor = -1
+    for g, c in enumerate(counts):
+        if c:
+            anchor = g
+            break
+    if anchor < 0:
+        return frozenset({()})
+    add = add_table(spec)
+    mult = _multiple_table(spec)
+    kinds = [g for g in range(anchor + 1, n) if counts[g]]
+    shapes: set[tuple[int, ...]] = set()
+    chosen = [0] * n
+
+    def pick(pos: int, psum: int, size: int) -> None:
+        if pos == len(kinds):
+            if psum == 0:
+                residual = tuple(c - k for c, k in zip(counts, chosen))
+                for rest in _block_shapes(spec, residual):
+                    shapes.add(_with_block(size, rest))
+            return
+        g = kinds[pos]
+        for j in range(counts[g] + 1):
+            chosen[g] = j
+            pick(pos + 1, add[psum][mult[g][j]], size + j)
+        chosen[g] = 0
+
+    for j in range(1, counts[anchor] + 1):
+        chosen[anchor] = j
+        pick(0, mult[anchor][j], j)
+    chosen[anchor] = 0
+    return frozenset(shapes)
 
 
 def det_coeff(spec: GroupSpec, mono: Monomial) -> int:
@@ -394,17 +376,17 @@ def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
     seq = tuple(index_of(spec, g) for g in sequence)
     add = add_table(spec)
     total = 0
+    counts = [0] * n
     for s in seq:
         total = add[total][s]
+        counts[s] += 1
     if total != 0:
         raise ValueError("sequence is not zero-sum")
 
-    shape_val: dict[tuple[int, ...], int] = {}
-    for blocks in _zero_sum_partitions(spec, seq):
-        shape = tuple(sorted((len(b) for b in blocks), reverse=True))
-        if shape not in shape_val:
-            k = len(shape)
-            shape_val[shape] = k * r + sum(_legendre(b - 1, p) for b in shape)
+    shape_val = {
+        shape: len(shape) * r + sum(_legendre(b - 1, p) for b in shape)
+        for shape in _block_shapes(spec, tuple(counts))
+    }
     one_block = r + _legendre(n - 1, p)
     if shape_val.get((n,)) != one_block:
         raise ArithmeticError(

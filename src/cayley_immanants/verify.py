@@ -14,7 +14,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, NamedTuple
 
 from .characters import (
     CycleType,
@@ -224,18 +224,21 @@ MINOR_CHECKS = {
 }
 
 
-def minor_failure(
-    name: str, spec: GroupSpec, seeds: int, seed: int, value_range: int = 32
-) -> dict | None:
-    """First counterexample of a minor check over seeds seed, seed+1, ..., or None.
+def _minor_seed_walk(
+    name: str, spec: GroupSpec, seeds: int, seed: int, value_range: int
+) -> Generator[None, None, dict | None]:
+    """One minor check over seeds seed, seed+1, ..., as a generator.
 
-    Raises SkipCheck when the group does not meet the check's hypothesis.
+    It yields before each seed and returns the first counterexample, or None.
+    Its first step raises SkipCheck when the group does not meet the check's
+    hypothesis.
     """
     check = MINOR_CHECKS[name]
     _require(not check.odd_order or spec.order % 2 == 1, "odd order required")
     _require(spec.order >= check.min_order, f"group order below {check.min_order}")
     twin = twin_difference(spec) if check.uses_twin else None
     for s in range(seed, seed + seeds):
+        yield
         rho = random_specialization(spec, s, value_range)
         try:
             failure = check.body(spec, rho, twin)
@@ -247,6 +250,41 @@ def minor_failure(
     return None
 
 
+def _minor_outcomes(
+    names, spec: GroupSpec, seeds: int, seed: int, value_range: int = 32
+) -> list[tuple[dict | None | Exception, float]]:
+    """(outcome, seconds) per named minor check, the checks walked seed by seed.
+
+    All checks read the same specialization at a seed, so stepping every
+    check through one seed before the next builds each seed's minor table
+    once per call, whatever the seed count.  An outcome is the check's first
+    counterexample, None, or the exception that stopped it.
+    """
+    walks = [_minor_seed_walk(name, spec, seeds, seed, value_range) for name in names]
+    outcomes: list = [None] * len(walks)
+    seconds = [0.0] * len(walks)
+    live = list(range(len(walks)))
+    while live:
+        for i in list(live):
+            start = time.perf_counter()
+            try:
+                next(walks[i])
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+                live.remove(i)
+            except Exception as exc:  # noqa: BLE001 - reported per check by _run
+                outcomes[i] = exc
+                live.remove(i)
+            seconds[i] += time.perf_counter() - start
+    return list(zip(outcomes, seconds))
+
+
+def _unpack(outcome: dict | None | Exception) -> dict | None:
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def run_minor_checks(
     names, spec: GroupSpec, seeds: int, seed: int = 1, value_range: int = 32
 ) -> list[VerifyReport]:
@@ -254,16 +292,19 @@ def run_minor_checks(
     for name in names:
         if name not in MINOR_CHECKS:
             raise ValueError(f"unknown check {name!r} (choose from {', '.join(MINOR_CHECKS)})")
-    return [
-        _run(name, spec.name, {},
-             lambda name=name: minor_failure(name, spec, seeds, seed, value_range))
-        for name in names
-    ]
+    reports = []
+    for name, (outcome, seconds) in zip(
+        names, _minor_outcomes(names, spec, seeds, seed, value_range)
+    ):
+        report = _run(name, spec.name, {}, lambda outcome=outcome: _unpack(outcome))
+        report.seconds = seconds
+        reports.append(report)
+    return reports
 
 
 def _minor_witness(names, spec: GroupSpec, seeds: int, seed: int) -> str | None:
-    for name in names:
-        failure = minor_failure(name, spec, seeds, seed)
+    for outcome, _ in _minor_outcomes(names, spec, seeds, seed):
+        failure = _unpack(outcome)
         if failure is not None:
             return "{equation}: {lhs} != {rhs} at seed {seed}".format(**failure)
     return None

@@ -137,8 +137,19 @@ def test_padic_rejects_composite_order(capsys):
 
 
 def test_padic_requires_mode(capsys):
-    code = main(["padic", "--group", "c4"])
-    assert code == 2
+    with pytest.raises(SystemExit) as err:
+        main(["padic", "--group", "c4"])
+    assert err.value.code == 2
+    assert "one of the arguments --all --sequence is required" in capsys.readouterr().err
+
+
+def test_padic_refuses_all_with_sequence(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["padic", "--group", "c4", "--all", "--sequence", "0,0,2,2"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_minors_c5_all_pass(capsys):

@@ -32,11 +32,11 @@ from cayley_immanants.polynomials import GroupPolynomial, monomial_of_perm
 from cayley_immanants.supports import (
     hall_orbits,
     hall_support,
-    labelled_det_coeff,
     monomial_sequence,
     near_hook_scalar_numerator,
     padic_profile,
 )
+from test_supports import labelled_det_coeff
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))

@@ -5,20 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_immanants.groups import GroupSpec, add, elements, index_of, zero
+from cayley_immanants.groups import (
+    GroupSpec,
+    add,
+    add_table,
+    automorphisms,
+    elements,
+    index_of,
+    neg_table,
+    zero,
+)
 from cayley_immanants.immanants import determinant, immanant, perm_class_stats, permanent
 from cayley_immanants.characters import Partition
 from cayley_immanants.supports import (
     _anchored_block_sum,
+    _block_shapes,
     _legendre,
-    _zero_sum_partitions,
     count_D,
     count_I_nearhook,
     count_P,
     count_P_closed,
     det_coeff,
+    hall_orbits,
     hall_support,
-    labelled_det_coeff,
     monomial_sequence,
     near_hook_coeff,
     near_hook_scalar_numerator,
@@ -34,6 +43,90 @@ C5 = GroupSpec((5,))
 C6 = GroupSpec((6,))
 C2xC2 = GroupSpec((2, 2))
 C9 = GroupSpec((9,))
+
+
+# The labelled partition-lattice formula: the test oracle for the multiset
+# folds `_anchored_block_sum` and `_block_shapes` in supports.py.
+
+
+def _zero_sum_partitions(spec: GroupSpec, seq: tuple[int, ...]):
+    """Yield zero-sum set partitions of range(len(seq)) as block tuples.
+
+    Each new block is anchored at the least unused position and grown in
+    increasing position order, so every partition appears exactly once.
+    Branches whose open block cannot be cancelled by any subset of the
+    remaining suffix are cut.
+    """
+    n = len(seq)
+    add = add_table(spec)
+    negs = neg_table(spec)
+    reach: list[frozenset[int]] = [frozenset()] * (n + 1)
+    reach[n] = frozenset({0})
+    for i in range(n - 1, -1, -1):
+        prev = reach[i + 1]
+        reach[i] = prev | {add[s][seq[i]] for s in prev}
+    used = [False] * n
+    blocks: list[tuple[int, ...]] = []
+
+    def start():
+        anchor = -1
+        for i in range(n):
+            if not used[i]:
+                anchor = i
+                break
+        if anchor < 0:
+            yield tuple(blocks)
+            return
+        s = seq[anchor]
+        if s != 0 and negs[s] not in reach[anchor + 1]:
+            return
+        used[anchor] = True
+        yield from grow([anchor], s)
+        used[anchor] = False
+
+    def grow(block: list[int], psum: int):
+        if psum == 0:
+            blocks.append(tuple(block))
+            yield from start()
+            blocks.pop()
+        for q in range(block[-1] + 1, n):
+            if used[q]:
+                continue
+            s = add[psum][seq[q]]
+            if s != 0 and negs[s] not in reach[q + 1]:
+                continue
+            used[q] = True
+            block.append(q)
+            yield from grow(block, s)
+            block.pop()
+            used[q] = False
+
+    yield from start()
+
+
+def _block_term(n: int, sizes) -> int:
+    """(-1)^(n-k) n^k prod (|B|-1)!, factored as a product over blocks."""
+    term = 1
+    for b in sizes:
+        term *= (-1) ** (b - 1) * n * math.factorial(b - 1)
+    return term
+
+
+def labelled_det_coeff(spec: GroupSpec, sequence) -> int:
+    """The zero-sum set-partition sum for a length-n sequence over G.
+
+    Equals (prod of multiplicities factorial) times the coefficient of the
+    sequence's monomial in the determinant of the Toeplitz companion
+    (x_{a-b}); zero whenever the sequence is not zero-sum.
+    """
+    n = spec.order
+    if len(sequence) != n:
+        raise ValueError(f"sequence length {len(sequence)} != group order {n}")
+    seq = tuple(index_of(spec, g) for g in sequence)
+    total = 0
+    for blocks in _zero_sum_partitions(spec, seq):
+        total += _block_term(n, (len(b) for b in blocks))
+    return total
 
 
 def all_set_partitions(n):
@@ -167,6 +260,63 @@ def test_anchored_block_sum_matches_labelled_enumeration():
         for mono in sorted_hall_support(spec):
             seq = monomial_sequence(spec, mono)
             assert _anchored_block_sum(spec, mono) == labelled_det_coeff(spec, seq)
+
+
+def oracle_block_shapes(spec, seq):
+    """Descending block sizes of every labelled zero-sum partition of seq."""
+    return frozenset(
+        tuple(sorted((len(b) for b in blocks), reverse=True))
+        for blocks in _zero_sum_partitions(spec, seq)
+    )
+
+
+def _indices(spec, mono):
+    return tuple(index_of(spec, g) for g in monomial_sequence(spec, mono))
+
+
+@pytest.mark.parametrize(
+    "factors", [(4,), (2, 2), (5,), (7,), (8,), (2, 4), (2, 2, 2)], ids=str
+)
+def test_block_shapes_match_labelled_enumeration(factors):
+    spec = GroupSpec(factors)
+    for mono in sorted_hall_support(spec):
+        assert _block_shapes(spec, mono) == oracle_block_shapes(spec, _indices(spec, mono))
+
+
+@pytest.mark.parametrize("factors", [(9,), (3, 3)], ids=str)
+def test_block_shapes_match_labelled_enumeration_on_orbit_representatives(factors):
+    # the representatives `padic_profiles` evaluates
+    spec = GroupSpec(factors)
+    for orbit in hall_orbits(spec, automorphisms):
+        mono = orbit[0]
+        assert _block_shapes(spec, mono) == oracle_block_shapes(spec, _indices(spec, mono))
+
+
+def test_block_shapes_of_empty_and_non_zero_sum_multisets():
+    assert _block_shapes(C4, (0, 0, 0, 0)) == frozenset({()})
+    assert _block_shapes(C4, (0, 1, 0, 0)) == frozenset()
+    assert _block_shapes(C4, (3, 1, 0, 0)) == frozenset()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_shapes_depend_only_on_the_multiset(data):
+    # any zero-sum multiset of size at most n, in any order of its positions
+    spec = data.draw(
+        st.sampled_from([C3, C4, C5, C6, C2xC2, GroupSpec((2, 4)), GroupSpec((3, 3))]),
+        label="spec",
+    )
+    n = spec.order
+    head = data.draw(st.lists(st.integers(0, n - 1), max_size=min(n - 1, 7)), label="head")
+    table = add_table(spec)
+    total = 0
+    for s in head:
+        total = table[total][s]
+    seq = data.draw(st.permutations(head + [neg_table(spec)[total]]), label="sequence")
+    counts = [0] * n
+    for s in seq:
+        counts[s] += 1
+    assert oracle_block_shapes(spec, tuple(seq)) == _block_shapes(spec, tuple(counts))
 
 
 def test_det_coeff_c3_values():

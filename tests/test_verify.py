@@ -120,3 +120,51 @@ def test_max_order_filters_fixed_groups():
     assert all(parse_group(r.group).order <= 4 for r in reports)
     st = statuses(run_suite("hall", groups=["c5"]))
     assert st == {("c3-ground-truth", "c5"): "skipped", ("hall-permanent-support", "c5"): "pass"}
+
+
+FIVE_MINOR_CHECKS = ("conv", "jacobi", "f1", "t2t12", "scalars")
+
+
+def test_minor_checks_build_one_table_per_seed(monkeypatch):
+    # more seeds than minors._minor_table keeps: each check must still find
+    # its seed's table, so nine seeds build nine tables, not one per check
+    from cayley_immanants import minors
+    from cayley_immanants.groups import GroupSpec
+    from cayley_immanants.verify import run_minor_checks
+
+    built = []
+
+    class CountingTable(minors._MinorTable):
+        def __init__(self, spec, rho):
+            built.append(rho.seed)
+            super().__init__(spec, rho)
+
+    monkeypatch.setattr(minors, "_MinorTable", CountingTable)
+    minors._minor_table.cache_clear()
+    try:
+        reports = run_minor_checks(FIVE_MINOR_CHECKS, GroupSpec((7,)), seeds=9)
+    finally:
+        minors._minor_table.cache_clear()
+    assert [r.status for r in reports] == ["pass"] * 5
+    assert sorted(built) == list(range(1, 10))
+
+
+def test_minor_checks_report_each_first_failure_in_check_order(monkeypatch):
+    # f1 breaks at seed 3 and t2t12 at seed 2: each report names its own
+    # first failing seed, and a suite's witness is the first check's
+    from fractions import Fraction
+
+    from cayley_immanants import verify
+    from cayley_immanants.groups import GroupSpec
+
+    real_det, real_t2 = verify.specialized_det, verify.T2
+    monkeypatch.setattr(verify, "specialized_det", lambda spec, rho: (
+        Fraction(0) if rho.seed == 3 else real_det(spec, rho)))
+    monkeypatch.setattr(verify, "T2", lambda spec, rho: (
+        Fraction(-1) if rho.seed == 2 else real_t2(spec, rho)))
+    c5 = GroupSpec((5,))
+    reports = verify.run_minor_checks(("conv", "f1", "t2t12"), c5, seeds=4)
+    assert [r.status for r in reports] == ["pass", "fail", "fail"]
+    assert [r.witness and r.witness["seed"] for r in reports] == [None, 3, 2]
+    witness = verify._minor_witness(("f1", "t2t12"), c5, 4, 1)
+    assert witness.startswith("F1 = det: ") and witness.endswith(" at seed 3")
