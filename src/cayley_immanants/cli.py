@@ -24,6 +24,7 @@ from .characters import Partition
 from .errors import EnvelopeError
 from .groups import GroupSpec, _prime_factorization, parse_group
 from .immanants import (
+    check_sweep_envelope,
     immanant,
     perm_class_stats,
     twin_difference,
@@ -61,6 +62,14 @@ def _int_at_least(low: int):
         return value
 
     return parse
+
+
+def _name_list(text: str) -> list[str]:
+    """A comma list of names; an empty list or name selects nothing, so it is refused."""
+    names = text.split(",")
+    if "" in names:
+        raise argparse.ArgumentTypeError(f"empty name in comma list {text!r}")
+    return names
 
 
 def _partition_arg(text: str) -> Partition:
@@ -124,6 +133,10 @@ def cmd_twin(args) -> int:
 
 def cmd_support(args) -> int:
     spec = args.group
+    if args.report == "full":
+        # the rows walk classes: refuse before the Hall support or any count
+        check_hall_envelope(spec)
+        check_sweep_envelope(spec)
     hook, cohook = count_I_nearhook(spec)
     doc = {
         "group": spec.name,
@@ -188,7 +201,7 @@ def cmd_padic(args) -> int:
 
 
 def cmd_minors(args) -> int:
-    names = args.checks.split(",") if args.checks else list(MINOR_CHECKS)
+    names = args.checks or list(MINOR_CHECKS)
     reports = run_minor_checks(names, args.group, args.seeds, args.seed, args.range)
     checks = {r.theorem: {"status": r.status, "counterexample": r.witness} for r in reports}
     _emit(_json({"group": args.group.name, "seeds": args.seeds, "checks": checks}), args.out)
@@ -196,8 +209,8 @@ def cmd_minors(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    groups = args.groups.split(",") if args.groups else None
-    reports = run_suite(args.suite, groups=groups, max_order=args.max_order, seed=args.seed)
+    reports = run_suite(args.suite, groups=args.groups, max_order=args.max_order,
+                        seed=args.seed)
     if not reports:
         # a run that checks nothing must not report a pass
         print(f"error: --groups/--max-order leave no check in suite {args.suite!r}",
@@ -324,12 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--range", type=_int_at_least(2), default=32)
-    p.add_argument("--checks", help=f"comma list from: {','.join(MINOR_CHECKS)}")
+    p.add_argument("--checks", type=_name_list,
+                   help=f"comma list from: {','.join(MINOR_CHECKS)}")
     p.set_defaults(func=cmd_minors)
 
     p = sub.add_parser("verify", help="run a theorem-verification suite")
     p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--groups", help="comma list of group specs overriding the defaults")
+    p.add_argument("--groups", type=_name_list,
+                   help="comma list of group specs overriding the defaults")
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--timings", action="store_true",

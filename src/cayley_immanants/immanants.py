@@ -29,7 +29,12 @@ from .supports import hall_orbits
 MAX_SWEEP_ORDER = 10
 
 
-def _check_envelope(spec: GroupSpec) -> None:
+def check_sweep_envelope(spec: GroupSpec) -> None:
+    """Refuse a group above MAX_SWEEP_ORDER before any class walk.
+
+    Every route into `_class_walk` calls it: the immanants, the twin
+    difference and `perm_class_stats`.
+    """
     if spec.order > MAX_SWEEP_ORDER:
         raise EnvelopeError(
             f"group order {spec.order} exceeds the immanant envelope "
@@ -118,7 +123,7 @@ def _sweep(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> dict[Monomia
 
 def immanant(spec: GroupSpec, lam: Partition) -> GroupPolynomial:
     """imm_lam of the Cayley-table matrix of the group, exactly."""
-    _check_envelope(spec)
+    check_sweep_envelope(spec)
     if lam.weight != spec.order:
         raise ValueError(
             f"partition weight {lam.weight} != group order {spec.order}"
@@ -136,7 +141,7 @@ def permanent(spec: GroupSpec) -> GroupPolynomial:
 
 def twin_difference(spec: GroupSpec) -> GroupPolynomial:
     """imm_(4,1^(n-4)) - imm_(2,2,2,1^(n-6)) in a single weighted sweep."""
-    _check_envelope(spec)
+    check_sweep_envelope(spec)
     n = spec.order
     if n < 6:
         raise ValueError(f"both twin shapes need group order >= 6, got {n}")
@@ -153,6 +158,7 @@ class PermClassStats:
 
 def perm_class_stats(spec: GroupSpec, mono: Monomial) -> PermClassStats:
     """p_m = |P(m)| and d_m, the signed count of P(m)."""
+    check_sweep_envelope(spec)
     n = spec.order
     if len(mono) != n or sum(mono) != n:
         raise ValueError(f"monomial {mono!r} is not a degree-{n} exponent vector")

@@ -2,13 +2,16 @@
 
 Determinant coefficients come from the partition-lattice formula, a sum
 over the zero-sum set partitions of a sequence's positions.  Production
-code evaluates it on multisets only: `_anchored_block_sum` regroups the sum
-by block contents with binomial weights, memoized across monomials, and
-`_block_shapes` folds the same recursion into the set of block-size shapes
-that the p-adic profile reads.  The labelled enumeration of the partitions
-is a test oracle (`tests/test_supports.py`); the tests pin it, the multiset
-routes and the engine's permutation-class walks against each other and
-against a brute-force sum over all n! permutations at small orders.
+code evaluates it on multisets only, with one recursion and two folds:
+`_anchored_blocks` lists the zero-sum blocks through one fixed copy of the
+least present element, with their binomial counts of labelled ways and
+their residual multisets.  `_anchored_block_sum` folds them into the signed
+partition sum and `_block_shapes` into the set of block-size shapes that
+the p-adic profile reads; each fold is memoized on residual multisets.  The
+labelled enumeration of the partitions is a test oracle
+(`tests/test_supports.py`); the tests pin it, the multiset routes and the
+engine's permutation-class walks against each other and against a
+brute-force sum over all n! permutations at small orders.
 
 The counts D and I_(n-1,1), I_(2,1^(n-2)) evaluate one representative per
 orbit of `groups.affine_maps` and weight it by the orbit size: det_coeff and
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from typing import TYPE_CHECKING
 
 from .errors import EnvelopeError
@@ -152,6 +156,49 @@ def hall_orbits(
     return tuple(orbits)
 
 
+def _anchored_blocks(
+    spec: GroupSpec, counts: tuple[int, ...]
+) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The zero-sum blocks through one fixed copy of the least present element.
+
+    counts is a multiset of at most n elements, like a length-n sequence and
+    its residuals.  Each block is returned as (size, ways, residual): ways
+    counts the labelled position sets with its contents, and residual is
+    counts without it.  Every set partition of the positions has exactly one
+    block through the anchor copy, so both partition folds below recurse
+    over these blocks.  The empty multiset has none.
+    """
+    n = spec.order
+    anchor = next((g for g, c in enumerate(counts) if c), None)
+    if anchor is None:
+        return []
+    add = add_table(spec)
+    mult = _multiple_table(spec)
+    kinds = [g for g in range(anchor + 1, n) if counts[g]]
+    blocks = []
+    chosen = [0] * n
+
+    def pick(pos: int, psum: int, size: int) -> None:
+        if pos == len(kinds):
+            if psum == 0:
+                # binomials per block, not per branch: most branches sum to nonzero
+                ways = math.comb(counts[anchor] - 1, chosen[anchor] - 1)
+                for g in kinds:
+                    ways *= math.comb(counts[g], chosen[g])
+                blocks.append((size, ways, tuple(map(sub, counts, chosen))))
+            return
+        g = kinds[pos]
+        for j in range(counts[g] + 1):
+            chosen[g] = j
+            pick(pos + 1, add[psum][mult[g][j]], size + j)
+        chosen[g] = 0
+
+    for j in range(1, counts[anchor] + 1):
+        chosen[anchor] = j
+        pick(0, mult[anchor][j], j)
+    return blocks
+
+
 @lru_cache(maxsize=None)
 def _anchored_block_sum(spec: GroupSpec, counts: tuple[int, ...]) -> int:
     """The zero-sum set-partition sum of a multiset, memoized on multisets.
@@ -159,45 +206,18 @@ def _anchored_block_sum(spec: GroupSpec, counts: tuple[int, ...]) -> int:
     The sum runs over the zero-sum set partitions of the n labelled positions
     of any sequence with these counts, each partition weighted by
     (-1)^(n-k) n^k prod (|B|-1)! over its k blocks.  It is regrouped by block
-    contents: the block containing one fixed copy of the smallest present
-    element is chosen as a zero-sum sub-multiset, and binomials count the
-    labelled ways.  Residual states repeat heavily across monomials, which
-    is what makes the order-10 formula path affordable.
+    contents: each block of `_anchored_blocks` contributes its labelled ways
+    times its own factor times the sum of its residual.  Residual states
+    repeat heavily across monomials, which is what makes the order-10
+    formula path affordable.
     """
-    n = spec.order
-    anchor = -1
-    for g, c in enumerate(counts):
-        if c:
-            anchor = g
-            break
-    if anchor < 0:
+    if not any(counts):
         return 1
-    add = add_table(spec)
-    mult = _multiple_table(spec)
-    kinds = [g for g in range(anchor + 1, n) if counts[g]]
+    n = spec.order
     total = 0
-    chosen = [0] * n
-
-    def pick(pos: int, psum: int, size: int, ways: int) -> None:
-        nonlocal total
-        if pos == len(kinds):
-            if psum == 0:
-                residual = list(counts)
-                for g in range(n):
-                    residual[g] -= chosen[g]
-                term = (-1) ** (size - 1) * n * math.factorial(size - 1)
-                total += ways * term * _anchored_block_sum(spec, tuple(residual))
-            return
-        g = kinds[pos]
-        for j in range(counts[g] + 1):
-            chosen[g] = j
-            pick(pos + 1, add[psum][mult[g][j]], size + j, ways * math.comb(counts[g], j))
-        chosen[g] = 0
-
-    for j in range(1, counts[anchor] + 1):
-        chosen[anchor] = j
-        pick(0, mult[anchor][j], j, math.comb(counts[anchor] - 1, j - 1))
-    chosen[anchor] = 0
+    for size, ways, residual in _anchored_blocks(spec, counts):
+        term = (-1) ** (size - 1) * n * math.factorial(size - 1)
+        total += ways * term * _anchored_block_sum(spec, residual)
     return total
 
 
@@ -215,47 +235,19 @@ def _with_block(size: int, shape: tuple[int, ...]) -> tuple[int, ...]:
 def _block_shapes(spec: GroupSpec, counts: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Block-size shapes of the zero-sum set partitions of a multiset.
 
-    counts holds at most n elements in all, like a length-n sequence and its
-    residuals.  Each shape is a descending tuple of block sizes.  The
-    skeleton is that of `_anchored_block_sum`: the block holding one fixed
-    copy of the smallest present element is a zero-sum sub-multiset, and its
-    size joins every shape of the residual.  The empty multiset has the one
-    empty shape; a multiset that is not zero-sum has none.  Residual states
-    repeat across the sequences of one group, so the memo is shared by all
-    of them.
+    Each shape is a descending tuple of block sizes: the size of a block of
+    `_anchored_blocks` joins every shape of its residual.  The empty
+    multiset has the one empty shape; a multiset that is not zero-sum has
+    none.  Residual states repeat across the sequences of one group, so the
+    memo is shared by all of them.
     """
-    n = spec.order
-    anchor = -1
-    for g, c in enumerate(counts):
-        if c:
-            anchor = g
-            break
-    if anchor < 0:
+    if not any(counts):
         return frozenset({()})
-    add = add_table(spec)
-    mult = _multiple_table(spec)
-    kinds = [g for g in range(anchor + 1, n) if counts[g]]
-    shapes: set[tuple[int, ...]] = set()
-    chosen = [0] * n
-
-    def pick(pos: int, psum: int, size: int) -> None:
-        if pos == len(kinds):
-            if psum == 0:
-                residual = tuple(c - k for c, k in zip(counts, chosen))
-                for rest in _block_shapes(spec, residual):
-                    shapes.add(_with_block(size, rest))
-            return
-        g = kinds[pos]
-        for j in range(counts[g] + 1):
-            chosen[g] = j
-            pick(pos + 1, add[psum][mult[g][j]], size + j)
-        chosen[g] = 0
-
-    for j in range(1, counts[anchor] + 1):
-        chosen[anchor] = j
-        pick(0, mult[anchor][j], j)
-    chosen[anchor] = 0
-    return frozenset(shapes)
+    return frozenset(
+        _with_block(size, rest)
+        for size, _, residual in _anchored_blocks(spec, counts)
+        for rest in _block_shapes(spec, residual)
+    )
 
 
 def det_coeff(spec: GroupSpec, mono: Monomial) -> int:

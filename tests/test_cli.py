@@ -244,6 +244,36 @@ def test_hall_envelope_refuses_before_enumerating(capsys, argv):
     assert supports.hall_support.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("group", ["c11", "c12", "c13"])
+def test_support_full_report_refuses_above_the_sweep_envelope(capsys, group):
+    # c13 passes the Hall envelope, but its rows would walk order-13 classes
+    from cayley_immanants import supports
+
+    supports.hall_support.cache_clear()
+    code = main(["support", "--group", group, "--report", "full"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "exceeds the immanant envelope" in captured.err
+    assert supports.hall_support.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("minors", "--group", "c5", "--checks", ""),
+    ("minors", "--group", "c5", "--checks", "conv,"),
+    ("verify", "--suite", "prop42", "--groups", ""),
+    ("verify", "--suite", "prop42", "--groups", "c6,,c8"),
+])
+def test_empty_selection_is_a_usage_error(capsys, argv):
+    # an empty list would select nothing, not fall back to every check or group
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty name in comma list" in captured.err
+
+
 def test_explore_conjecture3(capsys):
     code, doc = run_json(capsys, "explore", "--conjecture", "3", "--n", "7")
     assert code == 0

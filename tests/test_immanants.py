@@ -118,6 +118,12 @@ def test_weight_mismatch_and_envelope():
         twin_difference(C5)
 
 
+def test_perm_class_stats_refuses_above_the_sweep_envelope():
+    # `support --report full` reaches the class walk through this route
+    with pytest.raises(EnvelopeError, match="group order 11"):
+        perm_class_stats(GroupSpec((11,)), (11,) + (0,) * 10)
+
+
 def test_perm_class_stats_c3_all_distinct():
     stats = perm_class_stats(C3, (1, 1, 1))
     assert stats.p_m == 3

@@ -19,6 +19,7 @@ from cayley_immanants.immanants import determinant, immanant, perm_class_stats, 
 from cayley_immanants.characters import Partition
 from cayley_immanants.supports import (
     _anchored_block_sum,
+    _anchored_blocks,
     _block_shapes,
     _legendre,
     count_D,
@@ -45,8 +46,10 @@ C2xC2 = GroupSpec((2, 2))
 C9 = GroupSpec((9,))
 
 
-# The labelled partition-lattice formula: the test oracle for the multiset
-# folds `_anchored_block_sum` and `_block_shapes` in supports.py.
+# The labelled partition-lattice formula: the test oracle for the two folds
+# `_anchored_block_sum` and `_block_shapes` in supports.py, which both recurse
+# over the anchored blocks of `_anchored_blocks` (checked against
+# `oracle_anchored_blocks` below).
 
 
 def _zero_sum_partitions(spec: GroupSpec, seq: tuple[int, ...]):
@@ -317,6 +320,74 @@ def test_block_shapes_depend_only_on_the_multiset(data):
     for s in seq:
         counts[s] += 1
     assert oracle_block_shapes(spec, tuple(seq)) == _block_shapes(spec, tuple(counts))
+
+
+def oracle_anchored_blocks(spec, seq):
+    """{(size, residual counts): number of labelled blocks} by brute force.
+
+    seq[0] must hold the least element of seq.  The blocks are the subsets
+    of the positions that contain 0 and sum to zero.
+    """
+    n = spec.order
+    table = add_table(spec)
+    groups = {}
+    for mask in range(1, 1 << len(seq), 2):
+        total = 0
+        residual = [0] * n
+        for i, s in enumerate(seq):
+            if mask >> i & 1:
+                total = table[total][s]
+            else:
+                residual[s] += 1
+        if total == 0:
+            key = (bin(mask).count("1"), tuple(residual))
+            groups[key] = groups.get(key, 0) + 1
+    return groups
+
+
+def _blocks_by_key(spec, counts):
+    blocks = _anchored_blocks(spec, counts)
+    by_key = {(size, residual): ways for size, ways, residual in blocks}
+    assert len(by_key) == len(blocks)  # one entry per block contents
+    return by_key
+
+
+@pytest.mark.parametrize("factors", [(4,), (2, 2), (5,), (6,), (2, 4)], ids=str)
+def test_anchored_blocks_match_subset_enumeration(factors):
+    # monomial_sequence lists the elements in index order, so seq[0] is the anchor
+    spec = GroupSpec(factors)
+    for mono in sorted_hall_support(spec):
+        assert _blocks_by_key(spec, mono) == oracle_anchored_blocks(spec, _indices(spec, mono))
+
+
+def test_anchored_blocks_of_the_empty_multiset():
+    assert _anchored_blocks(C4, (0, 0, 0, 0)) == []
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_anchored_blocks_of_shuffled_non_zero_sum_multisets(data):
+    # the blocks through the anchor exist whether or not the whole multiset
+    # sums to zero; the other positions may come in any order
+    spec = data.draw(
+        st.sampled_from([C3, C4, C5, C6, C2xC2, GroupSpec((2, 4)), GroupSpec((3, 3))]),
+        label="spec",
+    )
+    n = spec.order
+    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1), label="head")
+    table = add_table(spec)
+    total = 0
+    for s in seq:
+        total = table[total][s]
+    if total == 0:
+        seq.append(1)  # one nonzero element more, still at most n in all
+    seq = data.draw(st.permutations(seq), label="sequence")
+    first = seq.index(min(seq))
+    seq[0], seq[first] = seq[first], seq[0]
+    counts = [0] * n
+    for s in seq:
+        counts[s] += 1
+    assert _blocks_by_key(spec, tuple(counts)) == oracle_anchored_blocks(spec, seq)
 
 
 def test_det_coeff_c3_values():
