@@ -72,7 +72,7 @@ def check_hall_envelope(spec: GroupSpec) -> None:
     Reads the closed-form count, so the refusal costs O(n), not an
     enumeration.
     """
-    p = count_P_closed(spec)
+    p = count_P(spec)
     if p > MAX_HALL_MONOMIALS:
         raise EnvelopeError(
             f"{spec.name} has {p} zero-sum monomials, above the enumeration "
@@ -109,12 +109,13 @@ def hall_support(spec: GroupSpec) -> frozenset[Monomial]:
     return frozenset(out)
 
 
-def count_P_closed(spec: GroupSpec) -> int:
-    """|Hall support| in closed form: (1/n) sum_d N_d C(2n/d - 1, n/d).
+def count_P(spec: GroupSpec) -> int:
+    """Number of monomials of the permanent (the Hall support size).
 
-    N_d counts the elements (equally, the characters) of order d; a
-    character of order d gives prod_g (1 - chi(g) t) = (1 - t^d)^(n/d).
-    O(n) and enumeration-free, so it is an oracle for `hall_support`.
+    Closed form (1/n) sum_d N_d C(2n/d - 1, n/d), where N_d counts the
+    elements (equally, the characters) of order d; a character of order d
+    gives prod_g (1 - chi(g) t) = (1 - t^d)^(n/d).  O(n) and
+    enumeration-free, so it is an oracle for `hall_support`.
     """
     n = spec.order
     total = 0
@@ -268,11 +269,6 @@ def det_coeff(spec: GroupSpec, mono: Monomial) -> int:
             f"partition-formula value {num} not divisible by {denom} at {mono!r}"
         )
     return num // denom
-
-
-def count_P(spec: GroupSpec) -> int:
-    """Number of monomials of the permanent (the Hall support size)."""
-    return len(hall_support(spec))
 
 
 def count_D(spec: GroupSpec) -> int:

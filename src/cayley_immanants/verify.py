@@ -1,10 +1,12 @@
 """One-shot verification suites: every theorem-level check behind the CLI.
 
-Each suite returns machine-parseable reports.  Group lists default to the
-orders the checks were designed around and can be overridden; all randomness
-is derived from the caller's seed.  The exact minor checks live in one table,
-MINOR_CHECKS, which both the jacobi/scalars suites and the `minors` command
-run.
+Each suite returns machine-parseable reports, which `_report` sorts into
+pass, fail, skipped or error.  Group lists default to the orders the checks
+were designed around and can be overridden, though not by an empty list;
+all randomness is derived from the caller's seed.  The exact minor checks
+live in one table, MINOR_CHECKS, which the jacobi/scalars suites and the
+`minors` command run in one loop: seeds outer, checks inner, so all checks
+at a seed read one minor table.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Generator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .characters import (
     CycleType,
@@ -60,7 +62,6 @@ from .supports import (
     count_D,
     count_I_nearhook,
     count_P,
-    count_P_closed,
     hall_support,
     near_hook_coeff,
     near_hook_scalar_numerator,
@@ -119,26 +120,29 @@ def _require(condition: bool, reason: str) -> None:
         raise SkipCheck(reason)
 
 
+def _report(theorem: str, group: str, params: dict, outcome, seconds: float) -> VerifyReport:
+    """Sort a check's outcome: None passes, a witness fails, and an exception
+    is a skip (unmet hypothesis or envelope), a failure (broken identity or
+    arithmetic) or a crash, whose traceback goes to stderr.
+    """
+    status, witness = ("pass" if outcome is None else "fail"), outcome
+    if isinstance(outcome, (EnvelopeError, SkipCheck)):
+        status, witness = "skipped", str(outcome)
+    elif isinstance(outcome, (IdentityCheckError, ArithmeticError, ValueError)):
+        status, witness = "fail", f"{type(outcome).__name__}: {outcome}"
+    elif isinstance(outcome, Exception):
+        traceback.print_exception(outcome, file=sys.stderr)
+        status, witness = "error", f"{type(outcome).__name__}: {outcome}"
+    return VerifyReport(theorem, group, params, status, witness, seconds)
+
+
 def _run(theorem: str, group: str, params: dict, fn) -> VerifyReport:
     start = time.perf_counter()
     try:
-        witness = fn()
-        status = "pass" if witness is None else "fail"
-    except (EnvelopeError, SkipCheck) as exc:
-        status, witness = "skipped", str(exc)
-    except (IdentityCheckError, ArithmeticError, ValueError) as exc:
-        status, witness = "fail", f"{type(exc).__name__}: {exc}"
+        outcome = fn()
     except Exception as exc:  # noqa: BLE001 - a crash is reported; the other checks still run
-        traceback.print_exc(file=sys.stderr)
-        status, witness = "error", f"{type(exc).__name__}: {exc}"
-    return VerifyReport(
-        theorem=theorem,
-        group=group,
-        params=params,
-        status=status,
-        witness=witness,
-        seconds=time.perf_counter() - start,
-    )
+        outcome = exc
+    return _report(theorem, group, params, outcome, time.perf_counter() - start)
 
 
 def exit_code(reports: list[VerifyReport]) -> int:
@@ -150,7 +154,9 @@ def exit_code(reports: list[VerifyReport]) -> int:
 
 
 def _groups(names, override, max_order):
-    chosen = tuple(override) if override else tuple(names)
+    chosen = tuple(names if override is None else override)
+    if not chosen:
+        raise ValueError("an empty group list checks nothing")
     specs = [parse_group(name) for name in chosen]
     if max_order is not None:
         specs = [s for s in specs if s.order <= max_order]
@@ -224,89 +230,76 @@ MINOR_CHECKS = {
 }
 
 
-def _minor_seed_walk(
-    name: str, spec: GroupSpec, seeds: int, seed: int, value_range: int
-) -> Generator[None, None, dict | None]:
-    """One minor check over seeds seed, seed+1, ..., as a generator.
-
-    It yields before each seed and returns the first counterexample, or None.
-    Its first step raises SkipCheck when the group does not meet the check's
-    hypothesis.
-    """
-    check = MINOR_CHECKS[name]
-    _require(not check.odd_order or spec.order % 2 == 1, "odd order required")
-    _require(spec.order >= check.min_order, f"group order below {check.min_order}")
-    twin = twin_difference(spec) if check.uses_twin else None
-    for s in range(seed, seed + seeds):
-        yield
-        rho = random_specialization(spec, s, value_range)
-        try:
-            failure = check.body(spec, rho, twin)
-        except IdentityCheckError as exc:
-            failure = exc.equation, exc.lhs, exc.rhs
-        if failure is not None:
-            equation, lhs, rhs = failure
-            return {"seed": s, "equation": equation, "lhs": str(lhs), "rhs": str(rhs)}
-    return None
-
-
 def _minor_outcomes(
     names, spec: GroupSpec, seeds: int, seed: int, value_range: int = 32
 ) -> list[tuple[dict | None | Exception, float]]:
-    """(outcome, seconds) per named minor check, the checks walked seed by seed.
+    """(outcome, seconds) per named minor check over seeds seed, seed+1, ...
 
-    All checks read the same specialization at a seed, so stepping every
-    check through one seed before the next builds each seed's minor table
-    once per call, whatever the seed count.  An outcome is the check's first
-    counterexample, None, or the exception that stopped it.
+    Hypotheses are tested, and the twin swept, before the first seed; then
+    every live check runs at a seed before the next, so they read one minor
+    table per seed.  An outcome is the check's first counterexample, None, or
+    the exception that stopped it.
     """
-    walks = [_minor_seed_walk(name, spec, seeds, seed, value_range) for name in names]
-    outcomes: list = [None] * len(walks)
-    seconds = [0.0] * len(walks)
-    live = list(range(len(walks)))
-    while live:
-        for i in list(live):
+    checks = [MINOR_CHECKS[name] for name in names]
+    outcomes: list = [None] * len(checks)
+    seconds = [0.0] * len(checks)
+    twins: list = [None] * len(checks)
+    for i, check in enumerate(checks):
+        start = time.perf_counter()
+        try:
+            _require(not check.odd_order or spec.order % 2 == 1, "odd order required")
+            _require(spec.order >= check.min_order, f"group order below {check.min_order}")
+            twins[i] = twin_difference(spec) if check.uses_twin else None
+        except Exception as exc:  # noqa: BLE001 - sorted per check by _report
+            outcomes[i] = exc
+        seconds[i] = time.perf_counter() - start
+    live = [i for i in range(len(checks)) if outcomes[i] is None]
+    for s in range(seed, seed + seeds):
+        for i in live:
             start = time.perf_counter()
+            failure = None
             try:
-                next(walks[i])
-            except StopIteration as stop:
-                outcomes[i] = stop.value
-                live.remove(i)
-            except Exception as exc:  # noqa: BLE001 - reported per check by _run
+                rho = random_specialization(spec, s, value_range)
+                failure = checks[i].body(spec, rho, twins[i])
+            except IdentityCheckError as exc:
+                failure = exc.equation, exc.lhs, exc.rhs
+            except Exception as exc:  # noqa: BLE001 - sorted per check by _report
                 outcomes[i] = exc
-                live.remove(i)
+            if failure is not None:
+                equation, lhs, rhs = failure
+                outcomes[i] = {"seed": s, "equation": equation, "lhs": str(lhs), "rhs": str(rhs)}
             seconds[i] += time.perf_counter() - start
+        live = [i for i in live if outcomes[i] is None]
     return list(zip(outcomes, seconds))
-
-
-def _unpack(outcome: dict | None | Exception) -> dict | None:
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def run_minor_checks(
     names, spec: GroupSpec, seeds: int, seed: int = 1, value_range: int = 32
 ) -> list[VerifyReport]:
-    """One report per named minor check; a failure's witness is its counterexample."""
+    """One report per named minor check; a failure's witness is its counterexample.
+
+    No name or fewer than one seed would check nothing: ValueError.
+    """
+    if not names:
+        raise ValueError("no minor check named")
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     for name in names:
         if name not in MINOR_CHECKS:
             raise ValueError(f"unknown check {name!r} (choose from {', '.join(MINOR_CHECKS)})")
-    reports = []
-    for name, (outcome, seconds) in zip(
-        names, _minor_outcomes(names, spec, seeds, seed, value_range)
-    ):
-        report = _run(name, spec.name, {}, lambda outcome=outcome: _unpack(outcome))
-        report.seconds = seconds
-        reports.append(report)
-    return reports
+    outcomes = _minor_outcomes(names, spec, seeds, seed, value_range)
+    return [
+        _report(name, spec.name, {}, outcome, seconds)
+        for name, (outcome, seconds) in zip(names, outcomes)
+    ]
 
 
 def _minor_witness(names, spec: GroupSpec, seeds: int, seed: int) -> str | None:
     for outcome, _ in _minor_outcomes(names, spec, seeds, seed):
-        failure = _unpack(outcome)
-        if failure is not None:
-            return "{equation}: {lhs} != {rhs} at seed {seed}".format(**failure)
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome is not None:
+            return "{equation}: {lhs} != {rhs} at seed {seed}".format(**outcome)
     return None
 
 
@@ -339,7 +332,7 @@ def suite_hall(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
                 return f"support mismatch, e.g. {extra}"
             # the engine reads its monomials from hall_support, so a missing
             # orbit would be missing from both sides above
-            closed = count_P_closed(spec)
+            closed = count_P(spec)
             if len(expected) != closed:
                 return f"|hall_support| = {len(expected)} != closed-form P = {closed}"
             return None

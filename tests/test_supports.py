@@ -25,7 +25,6 @@ from cayley_immanants.supports import (
     count_D,
     count_I_nearhook,
     count_P,
-    count_P_closed,
     det_coeff,
     hall_orbits,
     hall_support,
@@ -420,7 +419,7 @@ def test_count_d_matches_bruteforce_support():
 )
 def test_closed_form_P_matches_hall_enumeration(factors, size):
     spec = GroupSpec(factors)
-    assert count_P_closed(spec) == count_P(spec) == size
+    assert count_P(spec) == len(hall_support(spec)) == size
 
 
 def test_hall_envelope_admits_c13_and_refuses_c14():
@@ -428,11 +427,11 @@ def test_hall_envelope_admits_c13_and_refuses_c14():
 
     assert immanants.EnvelopeError is supports.EnvelopeError is errors.EnvelopeError
     budget = supports.MAX_HALL_MONOMIALS
-    assert count_P_closed(GroupSpec((13,))) == 400024 <= budget
+    assert count_P(GroupSpec((13,))) == 400024 <= budget
     supports.check_hall_envelope(GroupSpec((13,)))
     for factors in [(14,), (15,), (2, 2, 2, 2), (20,)]:
         spec = GroupSpec(factors)
-        assert count_P_closed(spec) > budget
+        assert count_P(spec) > budget
         with pytest.raises(errors.EnvelopeError, match=spec.name):
             supports.check_hall_envelope(spec)
         with pytest.raises(errors.EnvelopeError):

@@ -168,3 +168,83 @@ def test_minor_checks_report_each_first_failure_in_check_order(monkeypatch):
     assert [r.witness and r.witness["seed"] for r in reports] == [None, 3, 2]
     witness = verify._minor_witness(("f1", "t2t12"), c5, 4, 1)
     assert witness.startswith("F1 = det: ") and witness.endswith(" at seed 3")
+
+
+def test_empty_group_list_is_refused():
+    with pytest.raises(ValueError, match="empty group list"):
+        run_suite("hall", groups=[])
+
+
+def test_minor_checks_without_a_seed_are_refused():
+    from cayley_immanants.groups import GroupSpec
+    from cayley_immanants.verify import run_minor_checks
+
+    for factors in [(5,), (4,)]:
+        with pytest.raises(ValueError, match="seeds"):
+            run_minor_checks(("f1",), GroupSpec(factors), seeds=0)
+
+
+def test_minor_checks_without_a_name_are_refused():
+    from cayley_immanants.groups import GroupSpec
+    from cayley_immanants.verify import run_minor_checks
+
+    with pytest.raises(ValueError, match="no minor check"):
+        run_minor_checks((), GroupSpec((5,)), seeds=2)
+
+
+@pytest.fixture
+def built_tables(monkeypatch):
+    """The seeds of the minor tables built while the test runs."""
+    from cayley_immanants import minors
+
+    built = []
+
+    class CountingTable(minors._MinorTable):
+        def __init__(self, spec, rho):
+            built.append(rho.seed)
+            super().__init__(spec, rho)
+
+    monkeypatch.setattr(minors, "_MinorTable", CountingTable)
+    minors._minor_table.cache_clear()
+    yield built
+    minors._minor_table.cache_clear()
+
+
+def test_reduction_sweeps_its_twin_once_and_only_when_it_applies(monkeypatch, built_tables):
+    from cayley_immanants import verify
+    from cayley_immanants.groups import GroupSpec
+
+    swept = []
+
+    def counting_twin(spec):
+        swept.append(spec.name)
+        return real_twin(spec)
+
+    real_twin = verify.twin_difference
+    monkeypatch.setattr(verify, "twin_difference", counting_twin)
+    (report,) = verify.run_minor_checks(("reduction",), GroupSpec((7,)), seeds=3)
+    assert report.status == "pass"
+    assert swept == ["c7"]
+    built_tables.clear()
+    (report,) = verify.run_minor_checks(("reduction",), GroupSpec((5,)), seeds=3)
+    assert report.status == "skipped"
+    assert swept == ["c7"] and built_tables == []
+
+
+def test_a_crash_stops_its_own_check_and_the_rest_go_on(monkeypatch, built_tables):
+    # t2t12 crashes at seed 2; conv and f1 still check seeds 3 and 4
+    from cayley_immanants import verify
+    from cayley_immanants.groups import GroupSpec
+
+    real_t2 = verify.T2
+
+    def t2_crashing_at_seed_2(spec, rho):
+        if rho.seed == 2:
+            raise KeyError("boom")
+        return real_t2(spec, rho)
+
+    monkeypatch.setattr(verify, "T2", t2_crashing_at_seed_2)
+    reports = verify.run_minor_checks(("conv", "f1", "t2t12"), GroupSpec((5,)), seeds=4)
+    assert [r.status for r in reports] == ["pass", "pass", "error"]
+    assert reports[2].witness == "KeyError: 'boom'"
+    assert sorted(built_tables) == [1, 2, 3, 4]
