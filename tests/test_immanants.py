@@ -20,6 +20,7 @@ from cayley_immanants.immanants import (
     EnvelopeError,
     PermClassStats,
     _char_weights,
+    _class_walk,
     _sweep,
     _twin_weights,
     determinant,
@@ -122,6 +123,12 @@ def test_perm_class_stats_refuses_above_the_sweep_envelope():
     # `support --report full` reaches the class walk through this route
     with pytest.raises(EnvelopeError, match="group order 11"):
         perm_class_stats(GroupSpec((11,)), (11,) + (0,) * 10)
+
+
+def test_perm_class_stats_takes_a_list_or_a_tuple():
+    # the memoized walk needs a hashable key; a list is turned into a tuple
+    for mono in sorted(hall_support(C6)):
+        assert perm_class_stats(C6, list(mono)) == perm_class_stats(C6, mono)
 
 
 def test_perm_class_stats_c3_all_distinct():
@@ -331,3 +338,30 @@ def test_padic_profile_is_constant_on_automorphism_orbits(data):
     expected = padic_profile(spec, monomial_sequence(spec, orbit[0]))
     for mono in orbit:
         assert padic_profile(spec, monomial_sequence(spec, mono)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cached_census_equals_a_fresh_walk(data):
+    # the memo is keyed on (group, monomial): groups of one order that share
+    # a monomial, such as c4 and c2xc2 with x_0^4, keep their own census
+    spec = data.draw(st.sampled_from(ORACLE_SPECS), label="spec")
+    mono = data.draw(st.sampled_from(sorted(hall_support(spec))), label="mono")
+    for other in ORACLE_SPECS:
+        if other.order == spec.order and mono in hall_support(other):
+            assert _class_walk(other, mono) == _class_walk.__wrapped__(other, mono)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_class_stats_do_not_depend_on_call_order(data):
+    # the sweeps and perm_class_stats read one shared census; none may alter it
+    spec = data.draw(st.sampled_from(ORACLE_SPECS), label="spec")
+    n = spec.order
+    _class_walk.cache_clear()
+    monos = sorted(hall_support(spec))
+    before = [perm_class_stats(spec, mono) for mono in monos]
+    immanant(spec, Partition((n - 1, 1)))
+    if n >= 6:
+        twin_difference(spec)
+    assert [perm_class_stats(spec, mono) for mono in monos] == before

@@ -1,5 +1,10 @@
 import pytest
 
+from cayley_immanants.characters import Partition
+from cayley_immanants.errors import EnvelopeError
+from cayley_immanants.groups import GroupSpec
+from cayley_immanants.immanants import _class_walk, immanant, perm_class_stats
+from cayley_immanants.supports import hall_orbits
 from cayley_immanants.verify import VerifyReport, run_suite
 
 
@@ -61,6 +66,35 @@ def test_hall_envelope_is_a_skip_and_enumerates_nothing():
     assert refused.status == "skipped"
     assert "above the enumeration envelope" in refused.witness
     assert supports.hall_support.cache_info().currsize == 0
+
+
+def test_c9_suites_walk_each_representative_once():
+    # hook and cohook (odd-order-near-hooks-vanish), the twin of thm15 and
+    # the twin of principal-minor-reduction all read one census per
+    # representative; thm14 itself is not run, since its master-formula check
+    # would walk every Hall monomial of c9
+    c9 = GroupSpec((9,))
+    _class_walk.cache_clear()
+    immanant(c9, Partition((8, 1)))
+    immanant(c9, Partition((2,) + (1,) * 7))
+    for suite in ("thm15", "scalars"):
+        assert all(r.status == "pass" for r in run_suite(suite, groups=["c9"]))
+    info = _class_walk.cache_info()
+    assert info.misses == len(hall_orbits(c9)) == 70
+    assert info.hits >= 210
+    # the envelope refuses before the memo sees the call
+    with pytest.raises(EnvelopeError):
+        perm_class_stats(GroupSpec((11,)), (11,) + (0,) * 10)
+    assert _class_walk.cache_info().currsize == info.currsize
+
+
+def test_all_suites_walk_699_distinct_classes():
+    # 2351 walks before the memo; each distinct (group, monomial) once now
+    _class_walk.cache_clear()
+    reports = run_suite("all")
+    assert all(r.status in ("pass", "skipped") for r in reports)
+    info = _class_walk.cache_info()
+    assert (info.misses, info.hits + info.misses) == (699, 2351)
 
 
 def test_thm15_and_prop42():
