@@ -1,18 +1,20 @@
 """Exact-rational verification of the inverse/minor identities.
 
-Everything here is exact: determinants go through fraction-free Bareiss
-elimination on integer matrices, the convolution system is solved by Cramer
-determinants, and the direct matrix inverse is a separate Gauss-Jordan route
-used to cross-check the group-Hankel structure.  Identity checks compare
-rationals for equality, never within a tolerance.
+Everything here is exact: every determinant is a fraction-free Bareiss
+elimination on one integer matrix, the inverse's generating values y come
+from Cramer determinants on that same matrix, and the convolution residual
+sum_r x_r y_(r+s) = [s = 0] certifies them.  That residual is the matrix
+identity M*Y = I for Y = (y_(a+b)), so it also proves the inverse
+group-Hankel.  Identity checks compare rationals for equality, never within
+a tolerance.
 
 Each specialization (spec, rho) gets one table, kept in a small LRU cache:
 the Cayley matrix with its denominators cleared in integers (every row holds
 the same values x_g, so one common denominator serves the whole matrix),
-delta, the inverse profile, and every principal minor the checks read, each
-computed the first time it is asked for.  F1, T2, T12, the Jacobi check, the
-Lemma 4.3 scalars and the reduction all read that table, so a minor shared by
-several checks or seeds is eliminated once.
+delta, the certified inverse profile, and every principal minor the checks
+read, each computed the first time it is asked for.  F1, T2, T12, the Jacobi
+check, the Lemma 4.3 scalars and the reduction all read that table, so a
+minor shared by several checks or seeds is eliminated once.
 """
 
 from __future__ import annotations
@@ -79,28 +81,6 @@ def _clear_denominators(values) -> tuple[list[int], int]:
         raise TypeError(f"exact arithmetic needs int or Fraction entries: {values!r}") from None
 
 
-def exact_det(rows) -> Fraction:
-    """Exact determinant of a rational matrix via row-wise denominator clearing."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    cleared = []
-    scale = 1
-    for row in rows:
-        ints, mult = _clear_denominators(row)
-        cleared.append(ints)
-        scale *= mult
-    return Fraction(bareiss_det(cleared), scale)
-
-
-def cayley_matrix(spec: GroupSpec, rho: RationalSpecialization) -> list[list[Fraction]]:
-    """The specialized matrix (x_{a+b}) in element-index order."""
-    add = add_table(spec)
-    vals = rho.values
-    n = spec.order
-    return [[vals[add[a][b]] for b in range(n)] for a in range(n)]
-
-
 def specialized_det(spec: GroupSpec, rho: RationalSpecialization) -> Fraction:
     return _minor_table(spec, rho).minor(())
 
@@ -138,61 +118,20 @@ class InverseProfile:
     delta: Fraction
 
 
-def _solve_convolution(spec: GroupSpec, rho: RationalSpecialization) -> tuple[Fraction, ...]:
-    # equations sum_r x_r y_{r+s} = [s = 0]; unknown y_t has coefficient
-    # x_{t-s} in equation s.  Solved by Cramer with fraction-free determinants.
-    n = spec.order
-    add = add_table(spec)
-    negs = neg_table(spec)
-    vals = rho.values
-    system = [[vals[add[t][negs[s]]] for t in range(n)] for s in range(n)]
-    denom = exact_det(system)
-    if denom == 0:
-        raise ValueError("specialized matrix is singular")
-    ys = []
-    for t in range(n):
-        replaced = [
-            [Fraction(1 if s == 0 else 0) if c == t else system[s][c] for c in range(n)]
-            for s in range(n)
-        ]
-        ys.append(exact_det(replaced) / denom)
-    return tuple(ys)
-
-
-def _gauss_jordan_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(matrix)
-    aug = [
-        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 class _MinorTable:
     """The exact values the minor checks read at one specialization.
 
     The matrix is cleared once: M = N / scale with N an integer matrix, so
-    the principal minor on k kept indices is det N[keep] / scale**k.  Each
-    minor, keyed by its sorted tuple of removed indices, is eliminated the
-    first time it is asked for; the sums F1, T2 and T12 and the inverse
-    profile are computed once each.
+    the principal minor on k kept indices is det N[keep] / scale**k, and a
+    product of k entries of M is one of N over scale**k.  Each minor, keyed
+    by its sorted tuple of removed indices, is eliminated the first time it
+    is asked for; the sums F1, T2 and T12 and the inverse profile are
+    computed once each.
     """
 
     def __init__(self, spec: GroupSpec, rho: RationalSpecialization) -> None:
         self.spec = spec
         self.rho = rho
-        self.matrix = cayley_matrix(spec, rho)
         ints, self.scale = _clear_denominators(rho.values)
         add = add_table(spec)
         n = spec.order
@@ -211,39 +150,50 @@ class _MinorTable:
 
     @cached_property
     def profile(self) -> InverseProfile:
-        spec = self.spec
-        n = spec.order
-        add = add_table(spec)
+        # M y = e_0 is the convolution system sum_r x_r y_(r+s) = [s = 0]
+        # with its equations reordered (row a of M is equation s = -a), so
+        # Cramer on N with column t := scale*e_0 gives y_t.  The residuals
+        # are the entries of M Y - I: (M Y)[a][c] = sum_r x_r y_(r+c-a).
+        n = self.spec.order
         delta = self.minor(())
         if delta == 0:
             raise ValueError("specialized matrix is singular")
-        ys = _solve_convolution(spec, self.rho)
-        inv = _gauss_jordan_inverse(self.matrix)
-        for a in range(n):
-            for b in range(n):
-                if inv[a][b] != ys[add[a][b]]:
-                    raise IdentityCheckError(
-                        f"group-Hankel inverse at ({a},{b})", inv[a][b], ys[add[a][b]]
-                    )
+        det_n = delta * self.scale**n
+        e0 = [self.scale] + [0] * (n - 1)
+        ys = tuple(
+            bareiss_det([row[:t] + [e0[r]] + row[t + 1:] for r, row in enumerate(self.ints)])
+            / det_n
+            for t in range(n)
+        )
+        add = add_table(self.spec)
+        x = self.rho.values
+        for s in range(n):
+            residual = sum(x[r] * ys[add[r][s]] for r in range(n))
+            expected = 1 if s == 0 else 0
+            if residual != expected:
+                raise IdentityCheckError(
+                    f"sum_r x_r y_(r+s) = [s = 0] at s={s}", residual, expected
+                )
         return InverseProfile(y=ys, delta=delta)
 
     @cached_property
     def f1(self) -> Fraction:
-        m = self.matrix
-        return sum((m[i][i] * self.minor((i,)) for i in range(len(m))), Fraction(0))
+        m = self.ints
+        total = sum((m[i][i] * self.minor((i,)) for i in range(len(m))), Fraction(0))
+        return total / self.scale
 
     @cached_property
     def t2(self) -> Fraction:
-        m = self.matrix
+        m = self.ints
         total = Fraction(0)
         for i, j in itertools.combinations(range(len(m)), 2):
             total += m[i][j] * m[j][i] * self.minor((i, j))
-        return total
+        return total / self.scale**2
 
     @cached_property
     def t12(self) -> Fraction:
         # each sorted triple a<b<c collects its three (i | j<k) splits
-        m = self.matrix
+        m = self.ints
         total = Fraction(0)
         for a, b, c in itertools.combinations(range(len(m)), 3):
             weight = (
@@ -253,7 +203,7 @@ class _MinorTable:
             )
             if weight:
                 total += weight * self.minor((a, b, c))
-        return total
+        return total / self.scale**3
 
 
 # Bounded: one table per specialization, and the minor checks of one call
@@ -265,11 +215,13 @@ def _minor_table(spec: GroupSpec, rho: RationalSpecialization) -> _MinorTable:
 
 
 def inverse_profile(spec: GroupSpec, rho: RationalSpecialization) -> InverseProfile:
-    """Solve the convolution equations and confirm the group-Hankel inverse.
+    """The inverse's generating values y and delta, certified before they are read.
 
-    The y vector comes from the linear system; the entrywise inverse comes
-    from an independent Gauss-Jordan pass, and the two must agree at every
-    position (a, b) through y_{a+b}.
+    y solves M y = e_0 by Cramer on the table's integer matrix; every
+    convolution residual sum_r x_r y_(r+s) - [s = 0] must then be zero, or
+    IdentityCheckError names the first equation that fails.  The residuals
+    are the entries of M Y - I for Y = (y_(a+b)), so a profile that is
+    returned is the group-Hankel inverse.
     """
     return _minor_table(spec, rho).profile
 

@@ -39,10 +39,16 @@ class RationalSpecialization:
     def __post_init__(self) -> None:
         if len(self.values) != self.group.order:
             raise ValueError("specialization must assign a value to every element")
+        # a float's binary value would pass for an exact rational
+        if not all(isinstance(v, (int, Fraction)) for v in self.values):
+            raise TypeError(f"exact arithmetic needs int or Fraction values: {self.values!r}")
 
     @classmethod
     def from_ints(cls, group: GroupSpec, values, seed: int | None = None):
-        return cls(group, tuple(Fraction(v) for v in values), seed)
+        values = tuple(values)
+        if not all(isinstance(v, int) for v in values):
+            raise TypeError(f"from_ints needs int values: {values!r}")
+        return cls(group, tuple(map(Fraction, values)), seed)
 
 
 @dataclass(frozen=True)

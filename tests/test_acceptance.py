@@ -185,14 +185,14 @@ def test_criterion_10_twin_x0_coefficient():
 
 @report(11, "inverse and minor identities at seeded specializations")
 def test_criterion_11_minor_identities():
-    # convolution residuals, group-Hankel inverse, complementary minors
+    # convolution residuals (M Y = I for Y = (y_{a+b})), complementary minors
     for name in ("c3", "c4", "c5", "c6", "c7", "c8", "c2xc2", "c2xc4", "c2xc2xc2"):
         spec = G(name)
         n = spec.order
         add = add_table(spec)
         for i in range(5):
             rho = random_specialization(spec, SEED + i)
-            profile = inverse_profile(spec, rho)  # raises unless group-Hankel
+            profile = inverse_profile(spec, rho)  # raises unless M Y = I
             for s in range(n):
                 residual = sum(rho.values[r] * profile.y[add[r][s]] for r in range(n))
                 assert residual == (1 if s == 0 else 0), (name, s)

@@ -415,6 +415,9 @@ STDOUT_SHA256 = {
         "d07b8253e85bab69efb36828efe07b64a301bea0c9aac5360d89ff5a2c5f58f0",
     "verify --suite scalars --max-order 7 --seed 2":
         "8b2abcbf2d283be7ffca6a7ba7639f92c3315d2a2ddd9969a457260ef643afb6",
+    # the minors call of the benchmark's `verify` workload
+    "minors --group c11 --seeds 3 --seed 1 --checks conv,jacobi,f1,t2t12,scalars":
+        "fab9335f9afc9e30b63c514c56827e741f06ab2f5ebaf49d02da6ff8e89e5623",
     # the headline command, as `perfbench/workloads.py` pins it; run after
     # other tests have filled the per-process caches
     "verify --suite all --seed 1":

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -12,9 +13,11 @@ from cayley_immanants.groups import (
     add_table,
     double_table,
     neg_table,
+    parse_group,
     perm_parity,
 )
 from cayley_immanants import minors
+from cayley_immanants.cli import main
 from cayley_immanants.immanants import twin_difference
 from cayley_immanants.minors import (
     F1,
@@ -22,10 +25,8 @@ from cayley_immanants.minors import (
     T12,
     IdentityCheckError,
     JacobiReport,
-    _solve_convolution,
+    _clear_denominators,
     bareiss_det,
-    cayley_matrix,
-    exact_det,
     gamma_expression,
     inverse_profile,
     jacobi_check,
@@ -54,6 +55,57 @@ def leibniz_det(rows):
             prod *= rows[i][images[i]]
         total += prod
     return total
+
+
+# --- oracles: exact routes the package no longer takes ----------------------
+
+
+def cayley_matrix(spec, rho):
+    """The specialized matrix (x_{a+b}) in element-index order."""
+    add = add_table(spec)
+    vals = rho.values
+    n = spec.order
+    return [[vals[add[a][b]] for b in range(n)] for a in range(n)]
+
+
+def exact_det(rows) -> Fraction:
+    """Exact determinant of a rational matrix via row-wise denominator clearing."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    cleared = []
+    scale = 1
+    for row in rows:
+        ints, mult = _clear_denominators(row)
+        cleared.append(ints)
+        scale *= mult
+    return Fraction(bareiss_det(cleared), scale)
+
+
+def gauss_jordan_inverse(matrix):
+    """The full inverse by Gauss-Jordan elimination in Fractions."""
+    n = len(matrix)
+    aug = [
+        [Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [v / pv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def oracle_y(spec, rho):
+    """y from the Gauss-Jordan inverse: its row 0 is (y_(0+b)) = y, element 0 being zero."""
+    return tuple(gauss_jordan_inverse(cayley_matrix(spec, rho))[0])
 
 
 def test_bareiss_against_leibniz():
@@ -152,15 +204,18 @@ def test_convolution_residuals_exactly_zero():
 
 
 def test_inverse_matrix_identity():
+    # the theorem on the oracle route alone: the Gauss-Jordan inverse is
+    # (y_{a+b}) for y its row 0, and it is the inverse of M
     for spec in (C3, C4, GroupSpec((2, 2))):
         rho = random_specialization(spec, seed=7)
-        y = inverse_profile(spec, rho).y
         m = cayley_matrix(spec, rho)
+        inv = gauss_jordan_inverse(m)
         add = add_table(spec)
         n = spec.order
         for a in range(n):
             for b in range(n):
-                entry = sum((m[a][r] * y[add[r][b]] for r in range(n)), Fraction(0))
+                assert inv[a][b] == inv[0][add[a][b]]
+                entry = sum((m[a][r] * inv[r][b] for r in range(n)), Fraction(0))
                 assert entry == (1 if a == b else 0)
 
 
@@ -308,7 +363,7 @@ def oracle_sums(spec, rho):
 
 def oracle_jacobi(spec, rho):
     n = spec.order
-    y = _solve_convolution(spec, rho)
+    y = oracle_y(spec, rho)
     delta = oracle_minor(spec, rho, set())
     add, dbl = add_table(spec), double_table(spec)
     checked, violations = 0, []
@@ -336,7 +391,7 @@ def oracle_scalars(spec, rho):
     n = spec.order
     add, dbl, negs = add_table(spec), double_table(spec), neg_table(spec)
     x = rho.values
-    y = _solve_convolution(spec, rho)
+    y = oracle_y(spec, rho)
     c_val = sum(
         (x[s] ** 2 * y[t] * y[add[dbl[s]][negs[t]]] for s in range(n) for t in range(n)),
         Fraction(0),
@@ -414,3 +469,66 @@ def test_specializations_with_one_seed_never_share_a_table():
     for rho in (narrow, wide):
         for removed, value in minors._minor_table(C5, rho).minors.items():
             assert value == oracle_minor(C5, rho, set(removed))
+
+
+# --- the certified inverse profile ------------------------------------------
+
+_INVERSE_GROUPS = (
+    "c2", "c3", "c4", "c5", "c6", "c7", "c8", "c2xc2", "c2xc4", "c9", "c3xc3",
+)
+
+
+@pytest.mark.parametrize("name", _INVERSE_GROUPS)
+def test_inverse_profile_matches_gauss_jordan(name):
+    spec = parse_group(name)
+    minors._minor_table.cache_clear()
+    points = (random_specialization(spec, 11), _fraction_specialization(spec, 12))
+    assert any(v.denominator != 1 for v in points[1].values)
+    for rho in points:
+        profile = inverse_profile(spec, rho)
+        assert profile.y == oracle_y(spec, rho)
+        assert profile.delta == exact_det(cayley_matrix(spec, rho))
+
+
+@pytest.fixture
+def corrupt_y1(monkeypatch):
+    """One Cramer determinant, the one for y_1, comes out one too large.
+
+    A Cramer matrix is the only one whose column 1 is zero below row 0: the
+    seeded points have no zero entry, so every minor stays true.
+    """
+    true_det = minors.bareiss_det
+
+    def corrupted(rows):
+        det = true_det(rows)
+        if len(rows) > 1 and rows[0][1] and not any(row[1] for row in rows[1:]):
+            return det + 1
+        return det
+
+    monkeypatch.setattr(minors, "bareiss_det", corrupted)
+    minors._minor_table.cache_clear()
+    yield
+    minors._minor_table.cache_clear()
+
+
+_CONV_EQUATION = r"sum_r x_r y_\(r\+s\) = \[s = 0\] at s="
+
+
+@pytest.mark.parametrize("read", [inverse_profile, jacobi_check, lemma43_scalars])
+def test_every_profile_read_checks_the_residual(corrupt_y1, read):
+    rho = random_specialization(C5, seed=1)
+    for _ in range(2):  # a failed profile is not cached: the next read fails too
+        with pytest.raises(IdentityCheckError, match=_CONV_EQUATION):
+            read(C5, rho)
+
+
+def test_minors_command_fails_on_a_corrupted_inverse(corrupt_y1, capsys):
+    code = main(["minors", "--group", "c5", "--seeds", "2", "--checks", "conv,jacobi,scalars"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    for name in ("conv", "jacobi", "scalars"):
+        assert checks[name]["status"] == "fail", name
+        witness = checks[name]["counterexample"]
+        assert witness["seed"] == 1
+        assert witness["equation"].startswith("sum_r x_r y_(r+s) = [s = 0] at s=")
+        assert witness["lhs"] != witness["rhs"]

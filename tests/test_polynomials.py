@@ -88,6 +88,28 @@ def test_evaluate_exact_rationals():
     assert p.evaluate(rho) == Fraction(1, 5)
 
 
+
+@pytest.mark.parametrize(
+    "values", [(0.1, 0.2, 0.3), (1, 2, 0.5), (Fraction(1, 2), 1, "3")]
+)
+def test_specialization_refuses_values_that_are_not_exact(values):
+    # a float's binary value would pass for an exact rational in evaluate
+    with pytest.raises(TypeError, match="int or Fraction"):
+        RationalSpecialization(C3, values)
+
+
+@pytest.mark.parametrize("values", [[0.1, 2, 3], [Fraction(1, 2), 2, 3], ["1/2", 2, 3]])
+def test_from_ints_refuses_non_integers(values):
+    with pytest.raises(TypeError, match="int values"):
+        RationalSpecialization.from_ints(C3, values)
+
+
+def test_specialization_keeps_ints_and_fractions():
+    rho = RationalSpecialization(C3, (1, Fraction(1, 2), Fraction(3)))
+    assert rho.values == (1, Fraction(1, 2), 3)
+    assert RationalSpecialization.from_ints(C3, (1, 2, 3)).values == (1, 2, 3)
+
+
 coeffs = st.integers(-50, 50)
 
 
