@@ -5,17 +5,21 @@ over the permutation class P(m) = {sigma : prod_u x_{u+sigma(u)} = m}.
 Conjugating sigma by an affine map u -> phi(u) + gamma (phi an automorphism)
 keeps its cycle type and relabels m by g -> phi(g) + 2*gamma, so every
 coefficient is constant on the orbits of those relabellings.  The engine
-therefore walks P(m) for one representative per orbit of the Hall support
-(536 walks instead of 10! permutations at c10) and copies the coefficient
-over the orbit.
+therefore reads the coefficient of one representative per orbit of the
+Hall support and copies it over the orbit.
 
-One walk gives the cycle-type census of P(m), and every immanant, the twin
-difference and (p_m, d_m) are folds over that census.  `_class_walk` is
-therefore a per-process memo keyed on (group, monomial): within one process
-each census is walked once, however many immanants read it.  The memo holds
-one entry per distinct walk the process asked for (536 for every immanant
-of c10, 699 for `verify --suite all`) and is emptied by
-`_class_walk.cache_clear()`.
+The determinant (lam = 1^n) reads the partition formula
+`supports.det_coeff`, which `count_D` already evaluates on the same
+representatives, and walks no class.  Every other immanant walks P(m) for
+each representative (536 walks instead of 10! permutations at c10).
+
+One walk gives the cycle-type census of P(m), and every immanant other than
+the determinant, the twin difference and (p_m, d_m) are folds over that
+census.  `_class_walk` is therefore a per-process memo keyed on (group,
+monomial): within one process each census is walked once, however many
+immanants read it.  The memo holds one entry per distinct walk the process
+asked for (536 for every other immanant of c10, 699 for `verify --suite
+all`) and is emptied by `_class_walk.cache_clear()`.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .characters import (
 from .errors import EnvelopeError
 from .groups import GroupSpec, add_table
 from .polynomials import GroupPolynomial, Monomial
-from .supports import hall_orbits
+from .supports import det_coeff, hall_orbits
 
 MAX_SWEEP_ORDER = 10
 
@@ -125,30 +129,49 @@ def _class_walk(
     return tuple(sorted((shared[lengths], c) for lengths, c in counts.items()))
 
 
-def _sweep(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> dict[Monomial, int]:
-    """Every nonzero coefficient sum_{sigma in P(m)} weight(type(sigma)).
+def _orbit_terms(spec: GroupSpec, coefficient) -> dict[Monomial, int]:
+    """Every nonzero coefficient, read once per orbit representative.
 
-    One class walk per orbit representative of the Hall support; the
-    coefficient is then given to every monomial of the orbit.
+    `coefficient(rep)` is evaluated on the representative of each orbit of
+    the Hall support and given to every monomial of the orbit.
     """
     terms: dict[Monomial, int] = {}
     for orbit in hall_orbits(spec):
-        counts = _class_walk(spec, orbit[0])
-        coeff = sum(weights[lengths] * c for lengths, c in counts)
+        coeff = coefficient(orbit[0])
         if coeff:
             for mono in orbit:
                 terms[mono] = coeff
     return terms
 
 
+def _sweep(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> dict[Monomial, int]:
+    """Every nonzero coefficient sum_{sigma in P(m)} weight(type(sigma)).
+
+    One class walk per orbit representative of the Hall support.
+    """
+    return _orbit_terms(
+        spec,
+        lambda rep: sum(weights[lengths] * c for lengths, c in _class_walk(spec, rep)),
+    )
+
+
 def immanant(spec: GroupSpec, lam: Partition) -> GroupPolynomial:
-    """imm_lam of the Cayley-table matrix of the group, exactly."""
+    """imm_lam of the Cayley-table matrix of the group, exactly.
+
+    For the sign partition 1^n (the determinant) each representative's
+    coefficient comes from the partition formula `supports.det_coeff`, so
+    no class is walked; every other lam folds the class census.
+    """
     check_sweep_envelope(spec)
     if lam.weight != spec.order:
         raise ValueError(
             f"partition weight {lam.weight} != group order {spec.order}"
         )
-    return GroupPolynomial.from_terms(spec, _sweep(spec, _char_weights(lam)))
+    if lam.parts == (1,) * spec.order:
+        terms = _orbit_terms(spec, lambda rep: det_coeff(spec, rep))
+    else:
+        terms = _sweep(spec, _char_weights(lam))
+    return GroupPolynomial.from_terms(spec, terms)
 
 
 def determinant(spec: GroupSpec) -> GroupPolynomial:

@@ -37,6 +37,9 @@ class RationalSpecialization:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        # the minor tables are memoized on the specialization, so a list
+        # would make it unhashable
+        object.__setattr__(self, "values", tuple(self.values))
         if len(self.values) != self.group.order:
             raise ValueError("specialization must assign a value to every element")
         # a float's binary value would pass for an exact rational

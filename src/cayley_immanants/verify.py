@@ -61,6 +61,7 @@ from .supports import (
     count_D,
     count_I_nearhook,
     count_P,
+    hall_orbits,
     hall_support,
     near_hook_coeff,
     near_hook_scalar_numerator,
@@ -348,7 +349,14 @@ def suite_thm13(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
             if spec.order <= 8:
                 if permanent(spec).support_size != p:
                     return "formula P differs from the immanant engine"
-                if determinant(spec).support_size != d:
+                # the engine's determinant reads det_coeff, as count_D does,
+                # so D is checked against the signed counts of the class walks
+                walked = sum(
+                    len(orbit)
+                    for orbit in hall_orbits(spec)
+                    if perm_class_stats(spec, orbit[0]).d_m
+                )
+                if walked != d:
                     return "formula D differs from the immanant engine"
             return None
 

@@ -106,7 +106,9 @@ def test_criterion_3_det_coefficients():
         spec = G(name)
         det = determinant(spec)
         for mono in sorted_hall_support(spec):
-            assert det_coeff(spec, mono) == det.coefficient(mono), (name, mono)
+            # determinant() reads det_coeff too; the class walk is independent
+            walked = perm_class_stats(spec, mono).d_m
+            assert det_coeff(spec, mono) == det.coefficient(mono) == walked, (name, mono)
 
 
 @report(4, "prime powers have P = D")
@@ -120,6 +122,8 @@ def test_criterion_4_prime_power_pd():
         if spec.order <= 8:
             assert permanent(spec).support_size == p, name
             assert determinant(spec).support_size == d, name
+            walked = [perm_class_stats(spec, m).d_m for m in hall_support(spec)]
+            assert sum(map(bool, walked)) == d, name
 
 
 @report(5, "p-adic certificate: one-block term strictly minimal")

@@ -70,6 +70,20 @@ def test_envelope_exit_code(capsys):
     assert code == 3
 
 
+def test_determinant_keeps_the_sweep_envelope(capsys):
+    # the determinant walks no class, but `imm` still refuses above order 10
+    # before the Hall support is built
+    from cayley_immanants import supports
+
+    supports.hall_support.cache_clear()
+    code = main(["imm", "--group", "c11", "--partition", ",".join(["1"] * 11)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "exceeds the immanant envelope" in captured.err
+    assert supports.hall_support.cache_info().currsize == 0
+
+
 def test_partition_weight_mismatch_exit_code(capsys):
     code = main(["imm", "--group", "c4", "--partition", "3,1,1"])
     assert code == 2

@@ -280,6 +280,25 @@ def test_sweep_matches_brute_force_oracle_order_9(factors, lam):
     assert _sweep(spec, weights) == brute_terms(spec, weights)
 
 
+@pytest.mark.parametrize("spec", ORACLE_SPECS + [GroupSpec((9,))], ids=str)
+def test_determinant_matches_brute_force_oracle(spec):
+    # the determinant reads det_coeff, not the class walks that _sweep folds
+    sign = _char_weights(Partition((1,) * spec.order))
+    assert determinant(spec).terms == brute_terms(spec, sign)
+
+
+def test_determinant_matches_the_class_walks_at_c10():
+    c10 = GroupSpec((10,))
+    sign = _char_weights(Partition((1,) * 10))
+    assert determinant(c10) == GroupPolynomial.from_terms(c10, _sweep(c10, sign))
+
+
+def test_determinant_walks_no_class():
+    _class_walk.cache_clear()
+    determinant(GroupSpec((8,)))
+    assert _class_walk.cache_info().misses == 0
+
+
 SMALL_SPECS = [GroupSpec((n,)) for n in range(2, 8)] + [GroupSpec((2, 2))]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_immanants.groups import GroupSpec, neg_table
+from cayley_immanants.minors import specialized_det
 from cayley_immanants.polynomials import (
     GroupPolynomial,
     RationalSpecialization,
@@ -108,6 +109,15 @@ def test_specialization_keeps_ints_and_fractions():
     rho = RationalSpecialization(C3, (1, Fraction(1, 2), Fraction(3)))
     assert rho.values == (1, Fraction(1, 2), 3)
     assert RationalSpecialization.from_ints(C3, (1, 2, 3)).values == (1, 2, 3)
+
+
+def test_list_built_specialization_reads_the_minor_table():
+    # the minor tables are memoized on the specialization, which must hash
+    listed = RationalSpecialization(C3, [1, 2, 4])
+    tupled = RationalSpecialization(C3, (1, 2, 4))
+    assert listed.values == (1, 2, 4) and listed == tupled
+    # det(x_{a+b}) on c3 is 3xyz - x^3 - y^3 - z^3
+    assert specialized_det(C3, listed) == specialized_det(C3, tupled) == -49
 
 
 coeffs = st.integers(-50, 50)
