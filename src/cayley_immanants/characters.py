@@ -72,25 +72,9 @@ class CycleType:
         """c_i: the number of i-cycles."""
         return self.lengths.count(i)
 
-    def cycle_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self.lengths:
-            counts[c] = counts.get(c, 0) + 1
-        return counts
-
-    def centralizer_order(self) -> int:
-        z = 1
-        for i, c in self.cycle_counts().items():
-            z *= i**c * math.factorial(c)
-        return z
-
     @classmethod
     def identity(cls, n: int) -> "CycleType":
         return cls((1,) * n)
-
-    @classmethod
-    def from_lengths(cls, lengths) -> "CycleType":
-        return cls(tuple(sorted(lengths, reverse=True)))
 
 
 @lru_cache(maxsize=None)

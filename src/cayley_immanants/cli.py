@@ -194,8 +194,7 @@ def cmd_padic(args) -> int:
     writer.writerow(["sequence", "min_valuation", "strictly_minimal"])
     for seq, profile in profiles:
         rendered = " ".join(_format_element(g) for g in seq)
-        min_val = min(v for _, v in profile.terms)
-        writer.writerow([rendered, min_val, profile.strictly_minimal])
+        writer.writerow([rendered, profile.min_valuation, profile.strictly_minimal])
     _emit(buffer.getvalue(), args.out)
     return 0
 

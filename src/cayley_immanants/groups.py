@@ -187,16 +187,6 @@ def doubling_counts(spec: GroupSpec) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def doubling_preimage_count(spec: GroupSpec, a: Element) -> int:
-    """Number of solutions g of 2g = a."""
-    return doubling_counts(spec)[index_of(spec, a)]
-
-
-def in_2G(spec: GroupSpec, a: Element) -> bool:
-    """True iff a = 2g for some g in G."""
-    return doubling_preimage_count(spec, a) > 0
-
-
 def perm_parity(images: tuple[int, ...]) -> int:
     """Sign of a permutation given as an image vector on 0..n-1."""
     n = len(images)

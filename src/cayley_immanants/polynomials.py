@@ -11,21 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .groups import GroupSpec, add_table
+from .groups import GroupSpec
 
 Monomial = tuple[int, ...]
-
-
-def monomial_of_perm(spec: GroupSpec, images: tuple[int, ...]) -> Monomial:
-    """Exponent vector of prod_a x_{a + sigma(a)} for sigma given as indices."""
-    n = spec.order
-    if sorted(images) != list(range(n)):
-        raise ValueError("images do not form a permutation of the group elements")
-    table = add_table(spec)
-    exp = [0] * n
-    for u in range(n):
-        exp[table[u][images[u]]] += 1
-    return tuple(exp)
 
 
 @dataclass(frozen=True)
@@ -138,11 +126,3 @@ class GroupPolynomial:
                 for mono, coeff in self.canonical_terms()
             ],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GroupPolynomial":
-        from .groups import parse_group
-
-        group = parse_group(data["group"])
-        terms = {tuple(t["exp"]): int(t["coeff"]) for t in data["terms"]}
-        return cls.from_terms(group, terms)

@@ -6,8 +6,10 @@ code evaluates it on multisets only, with one recursion and two folds:
 `_anchored_blocks` lists the zero-sum blocks through one fixed copy of the
 least present element, with their binomial counts of labelled ways and
 their residual multisets.  `_anchored_block_sum` folds them into the signed
-partition sum and `_block_shapes` into the set of block-size shapes that
-the p-adic profile reads; each fold is memoized on residual multisets.  The
+partition sum, and `_min_valuation` into the least p-adic valuation of a
+partition term that the p-adic profile reads (a min-plus fold, since the
+valuation adds up over blocks); each fold is memoized on residual
+multisets.  The
 labelled enumeration of the partitions is a test oracle
 (`tests/test_supports.py`); the tests pin it, the multiset routes and the
 engine's permutation-class walks against each other and against a
@@ -16,7 +18,7 @@ brute-force sum over all n! permutations at small orders.
 The counts D and I_(n-1,1), I_(2,1^(n-2)) evaluate one representative per
 orbit of `groups.affine_maps` and weight it by the orbit size: det_coeff and
 the near-hook scalar are constant on those orbits.  The p-adic profile reads
-the block shapes of the zero-sum partitions, which a translation changes, so
+the block sizes of the zero-sum partitions, which a translation changes, so
 `padic_profiles` uses the orbits of `groups.automorphisms` only.
 """
 
@@ -222,35 +224,6 @@ def _anchored_block_sum(spec: GroupSpec, counts: tuple[int, ...]) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _with_block(size: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """shape with one more block of this size, still descending.
-
-    Memoized, so the many equal shapes in the `_block_shapes` memo share a
-    few tuple objects.
-    """
-    return tuple(sorted((size, *shape), reverse=True))
-
-
-@lru_cache(maxsize=None)
-def _block_shapes(spec: GroupSpec, counts: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Block-size shapes of the zero-sum set partitions of a multiset.
-
-    Each shape is a descending tuple of block sizes: the size of a block of
-    `_anchored_blocks` joins every shape of its residual.  The empty
-    multiset has the one empty shape; a multiset that is not zero-sum has
-    none.  Residual states repeat across the sequences of one group, so the
-    memo is shared by all of them.
-    """
-    if not any(counts):
-        return frozenset({()})
-    return frozenset(
-        _with_block(size, rest)
-        for size, _, residual in _anchored_blocks(spec, counts)
-        for rest in _block_shapes(spec, residual)
-    )
-
-
 def det_coeff(spec: GroupSpec, mono: Monomial) -> int:
     """Coefficient of the monomial in det(M_G), by the partition formula.
 
@@ -336,19 +309,46 @@ def _legendre(m: int, p: int) -> int:
     return total
 
 
+def _block_valuations(spec: GroupSpec, p: int, counts: tuple[int, ...]):
+    """(size, least valuation) per anchored block whose residual partitions.
+
+    The valuation of a partition term, v_p(n^k prod (|B|-1)!), adds up over
+    its blocks: v_p(n) + v_p((|B|-1)!) each.  So a block's least value is
+    its own plus the least value of its residual; blocks whose residual is
+    not zero-sum are skipped.
+    """
+    r = _prime_factorization(spec.order)[p]
+    for size, _, residual in _anchored_blocks(spec, counts):
+        rest = _min_valuation(spec, p, residual)
+        if rest is not None:
+            yield size, r + _legendre(size - 1, p) + rest
+
+
+@lru_cache(maxsize=None)
+def _min_valuation(spec: GroupSpec, p: int, counts: tuple[int, ...]) -> int | None:
+    """Least p-adic valuation of a zero-sum set-partition term of a multiset.
+
+    The min-plus twin of `_anchored_block_sum`: 0 for the empty multiset,
+    None if there is no zero-sum partition.  Residual states repeat across
+    the sequences of one group, so the memo is shared by all of them.
+    """
+    if not any(counts):
+        return 0
+    return min((v for _, v in _block_valuations(spec, p, counts)), default=None)
+
+
 @dataclass(frozen=True)
 class ValuationProfile:
-    """p-adic valuations of the partition-formula terms of one sequence."""
+    """Least p-adic valuation of the partition-formula terms of one sequence."""
 
     p: int
     r: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
-    one_block_valuation: int
+    min_valuation: int
     strictly_minimal: bool
 
 
 def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
-    """Valuation of every zero-sum-partition term, grouped by block shape.
+    """Least valuation over the zero-sum-partition terms of a sequence.
 
     Only defined for groups of prime-power order and zero-sum sequences;
     strictly_minimal records whether the one-block term sits strictly below
@@ -371,22 +371,20 @@ def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
     if total != 0:
         raise ValueError("sequence is not zero-sum")
 
-    shape_val = {
-        shape: len(shape) * r + sum(_legendre(b - 1, p) for b in shape)
-        for shape in _block_shapes(spec, tuple(counts))
-    }
-    one_block = r + _legendre(n - 1, p)
-    if shape_val.get((n,)) != one_block:
-        raise ArithmeticError(
-            f"one-block valuation {shape_val.get((n,))} != r + v_p((n-1)!) = {one_block}"
-        )
-    strictly = all(v > one_block for shape, v in shape_val.items() if len(shape) >= 2)
+    one_block = None
+    multi_block = []
+    for size, v in _block_valuations(spec, p, tuple(counts)):
+        if size == n:
+            one_block = v
+        else:
+            multi_block.append(v)
+    if one_block is None:
+        raise ArithmeticError("zero-sum sequence has no one-block partition")
     return ValuationProfile(
         p=p,
         r=r,
-        terms=tuple(sorted(shape_val.items())),
-        one_block_valuation=one_block,
-        strictly_minimal=strictly,
+        min_valuation=min([one_block, *multi_block]),
+        strictly_minimal=all(v > one_block for v in multi_block),
     )
 
 

@@ -424,6 +424,11 @@ STDOUT_SHA256 = {
         "61afd84aad70986f1f481c6cbce39f58db0e56cf619c272957ecf03d41893ed4",
     "padic --group c3xc3 --all":
         "c06ba00c149a84d54166b8857b7fc0b3c5bd844a25589812dc51c5de5481eaf6",
+    # the two non-cyclic 2-groups of order 8
+    "padic --group c2xc2xc2 --all":
+        "02d7f116ccf5ff2fb3ef2b6f7ca3be339e49959d3af0946b92be3e5321c84af9",
+    "padic --group c2xc4 --all":
+        "cca2180de95f92ae0ef668e9181f7ed931cde597fdb0358ab8b6957128048c1d",
     # every exact-minor check, through `minors` and through `verify`
     "minors --group c7 --seeds 2 --checks conv,jacobi,f1,t2t12,scalars,reduction":
         "d07b8253e85bab69efb36828efe07b64a301bea0c9aac5360d89ff5a2c5f58f0",

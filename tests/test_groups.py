@@ -12,9 +12,7 @@ from cayley_immanants.groups import (
     automorphisms,
     double,
     doubling_counts,
-    doubling_preimage_count,
     elements,
-    in_2G,
     index_of,
     neg,
     neg_table,
@@ -111,6 +109,16 @@ def test_group_laws_property(case):
     assert add(spec, add(spec, a, b), c) == add(spec, a, add(spec, b, c))
     assert add(spec, a, neg(spec, a)) == zero(spec)
     assert double(spec, a) == add(spec, a, a)
+
+
+def doubling_preimage_count(spec: GroupSpec, a) -> int:
+    """Number of solutions g of 2g = a."""
+    return doubling_counts(spec)[index_of(spec, a)]
+
+
+def in_2G(spec: GroupSpec, a) -> bool:
+    """True iff a = 2g for some g in G."""
+    return doubling_preimage_count(spec, a) > 0
 
 
 def test_doubling_counts_examples():

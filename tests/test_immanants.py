@@ -29,7 +29,7 @@ from cayley_immanants.immanants import (
     permanent,
     twin_difference,
 )
-from cayley_immanants.polynomials import GroupPolynomial, monomial_of_perm
+from cayley_immanants.polynomials import GroupPolynomial
 from cayley_immanants.supports import (
     hall_orbits,
     hall_support,
@@ -37,7 +37,8 @@ from cayley_immanants.supports import (
     near_hook_scalar_numerator,
     padic_profile,
 )
-from test_supports import labelled_det_coeff
+from test_polynomials import monomial_of_perm
+from test_supports import _indices, labelled_det_coeff, oracle_block_shapes
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
@@ -355,8 +356,10 @@ def test_padic_profile_is_constant_on_automorphism_orbits(data):
     phi = data.draw(st.sampled_from(automorphisms(spec)), label="automorphism")
     assert relabel(orbit[0], phi) in orbit
     expected = padic_profile(spec, monomial_sequence(spec, orbit[0]))
+    shapes = oracle_block_shapes(spec, _indices(spec, orbit[0]))
     for mono in orbit:
         assert padic_profile(spec, monomial_sequence(spec, mono)) == expected
+        assert oracle_block_shapes(spec, _indices(spec, mono)) == shapes
 
 
 @settings(max_examples=40, deadline=None)

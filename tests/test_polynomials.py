@@ -6,16 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_immanants.groups import GroupSpec, neg_table
+from cayley_immanants.groups import GroupSpec, add_table, neg_table, parse_group
 from cayley_immanants.minors import specialized_det
-from cayley_immanants.polynomials import (
-    GroupPolynomial,
-    RationalSpecialization,
-    monomial_of_perm,
-)
+from cayley_immanants.polynomials import GroupPolynomial, Monomial, RationalSpecialization
 
 C2 = GroupSpec((2,))
 C3 = GroupSpec((3,))
+
+
+def monomial_of_perm(spec: GroupSpec, images: tuple[int, ...]) -> Monomial:
+    """Exponent vector of prod_a x_{a + sigma(a)} for sigma given as indices."""
+    n = spec.order
+    if sorted(images) != list(range(n)):
+        raise ValueError("images do not form a permutation of the group elements")
+    table = add_table(spec)
+    exp = [0] * n
+    for u in range(n):
+        exp[table[u][images[u]]] += 1
+    return tuple(exp)
+
+
+def polynomial_from_json_dict(data: dict) -> GroupPolynomial:
+    """The inverse of GroupPolynomial.to_json_dict."""
+    group = parse_group(data["group"])
+    terms = {tuple(t["exp"]): int(t["coeff"]) for t in data["terms"]}
+    return GroupPolynomial.from_terms(group, terms)
 
 
 def test_monomial_of_identity_on_c3():
@@ -149,7 +164,7 @@ def test_merge_associative_commutative(p, q, r):
 @settings(max_examples=40)
 def test_json_roundtrip(p):
     data = json.loads(json.dumps(p.to_json_dict()))
-    assert GroupPolynomial.from_json_dict(data) == p
+    assert polynomial_from_json_dict(data) == p
 
 
 def test_json_roundtrip_all_small_immanants():
@@ -161,7 +176,7 @@ def test_json_roundtrip_all_small_immanants():
         for lam in partitions_of(spec.order):
             poly = immanant(spec, lam)
             data = json.loads(json.dumps(poly.to_json_dict()))
-            assert GroupPolynomial.from_json_dict(data) == poly
+            assert polynomial_from_json_dict(data) == poly
 
 
 def test_json_canonical_order_and_string_coeffs():
@@ -173,4 +188,4 @@ def test_json_canonical_order_and_string_coeffs():
     exps = [tuple(t["exp"]) for t in data["terms"]]
     assert exps == sorted(exps)
     assert all(isinstance(t["coeff"], str) for t in data["terms"])
-    assert GroupPolynomial.from_json_dict(data).coefficient((3, 0, 0)) == 10**25
+    assert polynomial_from_json_dict(data).coefficient((3, 0, 0)) == 10**25

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -20,8 +21,8 @@ from cayley_immanants.characters import Partition
 from cayley_immanants.supports import (
     _anchored_block_sum,
     _anchored_blocks,
-    _block_shapes,
     _legendre,
+    _min_valuation,
     count_D,
     count_I_nearhook,
     count_P,
@@ -46,7 +47,7 @@ C9 = GroupSpec((9,))
 
 
 # The labelled partition-lattice formula: the test oracle for the two folds
-# `_anchored_block_sum` and `_block_shapes` in supports.py, which both recurse
+# `_anchored_block_sum` and `_min_valuation` in supports.py, which both recurse
 # over the anchored blocks of `_anchored_blocks` (checked against
 # `oracle_anchored_blocks` below).
 
@@ -264,25 +265,56 @@ def test_anchored_block_sum_matches_labelled_enumeration():
             assert _anchored_block_sum(spec, mono) == labelled_det_coeff(spec, seq)
 
 
+@functools.lru_cache(maxsize=None)
 def oracle_block_shapes(spec, seq):
-    """Descending block sizes of every labelled zero-sum partition of seq."""
+    """Descending block sizes of every labelled zero-sum partition of seq.
+
+    Cached: the fold and the profile tests read the same sequences.
+    """
     return frozenset(
         tuple(sorted((len(b) for b in blocks), reverse=True))
         for blocks in _zero_sum_partitions(spec, seq)
     )
 
 
+def shape_valuation(n, p, shape):
+    """v_p of a partition term with these block sizes: sum v_p(n) + v_p((|B|-1)!)."""
+    r = _legendre(n, p) - _legendre(n - 1, p)
+    return sum(r + _legendre(b - 1, p) for b in shape)
+
+
+def oracle_shape_valuations(spec, p, seq):
+    """{shape: valuation} over the labelled zero-sum partitions of seq."""
+    return {s: shape_valuation(spec.order, p, s) for s in oracle_block_shapes(spec, seq)}
+
+
+def oracle_min_valuation(spec, p, seq):
+    """Least shape valuation over the labelled zero-sum partitions, or None."""
+    return min(oracle_shape_valuations(spec, p, seq).values(), default=None)
+
+
+def _primes(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))]
+
+
 def _indices(spec, mono):
     return tuple(index_of(spec, g) for g in monomial_sequence(spec, mono))
+
+
+def _assert_fold_matches_oracle(spec, mono):
+    seq = _indices(spec, mono)
+    for p in _primes(spec.order):
+        assert _min_valuation(spec, p, mono) == oracle_min_valuation(spec, p, seq)
 
 
 @pytest.mark.parametrize(
     "factors", [(4,), (2, 2), (5,), (7,), (8,), (2, 4), (2, 2, 2)], ids=str
 )
 def test_block_shapes_match_labelled_enumeration(factors):
+    # the fold's least valuation against the least over the labelled shapes
     spec = GroupSpec(factors)
     for mono in sorted_hall_support(spec):
-        assert _block_shapes(spec, mono) == oracle_block_shapes(spec, _indices(spec, mono))
+        _assert_fold_matches_oracle(spec, mono)
 
 
 @pytest.mark.parametrize("factors", [(9,), (3, 3)], ids=str)
@@ -290,20 +322,22 @@ def test_block_shapes_match_labelled_enumeration_on_orbit_representatives(factor
     # the representatives `padic_profiles` evaluates
     spec = GroupSpec(factors)
     for orbit in hall_orbits(spec, automorphisms):
-        mono = orbit[0]
-        assert _block_shapes(spec, mono) == oracle_block_shapes(spec, _indices(spec, mono))
+        _assert_fold_matches_oracle(spec, orbit[0])
 
 
 def test_block_shapes_of_empty_and_non_zero_sum_multisets():
-    assert _block_shapes(C4, (0, 0, 0, 0)) == frozenset({()})
-    assert _block_shapes(C4, (0, 1, 0, 0)) == frozenset()
-    assert _block_shapes(C4, (3, 1, 0, 0)) == frozenset()
+    # the empty multiset has the one empty shape, a non-zero-sum one none
+    assert oracle_block_shapes(C4, ()) == frozenset({()})
+    cases = [((0, 0, 0, 0), (), 0), ((0, 1, 0, 0), (1,), None), ((3, 1, 0, 0), (0, 0, 0, 1), None)]
+    for counts, seq, expected in cases:
+        assert _min_valuation(C4, 2, counts) == oracle_min_valuation(C4, 2, seq) == expected
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_block_shapes_depend_only_on_the_multiset(data):
-    # any zero-sum multiset of size at most n, in any order of its positions
+    # any zero-sum multiset of size at most n, in any order of its positions,
+    # at every prime dividing n (both of them at C6)
     spec = data.draw(
         st.sampled_from([C3, C4, C5, C6, C2xC2, GroupSpec((2, 4)), GroupSpec((3, 3))]),
         label="spec",
@@ -318,7 +352,8 @@ def test_block_shapes_depend_only_on_the_multiset(data):
     counts = [0] * n
     for s in seq:
         counts[s] += 1
-    assert oracle_block_shapes(spec, tuple(seq)) == _block_shapes(spec, tuple(counts))
+    for p in _primes(n):
+        assert oracle_min_valuation(spec, p, tuple(seq)) == _min_valuation(spec, p, tuple(counts))
 
 
 def oracle_anchored_blocks(spec, seq):
@@ -510,9 +545,9 @@ def test_legendre():
 def test_padic_profile_c4_all_zero():
     profile = padic_profile(C4, ((0,),) * 4)
     assert profile.p == 2 and profile.r == 2
-    assert profile.one_block_valuation == 3
+    assert profile.min_valuation == 3
     assert profile.strictly_minimal
-    shapes = dict(profile.terms)
+    shapes = oracle_shape_valuations(C4, 2, (0, 0, 0, 0))
     # hand-computed: valuation k*r + sum v_2((b-1)!) per shape, all partitions
     # qualify over the zero sequence
     assert shapes == {(4,): 3, (3, 1): 5, (2, 2): 4, (2, 1, 1): 6, (1, 1, 1, 1): 8}
@@ -520,16 +555,30 @@ def test_padic_profile_c4_all_zero():
 
 def test_padic_profile_c4_0022():
     profile = padic_profile(C4, ((0,), (0,), (2,), (2,)))
-    shapes = dict(profile.terms)
+    shapes = oracle_shape_valuations(C4, 2, (0, 0, 2, 2))
     assert shapes == {(4,): 3, (3, 1): 5, (2, 2): 4, (2, 1, 1): 6}
+    assert profile.min_valuation == 3
     assert profile.strictly_minimal
 
 
 def test_padic_profile_c9_one_block_valuation():
     profile = padic_profile(C9, ((0,),) * 9)
     assert profile.p == 3 and profile.r == 2
-    assert profile.one_block_valuation == 4
+    assert profile.min_valuation == 4
     assert profile.strictly_minimal
+
+
+@pytest.mark.parametrize("factors", [(4,), (2, 2), (8,), (2, 4), (2, 2, 2)], ids=str)
+def test_padic_profile_matches_labelled_shapes(factors):
+    # least valuation over all shapes; one block strictly below every other shape
+    spec = GroupSpec(factors)
+    n = spec.order
+    for mono in sorted_hall_support(spec):
+        profile = padic_profile(spec, monomial_sequence(spec, mono))
+        values = oracle_shape_valuations(spec, profile.p, _indices(spec, mono))
+        one_block = values.pop((n,))
+        assert profile.min_valuation == min([one_block, *values.values()])
+        assert profile.strictly_minimal == all(v > one_block for v in values.values())
 
 
 def test_padic_profile_rejects_bad_input():
