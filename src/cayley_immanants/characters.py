@@ -30,10 +30,6 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
-
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
         if not self.parts:
@@ -71,10 +67,6 @@ class CycleType:
     def count(self, i: int) -> int:
         """c_i: the number of i-cycles."""
         return self.lengths.count(i)
-
-    @classmethod
-    def identity(cls, n: int) -> "CycleType":
-        return cls((1,) * n)
 
 
 @lru_cache(maxsize=None)

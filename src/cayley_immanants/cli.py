@@ -2,10 +2,11 @@
 
 Subcommands: imm, twin, support, padic, minors, verify, explore,
 search-pd-gap.  Output is JSON on stdout (CSV for padic) unless --out is
-given; all randomness sits behind --seed.  Exit codes: 0 ok, 1 check failed,
-2 usage or parse error, 3 enumeration envelope exceeded, 4 a check raised an
-unexpected error (this wins over 1).  search-pd-gap writes one progress line
-per group to stderr.
+given; all randomness sits behind --seed.  Exit codes: 0 ok, 1 check failed
+(a verify check, or an IdentityCheckError or ArithmeticError anywhere), 2
+usage or parse error, 3 enumeration envelope exceeded, 4 any other exception,
+with its traceback on stderr (4 wins over 1).  search-pd-gap writes one
+progress line per group to stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 import json
 import sys
 import time
+import traceback
 from collections.abc import Iterator
 
 from .characters import Partition
@@ -29,17 +31,18 @@ from .immanants import (
     perm_class_stats,
     twin_difference,
 )
+from .minors import IdentityCheckError
 from .supports import (
     check_hall_envelope,
     count_D,
     count_I_nearhook,
     count_P,
     det_coeff,
-    hall_orbits,
     monomial_sequence,
     near_hook_coeff,
     padic_profile,
     padic_profiles,
+    per_monomial,
 )
 from .verify import MINOR_CHECKS, SUITES, exit_code, run_minor_checks, run_suite
 
@@ -146,23 +149,21 @@ def cmd_support(args) -> int:
         "I_cohook": cohook,
     }
     if args.report == "full":
-        # every column is constant on an affine orbit: compute it on the
-        # representative, copy it to the members, then sort by exponent
-        rows = []
-        for orbit in hall_orbits(spec):
-            rep = orbit[0]
+        # every column is constant on an affine orbit
+
+        def row(rep):
             stats = perm_class_stats(spec, rep)
             h, c = near_hook_coeff(spec, rep, stats)
-            values = {
+            return {
                 "p_m": stats.p_m,
                 "d_m": stats.d_m,
                 "det_coeff": det_coeff(spec, rep),
                 "hook_coeff": h,
                 "cohook_coeff": c,
             }
-            rows.extend((mono, values) for mono in orbit)
-        rows.sort(key=lambda row: row[0])
-        doc["monomials"] = [{"exp": list(mono)} | values for mono, values in rows]
+
+        doc["monomials"] = [{"exp": list(mono)} | values
+                            for mono, values in per_monomial(spec, row)]
     _emit(_json(doc), args.out)
     return 0
 
@@ -376,6 +377,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (IdentityCheckError, ArithmeticError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except Exception:  # noqa: BLE001 - a crash is exit 4, never a failed check's 1
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ Conjugating sigma by an affine map u -> phi(u) + gamma (phi an automorphism)
 keeps its cycle type and relabels m by g -> phi(g) + 2*gamma, so every
 coefficient is constant on the orbits of those relabellings.  The engine
 therefore reads the coefficient of one representative per orbit of the
-Hall support and copies it over the orbit.
+Hall support, and `supports.per_monomial` gives it to the orbit's members.
 
 The determinant (lam = 1^n) reads the partition formula
 `supports.det_coeff`, which `count_D` already evaluates on the same
@@ -37,7 +37,7 @@ from .characters import (
 from .errors import EnvelopeError
 from .groups import GroupSpec, add_table
 from .polynomials import GroupPolynomial, Monomial
-from .supports import det_coeff, hall_orbits
+from .supports import det_coeff, per_monomial
 
 MAX_SWEEP_ORDER = 10
 
@@ -129,30 +129,16 @@ def _class_walk(
     return tuple(sorted((shared[lengths], c) for lengths, c in counts.items()))
 
 
-def _orbit_terms(spec: GroupSpec, coefficient) -> dict[Monomial, int]:
-    """Every nonzero coefficient, read once per orbit representative.
-
-    `coefficient(rep)` is evaluated on the representative of each orbit of
-    the Hall support and given to every monomial of the orbit.
-    """
-    terms: dict[Monomial, int] = {}
-    for orbit in hall_orbits(spec):
-        coeff = coefficient(orbit[0])
-        if coeff:
-            for mono in orbit:
-                terms[mono] = coeff
-    return terms
-
-
 def _sweep(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> dict[Monomial, int]:
     """Every nonzero coefficient sum_{sigma in P(m)} weight(type(sigma)).
 
     One class walk per orbit representative of the Hall support.
     """
-    return _orbit_terms(
-        spec,
-        lambda rep: sum(weights[lengths] * c for lengths, c in _class_walk(spec, rep)),
-    )
+
+    def coefficient(rep: Monomial) -> int:
+        return sum(weights[lengths] * c for lengths, c in _class_walk(spec, rep))
+
+    return {mono: coeff for mono, coeff in per_monomial(spec, coefficient) if coeff}
 
 
 def immanant(spec: GroupSpec, lam: Partition) -> GroupPolynomial:
@@ -168,7 +154,7 @@ def immanant(spec: GroupSpec, lam: Partition) -> GroupPolynomial:
             f"partition weight {lam.weight} != group order {spec.order}"
         )
     if lam.parts == (1,) * spec.order:
-        terms = _orbit_terms(spec, lambda rep: det_coeff(spec, rep))
+        terms = per_monomial(spec, lambda rep: det_coeff(spec, rep))
     else:
         terms = _sweep(spec, _char_weights(lam))
     return GroupPolynomial.from_terms(spec, terms)

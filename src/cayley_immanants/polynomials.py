@@ -34,13 +34,6 @@ class RationalSpecialization:
         if not all(isinstance(v, (int, Fraction)) for v in self.values):
             raise TypeError(f"exact arithmetic needs int or Fraction values: {self.values!r}")
 
-    @classmethod
-    def from_ints(cls, group: GroupSpec, values, seed: int | None = None):
-        values = tuple(values)
-        if not all(isinstance(v, int) for v in values):
-            raise TypeError(f"from_ints needs int values: {values!r}")
-        return cls(group, tuple(map(Fraction, values)), seed)
-
 
 @dataclass(frozen=True)
 class GroupPolynomial:

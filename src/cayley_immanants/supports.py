@@ -15,9 +15,12 @@ labelled enumeration of the partitions is a test oracle
 engine's permutation-class walks against each other and against a
 brute-force sum over all n! permutations at small orders.
 
-The counts D and I_(n-1,1), I_(2,1^(n-2)) evaluate one representative per
-orbit of `groups.affine_maps` and weight it by the orbit size: det_coeff and
-the near-hook scalar are constant on those orbits.  The p-adic profile reads
+`hall_orbits` labels each Hall monomial with its orbit under a relabelling
+group, and `per_monomial` is the one route from a per-orbit value to the
+monomials: it evaluates the representative of each orbit and reads the
+value back through the labels, in lexicographic order.  The counts D and
+I_(n-1,1), I_(2,1^(n-2)) use the orbits of `groups.affine_maps`, on which
+det_coeff and the near-hook scalar are constant.  The p-adic profile reads
 the block sizes of the zero-sum partitions, which a translation changes, so
 `padic_profiles` uses the orbits of `groups.automorphisms` only.
 """
@@ -27,8 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
-from typing import TYPE_CHECKING
+from operator import itemgetter, sub
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EnvelopeError
 from .groups import (
@@ -63,8 +66,8 @@ def _multiple_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-# The largest Hall support `hall_support` materialises.  Measured: c13
-# (400,024 monomials) needed 180 MB, c14 (1,432,860) needed 733 MB.
+# The largest Hall support `hall_support` materialises.  Measured: `support
+# --group c13` (400,024 monomials) peaks at 146 MB; c14 has 1,432,860.
 MAX_HALL_MONOMIALS = 500_000
 
 
@@ -129,34 +132,57 @@ def count_P(spec: GroupSpec) -> int:
     return total // n
 
 
+class HallOrbits(NamedTuple):
+    """The sorted Hall support; monomials[i] lies in the orbit of reps[labels[i]]."""
+
+    monomials: tuple[Monomial, ...]
+    reps: tuple[Monomial, ...]
+    labels: tuple[int, ...]
+
+
 @lru_cache(maxsize=None)
-def hall_orbits(
-    spec: GroupSpec, relabellings=affine_maps
-) -> tuple[tuple[Monomial, ...], ...]:
-    """The Hall support split into orbits of `relabellings(spec)`.
+def hall_orbits(spec: GroupSpec, relabellings=affine_maps) -> HallOrbits:
+    """The Hall support labelled by the orbits of `relabellings(spec)`.
 
     `relabellings` returns index maps g -> r[g] that form a group, by
-    default `groups.affine_maps`.  Each orbit is a tuple led by its
-    lexicographically least monomial, its representative; orbits come in
-    the order of their representatives.
+    default `groups.affine_maps`.  Each representative is the least member
+    of its orbit, so they ascend.  The monomials are the tuples that
+    `hall_support` holds: the labelling stores one int per monomial and no
+    member copies.  Raises ArithmeticError if a map takes a Hall monomial
+    outside the Hall support.
     """
-    n = spec.order
-    maps = relabellings(spec)
-    seen: set[Monomial] = set()
-    orbits = []
-    for mono in sorted(hall_support(spec)):
-        if mono in seen:
+    monomials = tuple(sorted(hall_support(spec)))
+    index = {mono: i for i, mono in enumerate(monomials)}
+    # pulling the exponents back through r relabels by r's inverse, which
+    # is in the group too, so these images are the orbit all the same
+    pullbacks = [(r, itemgetter(*r)) for r in relabellings(spec)]
+    reps: list[Monomial] = []
+    labels = [-1] * len(monomials)
+    for i, mono in enumerate(monomials):
+        if labels[i] >= 0:
             continue
-        orbit = {mono}
-        for r in maps:
-            image = [0] * n
-            for g, e in enumerate(mono):
-                image[r[g]] = e
-            orbit.add(tuple(image))
-        seen |= orbit
-        orbit.discard(mono)
-        orbits.append((mono, *orbit))
-    return tuple(orbits)
+        label = len(reps)
+        reps.append(mono)
+        labels[i] = label
+        for r, pullback in pullbacks:
+            j = index.get(pullback(mono))
+            if j is None:
+                raise ArithmeticError(f"relabelling {r!r} takes Hall monomial "
+                                      f"{mono!r} outside the Hall support of {spec.name}")
+            labels[j] = label
+    return HallOrbits(monomials, tuple(reps), tuple(labels))
+
+
+def per_monomial(spec: GroupSpec, value, relabellings=affine_maps):
+    """(monomial, value) over the Hall support, in lexicographic order.
+
+    `value` must be constant on the orbits of `relabellings(spec)`: it is
+    called once per orbit, on the representative, and its result is given
+    to every member.
+    """
+    orbits = hall_orbits(spec, relabellings)
+    values = [value(rep) for rep in orbits.reps]
+    return zip(orbits.monomials, map(values.__getitem__, orbits.labels))
 
 
 def _anchored_blocks(
@@ -251,7 +277,7 @@ def count_D(spec: GroupSpec) -> int:
     sum, different weights), so only the Hall support is scanned, one
     representative per affine orbit.
     """
-    return sum(len(o) for o in hall_orbits(spec) if det_coeff(spec, o[0]) != 0)
+    return sum(d for _, d in per_monomial(spec, lambda rep: det_coeff(spec, rep) != 0))
 
 
 def near_hook_scalar_numerator(spec: GroupSpec, mono: Monomial) -> int:
@@ -288,14 +314,17 @@ def count_I_nearhook(spec: GroupSpec) -> tuple[int, int]:
     On the Hall support p_m > 0 always, so the hook count needs just the
     scalar; the cohook count additionally needs d_m, taken from the
     partition formula.  No n! sweep is involved at any order.  Both tests
-    run once per affine orbit, which then counts with its size.
+    run once per affine orbit and are read back through its labels.
     """
+
+    def nonzero(rep: Monomial) -> tuple[bool, bool]:
+        hook = near_hook_scalar_numerator(spec, rep) != 0
+        return hook, hook and det_coeff(spec, rep) != 0
+
     hook = cohook = 0
-    for orbit in hall_orbits(spec):
-        if near_hook_scalar_numerator(spec, orbit[0]) != 0:
-            hook += len(orbit)
-            if det_coeff(spec, orbit[0]) != 0:
-                cohook += len(orbit)
+    for _, (h, c) in per_monomial(spec, nonzero):
+        hook += h
+        cohook += c
     return hook, cohook
 
 
@@ -396,17 +425,9 @@ def padic_profiles(spec: GroupSpec) -> list[tuple[Monomial, ValuationProfile]]:
     blocks of the same sizes.  Translations do not, so affine orbits would
     be wrong here.
     """
-    rows = []
-    for orbit in hall_orbits(spec, automorphisms):
-        profile = padic_profile(spec, monomial_sequence(spec, orbit[0]))
-        rows.extend((mono, profile) for mono in orbit)
-    rows.sort(key=lambda row: row[0])
-    return rows
-
-
-def sorted_hall_support(spec: GroupSpec) -> list[Monomial]:
-    """Hall support in lexicographic exponent order, for deterministic output."""
-    return sorted(hall_support(spec))
+    return list(per_monomial(
+        spec, lambda rep: padic_profile(spec, monomial_sequence(spec, rep)), automorphisms
+    ))
 
 
 def monomial_sequence(spec: GroupSpec, mono: Monomial) -> tuple[Element, ...]:

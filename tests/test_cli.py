@@ -6,6 +6,7 @@ import json
 import pytest
 
 from cayley_immanants.cli import main
+from cayley_immanants.minors import IdentityCheckError
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +377,35 @@ def test_crashing_check_is_an_error_and_the_rest_still_report(capsys, monkeypatc
     assert code == 4
     assert doc["checks"]["conv"]["status"] == "pass"
     assert doc["checks"]["t2t12"] == {"status": "error", "counterexample": "KeyError: 'boom'"}
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [ArithmeticError("partition-formula value 3 not divisible by 2"),
+     IdentityCheckError("F1 = det", 1, 0)],
+    ids=["ArithmeticError", "IdentityCheckError"],
+)
+def test_failed_check_outside_verify_exits_1_with_a_message(capsys, monkeypatch, exc):
+    from cayley_immanants import supports
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(supports, "det_coeff", fail)
+    code = main(["support", "--group", "c5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {type(exc).__name__}: {exc}\n"
+
+
+def test_crash_outside_verify_exits_4_with_a_traceback(capsys, tmp_path):
+    # an --out path whose directory does not exist
+    code = main(["support", "--group", "c3", "--out", str(tmp_path / "missing" / "out.json")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("Traceback")
+    assert "FileNotFoundError" in captured.err
 
 
 def test_verify_charlayer_selectable(capsys):

@@ -170,20 +170,20 @@ def test_random_specialization_deterministic():
 
 def test_permutation_matrix_specialization():
     # x_0 = 1 and x_g = 0 gives the permutation matrix of a -> -a
-    rho = RationalSpecialization.from_ints(C3, [1, 0, 0])
+    rho = RationalSpecialization(C3, [1, 0, 0])
     assert specialized_det(C3, rho) == -1
 
 
 def test_all_equal_specialization_singular():
     for spec in (C2, C3, C4):
-        rho = RationalSpecialization.from_ints(spec, [5] * spec.order)
+        rho = RationalSpecialization(spec, [5] * spec.order)
         assert specialized_det(spec, rho) == 0
         with pytest.raises(ValueError):
             inverse_profile(spec, rho)
 
 
 def test_inverse_profile_c2():
-    rho = RationalSpecialization.from_ints(C2, [2, 1])
+    rho = RationalSpecialization(C2, [2, 1])
     profile = inverse_profile(C2, rho)
     assert profile.y == (Fraction(2, 3), Fraction(-1, 3))
     assert profile.delta == 3
@@ -239,7 +239,7 @@ def test_f1_equals_det_for_odd_order():
 
 
 def test_f1_c2_is_twice_x0_squared():
-    rho = RationalSpecialization.from_ints(C2, [3, 2])
+    rho = RationalSpecialization(C2, [3, 2])
     assert F1(C2, rho) == 2 * 9
     assert F1(C2, rho) != specialized_det(C2, rho)
 

@@ -10,6 +10,7 @@ from cayley_immanants.groups import (
     GroupSpec,
     add,
     add_table,
+    affine_maps,
     automorphisms,
     elements,
     index_of,
@@ -34,7 +35,7 @@ from cayley_immanants.supports import (
     near_hook_scalar_numerator,
     padic_profile,
     padic_profiles,
-    sorted_hall_support,
+    per_monomial,
 )
 
 C2 = GroupSpec((2,))
@@ -260,7 +261,7 @@ def test_labelled_det_coeff_multiset_invariant(seed):
 
 def test_anchored_block_sum_matches_labelled_enumeration():
     for spec in (C3, C4, C5, C2xC2, C6):
-        for mono in sorted_hall_support(spec):
+        for mono in sorted(hall_support(spec)):
             seq = monomial_sequence(spec, mono)
             assert _anchored_block_sum(spec, mono) == labelled_det_coeff(spec, seq)
 
@@ -313,7 +314,7 @@ def _assert_fold_matches_oracle(spec, mono):
 def test_block_shapes_match_labelled_enumeration(factors):
     # the fold's least valuation against the least over the labelled shapes
     spec = GroupSpec(factors)
-    for mono in sorted_hall_support(spec):
+    for mono in sorted(hall_support(spec)):
         _assert_fold_matches_oracle(spec, mono)
 
 
@@ -321,8 +322,10 @@ def test_block_shapes_match_labelled_enumeration(factors):
 def test_block_shapes_match_labelled_enumeration_on_orbit_representatives(factors):
     # the representatives `padic_profiles` evaluates
     spec = GroupSpec(factors)
-    for orbit in hall_orbits(spec, automorphisms):
-        _assert_fold_matches_oracle(spec, orbit[0])
+    orbits = hall_orbits(spec, automorphisms)
+    for label, rep in enumerate(orbits.reps):
+        assert orbit_members(orbits, label)[0] == rep
+        _assert_fold_matches_oracle(spec, rep)
 
 
 def test_block_shapes_of_empty_and_non_zero_sum_multisets():
@@ -390,7 +393,7 @@ def _blocks_by_key(spec, counts):
 def test_anchored_blocks_match_subset_enumeration(factors):
     # monomial_sequence lists the elements in index order, so seq[0] is the anchor
     spec = GroupSpec(factors)
-    for mono in sorted_hall_support(spec):
+    for mono in sorted(hall_support(spec)):
         assert _blocks_by_key(spec, mono) == oracle_anchored_blocks(spec, _indices(spec, mono))
 
 
@@ -432,7 +435,7 @@ def test_det_coeff_c3_values():
 def test_det_coeff_matches_bruteforce():
     for spec in (C3, C4, C5, C2xC2, C6, GroupSpec((2, 3))):
         det = determinant(spec)
-        for mono in sorted_hall_support(spec):
+        for mono in sorted(hall_support(spec)):
             assert det_coeff(spec, mono) == det.coefficient(mono)
 
 
@@ -476,11 +479,84 @@ def test_hall_envelope_admits_c13_and_refuses_c14():
 @pytest.mark.parametrize("factors", [(8,), (9,), (2, 4), (3, 3)], ids=str)
 def test_orbit_weighted_counts_match_per_monomial_scan(factors):
     spec = GroupSpec(factors)
-    support = sorted_hall_support(spec)
+    support = sorted(hall_support(spec))
     assert count_D(spec) == sum(1 for m in support if det_coeff(spec, m) != 0)
     hook = [m for m in support if near_hook_scalar_numerator(spec, m) != 0]
     cohook = [m for m in hook if det_coeff(spec, m) != 0]
     assert count_I_nearhook(spec) == (len(hook), len(cohook))
+
+
+
+def relabel(mono, r):
+    """The monomial with x_g renamed x_{r[g]}."""
+    image = [0] * len(mono)
+    for g, e in enumerate(mono):
+        image[r[g]] = e
+    return tuple(image)
+
+
+def orbit_members(orbits, label):
+    """The monomials of one orbit of `hall_orbits`, ascending."""
+    return [m for m, k in zip(orbits.monomials, orbits.labels) if k == label]
+
+
+LABEL_SPECS = [
+    GroupSpec(f)
+    for f in ((2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2))
+]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_hall_orbits_label_the_hall_support(data):
+    spec = data.draw(st.sampled_from(LABEL_SPECS), label="spec")
+    relabellings = data.draw(st.sampled_from([affine_maps, automorphisms]), label="maps")
+    support = hall_support(spec)
+    # other tests clear hall_support's cache, which leaves orbits built from
+    # an older support in hall_orbits' cache
+    hall_orbits.cache_clear()
+    orbits = hall_orbits(spec, relabellings)
+    assert list(orbits.monomials) == sorted(support)
+    # the labelling keeps hall_support's own tuples, not copies of them
+    originals = {m: m for m in support}
+    assert all(m is originals[m] for m in orbits.monomials)
+    assert len(orbits.labels) == len(orbits.monomials)
+    assert set(orbits.labels) == set(range(len(orbits.reps)))
+    position = {m: i for i, m in enumerate(orbits.monomials)}
+    maps = relabellings(spec)
+    for i, mono in enumerate(orbits.monomials):
+        for r in maps:
+            assert orbits.labels[position[relabel(mono, r)]] == orbits.labels[i]
+    members = [orbit_members(orbits, k) for k in range(len(orbits.reps))]
+    assert [orbit[0] for orbit in members] == list(orbits.reps)
+    assert list(orbits.reps) == sorted(orbits.reps)
+    assert sum(map(len, members)) == count_P(spec)
+
+
+def test_hall_orbits_refuse_a_map_that_leaves_the_hall_support():
+    # swapping x_0 and x_1 of c4 is a bijection but not an affine map
+    def swap(spec):
+        return [(1, 0, 2, 3)]
+
+    with pytest.raises(ArithmeticError, match=r"\(1, 0, 2, 3\).*outside the Hall support of c4"):
+        hall_orbits(C4, swap)
+
+
+def test_per_monomial_reads_each_representative_once():
+    spec = GroupSpec((2, 4))
+    calls = []
+
+    def value(rep):
+        calls.append(rep)
+        return rep
+
+    rows = list(per_monomial(spec, value, automorphisms))
+    assert calls == list(hall_orbits(spec, automorphisms).reps)
+    assert [mono for mono, _ in rows] == sorted(hall_support(spec))
+    maps = automorphisms(spec)
+    for mono, rep in rows:
+        assert rep <= mono
+        assert mono in {relabel(rep, phi) for phi in maps}
 
 
 def test_near_hook_coeff_c2():
@@ -501,7 +577,7 @@ def test_near_hook_coeff_matches_bruteforce():
         n = spec.order
         hook = immanant(spec, Partition((n - 1, 1)))
         cohook = immanant(spec, Partition((2,) + (1,) * (n - 2)))
-        for mono in sorted_hall_support(spec):
+        for mono in sorted(hall_support(spec)):
             stats = perm_class_stats(spec, mono)
             expected = (hook.coefficient(mono), cohook.coefficient(mono))
             assert near_hook_coeff(spec, mono, stats) == expected
@@ -573,7 +649,7 @@ def test_padic_profile_matches_labelled_shapes(factors):
     # least valuation over all shapes; one block strictly below every other shape
     spec = GroupSpec(factors)
     n = spec.order
-    for mono in sorted_hall_support(spec):
+    for mono in sorted(hall_support(spec)):
         profile = padic_profile(spec, monomial_sequence(spec, mono))
         values = oracle_shape_valuations(spec, profile.p, _indices(spec, mono))
         one_block = values.pop((n,))
@@ -591,7 +667,7 @@ def test_padic_profile_rejects_bad_input():
 def test_padic_certificate_forces_nonzero_det_coeff():
     # strict minimality of the one-block valuation over every Hall monomial
     for spec in (C4, C2xC2, GroupSpec((2, 4))):
-        for mono in sorted_hall_support(spec):
+        for mono in sorted(hall_support(spec)):
             profile = padic_profile(spec, monomial_sequence(spec, mono))
             assert profile.strictly_minimal
             assert det_coeff(spec, mono) != 0
@@ -602,7 +678,7 @@ def test_padic_profiles_match_per_monomial_profiles(factors):
     spec = GroupSpec(factors)
     expected = [
         (m, padic_profile(spec, monomial_sequence(spec, m)))
-        for m in sorted_hall_support(spec)
+        for m in sorted(hall_support(spec))
     ]
     assert padic_profiles(spec) == expected
 
