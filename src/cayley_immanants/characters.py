@@ -107,7 +107,7 @@ def mn_character(lam: Partition, mu: CycleType) -> int:
         raise ValueError(
             f"partition weight {lam.weight} != permutation degree {mu.degree}"
         )
-    return _mn(lam.parts, tuple(sorted(mu.lengths, reverse=True)))
+    return _mn(lam.parts, mu.lengths)
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ import time
 import traceback
 from collections.abc import Iterator
 
-from .characters import Partition
+from .characters import Partition, partitions_of
 from .errors import EnvelopeError
 from .groups import GroupSpec, _prime_factorization, parse_group
 from .immanants import (
@@ -245,8 +245,6 @@ def cmd_explore(args) -> int:
 
 
 def _abelian_groups_of_order(order: int) -> list[GroupSpec]:
-    from .characters import partitions_of
-
     specs = [[]]
     for p, e in sorted(_prime_factorization(order).items()):
         extended = []

@@ -15,12 +15,15 @@ labelled enumeration of the partitions is a test oracle
 engine's permutation-class walks against each other and against a
 brute-force sum over all n! permutations at small orders.
 
-`hall_orbits` labels each Hall monomial with its orbit under a relabelling
-group, and `per_monomial` is the one route from a per-orbit value to the
-monomials: it evaluates the representative of each orbit and reads the
-value back through the labels, in lexicographic order.  The counts D and
-I_(n-1,1), I_(2,1^(n-2)) use the orbits of `groups.affine_maps`, on which
-det_coeff and the near-hook scalar are constant.  The p-adic profile reads
+`hall_support` is one tuple of monomials, enumerated in lexicographic order.
+`hall_orbits` labels it with one int per monomial, its orbit under a
+relabelling group, numbered in order of first appearance, so each orbit's
+first monomial is its least member.  `per_monomial` is the one route from a
+per-orbit value to the monomials: it evaluates each orbit's first monomial
+and reads the value back through the labels for the later ones.  The
+counts D and I_(n-1,1), I_(2,1^(n-2)) use the orbits of
+`groups.affine_maps`, on which det_coeff and the near-hook scalar are
+constant.  The p-adic profile reads
 the block sizes of the zero-sum partitions, which a translation changes, so
 `padic_profiles` uses the orbits of `groups.automorphisms` only.
 """
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, sub
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import EnvelopeError
 from .groups import (
@@ -67,7 +70,7 @@ def _multiple_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
 
 
 # The largest Hall support `hall_support` materialises.  Measured: `support
-# --group c13` (400,024 monomials) peaks at 146 MB; c14 has 1,432,860.
+# --group c13` (400,024 monomials) peaks at 120 MB; c14 has 1,432,860.
 MAX_HALL_MONOMIALS = 500_000
 
 
@@ -86,11 +89,13 @@ def check_hall_envelope(spec: GroupSpec) -> None:
 
 
 @lru_cache(maxsize=None)
-def hall_support(spec: GroupSpec) -> frozenset[Monomial]:
-    """All degree-n exponent vectors whose weighted element sum is zero.
+def hall_support(spec: GroupSpec) -> tuple[Monomial, ...]:
+    """All degree-n exponent vectors whose weighted element sum is zero, ascending.
 
-    By Hall's theorem these are exactly the monomials of the permanent.
-    Raises EnvelopeError, before enumerating, above MAX_HALL_MONOMIALS.
+    By Hall's theorem these are exactly the monomials of the permanent.  The
+    backtracking tries exponents in increasing order, so they come out in
+    lexicographic order.  Raises EnvelopeError, before enumerating, above
+    MAX_HALL_MONOMIALS.
     """
     check_hall_envelope(spec)
     n = spec.order
@@ -105,13 +110,13 @@ def hall_support(spec: GroupSpec) -> frozenset[Monomial]:
                 exp[pos] = remaining
                 out.append(tuple(exp))
             return
-        for k in range(remaining, -1, -1):
+        for k in range(remaining + 1):
             exp[pos] = k
             descend(pos + 1, remaining - k, add[psum][mult[pos][k]])
         exp[pos] = 0
 
     descend(0, n, 0)
-    return frozenset(out)
+    return tuple(out)
 
 
 def count_P(spec: GroupSpec) -> int:
@@ -132,57 +137,49 @@ def count_P(spec: GroupSpec) -> int:
     return total // n
 
 
-class HallOrbits(NamedTuple):
-    """The sorted Hall support; monomials[i] lies in the orbit of reps[labels[i]]."""
-
-    monomials: tuple[Monomial, ...]
-    reps: tuple[Monomial, ...]
-    labels: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def hall_orbits(spec: GroupSpec, relabellings=affine_maps) -> HallOrbits:
-    """The Hall support labelled by the orbits of `relabellings(spec)`.
+def hall_orbits(spec: GroupSpec, relabellings, /) -> tuple[int, ...]:
+    """One orbit label per monomial of `hall_support(spec)`, in its order.
 
-    `relabellings` returns index maps g -> r[g] that form a group, by
-    default `groups.affine_maps`.  Each representative is the least member
-    of its orbit, so they ascend.  The monomials are the tuples that
-    `hall_support` holds: the labelling stores one int per monomial and no
-    member copies.  Raises ArithmeticError if a map takes a Hall monomial
-    outside the Hall support.
+    `relabellings` returns index maps g -> r[g] that form a group, such as
+    `groups.affine_maps`.  Labels are numbered in order of first appearance,
+    so the first monomial with label k is the least member of orbit k: its
+    representative.  The labelling stores no monomials.  Raises
+    ArithmeticError if a map takes a Hall monomial outside the Hall support.
     """
-    monomials = tuple(sorted(hall_support(spec)))
+    monomials = hall_support(spec)
     index = {mono: i for i, mono in enumerate(monomials)}
     # pulling the exponents back through r relabels by r's inverse, which
     # is in the group too, so these images are the orbit all the same
     pullbacks = [(r, itemgetter(*r)) for r in relabellings(spec)]
-    reps: list[Monomial] = []
     labels = [-1] * len(monomials)
+    count = 0
     for i, mono in enumerate(monomials):
         if labels[i] >= 0:
             continue
-        label = len(reps)
-        reps.append(mono)
-        labels[i] = label
         for r, pullback in pullbacks:
             j = index.get(pullback(mono))
             if j is None:
                 raise ArithmeticError(f"relabelling {r!r} takes Hall monomial "
                                       f"{mono!r} outside the Hall support of {spec.name}")
-            labels[j] = label
-    return HallOrbits(monomials, tuple(reps), tuple(labels))
+            labels[j] = count
+        labels[i] = count
+        count += 1
+    return tuple(labels)
 
 
 def per_monomial(spec: GroupSpec, value, relabellings=affine_maps):
     """(monomial, value) over the Hall support, in lexicographic order.
 
     `value` must be constant on the orbits of `relabellings(spec)`: it is
-    called once per orbit, on the representative, and its result is given
-    to every member.
+    called once per orbit, on the representative (the orbit's first
+    monomial), and its result is given to every later member.
     """
-    orbits = hall_orbits(spec, relabellings)
-    values = [value(rep) for rep in orbits.reps]
-    return zip(orbits.monomials, map(values.__getitem__, orbits.labels))
+    values: list = []
+    for mono, label in zip(hall_support(spec), hall_orbits(spec, relabellings), strict=True):
+        if label == len(values):
+            values.append(value(mono))
+        yield mono, values[label]
 
 
 def _anchored_blocks(

@@ -163,14 +163,12 @@ def zero_sum_partitions_oracle(spec, seq_elements):
 
 
 def test_hall_support_c3():
-    assert hall_support(C3) == frozenset(
-        {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
-    )
+    assert hall_support(C3) == ((0, 0, 3), (0, 3, 0), (1, 1, 1), (3, 0, 0))
     assert count_P(C3) == 4
 
 
 def test_hall_support_c2():
-    assert hall_support(C2) == frozenset({(2, 0), (0, 2)})
+    assert hall_support(C2) == ((0, 2), (2, 0))
     assert count_P(C2) == 2
 
 
@@ -194,7 +192,7 @@ def test_hall_support_members_are_zero_sum():
 
 def test_hall_support_equals_permanent_support():
     for spec in (C3, C4, C5, C2xC2, C6):
-        assert hall_support(spec) == permanent(spec).support()
+        assert frozenset(hall_support(spec)) == permanent(spec).support()
 
 
 def test_zero_sum_partition_enumeration_against_oracle():
@@ -322,10 +320,11 @@ def test_block_shapes_match_labelled_enumeration(factors):
 def test_block_shapes_match_labelled_enumeration_on_orbit_representatives(factors):
     # the representatives `padic_profiles` evaluates
     spec = GroupSpec(factors)
-    orbits = hall_orbits(spec, automorphisms)
-    for label, rep in enumerate(orbits.reps):
-        assert orbit_members(orbits, label)[0] == rep
-        _assert_fold_matches_oracle(spec, rep)
+    labels = hall_orbits(spec, automorphisms)
+    for label in range(max(labels) + 1):
+        orbit = orbit_members(spec, labels, label)
+        assert orbit[0] == min(orbit)
+        _assert_fold_matches_oracle(spec, orbit[0])
 
 
 def test_block_shapes_of_empty_and_non_zero_sum_multisets():
@@ -495,9 +494,9 @@ def relabel(mono, r):
     return tuple(image)
 
 
-def orbit_members(orbits, label):
-    """The monomials of one orbit of `hall_orbits`, ascending."""
-    return [m for m, k in zip(orbits.monomials, orbits.labels) if k == label]
+def orbit_members(spec, labels, label):
+    """The monomials of one orbit of `hall_orbits`, ascending; the first is its rep."""
+    return [m for m, k in zip(hall_support(spec), labels, strict=True) if k == label]
 
 
 LABEL_SPECS = [
@@ -512,24 +511,23 @@ def test_hall_orbits_label_the_hall_support(data):
     spec = data.draw(st.sampled_from(LABEL_SPECS), label="spec")
     relabellings = data.draw(st.sampled_from([affine_maps, automorphisms]), label="maps")
     support = hall_support(spec)
-    # other tests clear hall_support's cache, which leaves orbits built from
-    # an older support in hall_orbits' cache
-    hall_orbits.cache_clear()
-    orbits = hall_orbits(spec, relabellings)
-    assert list(orbits.monomials) == sorted(support)
-    # the labelling keeps hall_support's own tuples, not copies of them
-    originals = {m: m for m in support}
-    assert all(m is originals[m] for m in orbits.monomials)
-    assert len(orbits.labels) == len(orbits.monomials)
-    assert set(orbits.labels) == set(range(len(orbits.reps)))
-    position = {m: i for i, m in enumerate(orbits.monomials)}
+    assert all(a < b for a, b in zip(support, support[1:]))
+    labels = hall_orbits(spec, relabellings)
+    # the labelling stores one int per monomial, no monomials
+    assert len(labels) == len(support)
+    assert all(type(k) is int for k in labels)
+    count = max(labels) + 1
+    assert set(labels) == set(range(count))
+    position = {m: i for i, m in enumerate(support)}
     maps = relabellings(spec)
-    for i, mono in enumerate(orbits.monomials):
+    for i, mono in enumerate(support):
         for r in maps:
-            assert orbits.labels[position[relabel(mono, r)]] == orbits.labels[i]
-    members = [orbit_members(orbits, k) for k in range(len(orbits.reps))]
-    assert [orbit[0] for orbit in members] == list(orbits.reps)
-    assert list(orbits.reps) == sorted(orbits.reps)
+            assert labels[position[relabel(mono, r)]] == labels[i]
+    # labels are numbered in order of first appearance
+    first = [labels.index(k) for k in range(count)]
+    assert first == sorted(first)
+    members = [orbit_members(spec, labels, k) for k in range(count)]
+    assert all(orbit[0] == min(orbit) for orbit in members)
     assert sum(map(len, members)) == count_P(spec)
 
 
@@ -542,6 +540,32 @@ def test_hall_orbits_refuse_a_map_that_leaves_the_hall_support():
         hall_orbits(C4, swap)
 
 
+def test_hall_orbits_hold_one_entry_per_spec_and_map_set():
+    spec = GroupSpec((6,))
+    with pytest.raises(TypeError):
+        hall_orbits(spec, relabellings=affine_maps)
+    with pytest.raises(TypeError):
+        hall_orbits(spec)
+    hall_orbits.cache_clear()
+    count_D(spec)
+    labels = hall_orbits(spec, affine_maps)
+    info = hall_orbits.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
+    assert len(labels) == count_P(spec)
+
+
+def test_per_monomial_refuses_a_support_that_does_not_match_its_labels(monkeypatch):
+    # the labelling stores no monomials, so only the lengths can disagree
+    import cayley_immanants.supports as supports
+
+    spec = GroupSpec((5,))
+    real = hall_support(spec)
+    hall_orbits(spec, affine_maps)
+    monkeypatch.setattr(supports, "hall_support", lambda spec: real[:-1])
+    with pytest.raises(ValueError):
+        list(per_monomial(spec, lambda rep: 1))
+
+
 def test_per_monomial_reads_each_representative_once():
     spec = GroupSpec((2, 4))
     calls = []
@@ -551,7 +575,8 @@ def test_per_monomial_reads_each_representative_once():
         return rep
 
     rows = list(per_monomial(spec, value, automorphisms))
-    assert calls == list(hall_orbits(spec, automorphisms).reps)
+    labels = hall_orbits(spec, automorphisms)
+    assert calls == [orbit_members(spec, labels, k)[0] for k in range(max(labels) + 1)]
     assert [mono for mono, _ in rows] == sorted(hall_support(spec))
     maps = automorphisms(spec)
     for mono, rep in rows:
