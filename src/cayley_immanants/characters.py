@@ -20,6 +20,9 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # mn_character's cache is keyed on the parts, so a list would make
+        # the call unhashable
+        object.__setattr__(self, "parts", tuple(self.parts))
         for p in self.parts:
             if not isinstance(p, int) or p < 1:
                 raise ValueError(f"parts must be positive integers, got {self.parts!r}")
@@ -50,6 +53,8 @@ class CycleType:
     lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # keyed on by mn_character's cache, as Partition.parts is
+        object.__setattr__(self, "lengths", tuple(self.lengths))
         for c in self.lengths:
             if not isinstance(c, int) or c < 1:
                 raise ValueError(f"cycle lengths must be positive, got {self.lengths!r}")

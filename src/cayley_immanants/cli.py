@@ -68,10 +68,14 @@ def _int_at_least(low: int):
 
 
 def _name_list(text: str) -> list[str]:
-    """A comma list of names; an empty list or name selects nothing, so it is refused."""
+    """A comma list of names; an empty list or name selects nothing and a
+    repeated name would run its check twice, so both are refused.
+    """
     names = text.split(",")
     if "" in names:
         raise argparse.ArgumentTypeError(f"empty name in comma list {text!r}")
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"repeated name in comma list {text!r}")
     return names
 
 

@@ -131,10 +131,6 @@ def _check_element(spec: GroupSpec, a: Element) -> None:
             raise ValueError(f"residue {r} out of range [0, {d}) in element {a!r}")
 
 
-def zero(spec: GroupSpec) -> Element:
-    return (0,) * spec.rank
-
-
 def add(spec: GroupSpec, a: Element, b: Element) -> Element:
     _check_element(spec, a)
     _check_element(spec, b)

@@ -1,12 +1,16 @@
 """One-shot verification suites: every theorem-level check behind the CLI.
 
-Each suite returns machine-parseable reports, which `_report` sorts into
-pass, fail, skipped or error.  Group lists default to the orders the checks
-were designed around and can be overridden, though not by an empty list;
-all randomness is derived from the caller's seed.  The exact minor checks
-live in one table, MINOR_CHECKS, which the jacobi/scalars suites and the
-`minors` command run in one loop: seeds outer, checks inner, so all checks
-at a seed read one minor table.
+One ordered table, CHECKS, holds the theorem checks.  A row names its suite
+and theorem, its default groups, a body(spec, seed) that returns None or a
+failure witness, and params(spec) for the report.  One runner walks the
+rows of a suite, and `_report` sorts each outcome into pass, fail, skipped or
+error.  Group lists default to the orders the checks were designed around and
+can be overridden, though not by an empty list; all randomness is derived from
+the caller's seed.  The suite_<name> functions are the runner bound to each
+suite; they stay only because the benchmark tracer wraps them by name.  The
+exact minor checks live in a second table, MINOR_CHECKS, which the
+jacobi/scalars rows and the `minors` command run in one loop: seeds outer,
+checks inner, so all checks at a seed read one minor table.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .characters import (
@@ -135,10 +140,10 @@ def _report(theorem: str, group: str, params: dict, outcome, seconds: float) -> 
     return VerifyReport(theorem, group, params, status, witness, seconds)
 
 
-def _run(theorem: str, group: str, params: dict, fn) -> VerifyReport:
+def _run(theorem: str, group: str, params: dict, fn, *args) -> VerifyReport:
     start = time.perf_counter()
     try:
-        outcome = fn()
+        outcome = fn(*args)
     except Exception as exc:  # noqa: BLE001 - a crash is reported; the other checks still run
         outcome = exc
     return _report(theorem, group, params, outcome, time.perf_counter() - start)
@@ -299,266 +304,250 @@ DET_C3 = {(3, 0, 0): -1, (0, 3, 0): -1, (0, 0, 3): -1, (1, 1, 1): 3}
 PER_C3 = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (1, 1, 1): 3}
 
 
-def suite_hall(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
-    reports = []
-    for spec in _groups(("c3",), groups, max_order):
-
-        def c3_ground_truth(spec=spec):
-            _require(spec.factors == (3,), f"{spec.name} is not c3")
-            if determinant(spec) != GroupPolynomial.from_terms(spec, DET_C3):
-                return "det(M_C3) differs from the expanded form"
-            if permanent(spec) != GroupPolynomial.from_terms(spec, PER_C3):
-                return "per(M_C3) differs from the expanded form"
-            if (count_P(spec), count_D(spec)) != (4, 4):
-                return f"(P, D)(C3) = {(count_P(spec), count_D(spec))} != (4, 4)"
-            return None
-
-        reports.append(_run("c3-ground-truth", spec.name, {}, c3_ground_truth))
-    for spec in _groups(HALL_GROUPS, groups, max_order):
-
-        def check(spec=spec):
-            got = permanent(spec).support()
-            expected = frozenset(hall_support(spec))
-            if got != expected:
-                extra = sorted(got ^ expected)[:3]
-                return f"support mismatch, e.g. {extra}"
-            # the engine reads its monomials from hall_support, so a missing
-            # orbit would be missing from both sides above
-            closed = count_P(spec)
-            if len(expected) != closed:
-                return f"|hall_support| = {len(expected)} != closed-form P = {closed}"
-            return None
-
-        reports.append(_run("hall-permanent-support", spec.name, {}, check))
-    return reports
+def _require_prime_power(spec: GroupSpec) -> None:
+    n = spec.order
+    _require(len(_prime_factorization(n)) == 1, f"order {n} is not a prime power")
 
 
-def suite_thm13(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
-    reports = []
-    for spec in _groups(PRIME_POWER_GROUPS, groups, max_order):
-
-        def check(spec=spec):
-            _require(
-                len(_prime_factorization(spec.order)) == 1,
-                f"order {spec.order} is not a prime power",
-            )
-            p, d = count_P(spec), count_D(spec)
-            if p != d:
-                return f"P = {p} != D = {d}"
-            if spec.order <= 8:
-                if permanent(spec).support_size != p:
-                    return "formula P differs from the immanant engine"
-                # the engine's determinant reads det_coeff, as count_D does,
-                # so D is checked against the signed counts of the class walks
-                walked = sum(1 for _, d_m in per_monomial(
-                    spec, lambda rep: perm_class_stats(spec, rep).d_m) if d_m)
-                if walked != d:
-                    return "formula D differs from the immanant engine"
-            return None
-
-        reports.append(
-            _run("prime-power-P-equals-D", spec.name, {"order": spec.order}, check)
-        )
-    for spec in _groups(PADIC_GROUPS, groups, max_order):
-
-        def check(spec=spec):
-            _require(
-                len(_prime_factorization(spec.order)) == 1,
-                f"order {spec.order} is not a prime power",
-            )
-            for mono, profile in padic_profiles(spec):
-                if not profile.strictly_minimal:
-                    return f"one-block term not strictly minimal at {mono}"
-            return None
-
-        reports.append(_run("padic-certificate", spec.name, {}, check))
-    return reports
+def _near_hooks(spec: GroupSpec):
+    """imm_(n-1,1) and imm_(2,1^(n-2)) of the group."""
+    n = spec.order
+    return immanant(spec, Partition((n - 1, 1))), immanant(spec, Partition((2,) + (1,) * (n - 2)))
 
 
-def suite_thm14(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
-    reports = []
-    for spec in _groups(ODD_GROUPS, groups, max_order):
+def _near_hook_path(spec: GroupSpec) -> str:
+    """Up to order 8 the near-hook counts are also read off the engine."""
+    return "bruteforce" if spec.order <= 8 else "formula"
 
-        def check(spec=spec):
-            n = spec.order
-            _require(n % 2 == 1, f"order {n} is not odd")
-            hook = immanant(spec, Partition((n - 1, 1)))
-            if not hook.is_zero:
-                return f"imm_(n-1,1) has {hook.support_size} terms"
-            cohook = immanant(spec, Partition((2,) + (1,) * (n - 2)))
-            if not cohook.is_zero:
-                return f"imm_(2,1^(n-2)) has {cohook.support_size} terms"
-            for mono in hall_support(spec):
-                if near_hook_scalar_numerator(spec, mono) != 0:
-                    return f"scalar numerator nonzero at {mono}"
-            return None
 
-        reports.append(_run("odd-order-near-hooks-vanish", spec.name, {}, check))
+def _c3_ground_truth(spec, seed):
+    _require(spec.factors == (3,), f"{spec.name} is not c3")
+    if determinant(spec) != GroupPolynomial.from_terms(spec, DET_C3):
+        return "det(M_C3) differs from the expanded form"
+    if permanent(spec) != GroupPolynomial.from_terms(spec, PER_C3):
+        return "per(M_C3) differs from the expanded form"
+    if (count_P(spec), count_D(spec)) != (4, 4):
+        return f"(P, D)(C3) = {(count_P(spec), count_D(spec))} != (4, 4)"
+    return None
 
-    for spec in _groups(TWO_MOD_FOUR_GROUPS, groups, max_order):
-        path = "bruteforce" if spec.order <= 8 else "formula"
 
-        def check(spec=spec, path=path):
-            n = spec.order
-            _require(n % 4 == 2, f"order {n} is not 2 mod 4")
-            counts = count_I_nearhook(spec)
-            if path == "bruteforce":
-                hook = immanant(spec, Partition((n - 1, 1)))
-                cohook = immanant(spec, Partition((2,) + (1,) * (n - 2)))
-                if counts != (hook.support_size, cohook.support_size):
-                    return f"formula counts {counts} differ from the immanant engine"
-            expected = (count_P(spec), count_D(spec))
-            if counts != expected:
-                return f"(I_hook, I_cohook) = {counts} != (P, D) = {expected}"
-            return None
+def _hall_permanent_support(spec, seed):
+    got = permanent(spec).support()
+    expected = frozenset(hall_support(spec))
+    if got != expected:
+        extra = sorted(got ^ expected)[:3]
+        return f"support mismatch, e.g. {extra}"
+    # the engine reads its monomials from hall_support, so a missing
+    # orbit would be missing from both sides above
+    closed = count_P(spec)
+    if len(expected) != closed:
+        return f"|hall_support| = {len(expected)} != closed-form P = {closed}"
+    return None
 
-        reports.append(
-            _run("two-mod-four-near-hook-counts", spec.name, {"path": path}, check)
-        )
 
-    for spec in _groups(MASTER_FORMULA_GROUPS, groups, max_order):
+def _prime_power_p_equals_d(spec, seed):
+    _require_prime_power(spec)
+    p, d = count_P(spec), count_D(spec)
+    if p != d:
+        return f"P = {p} != D = {d}"
+    if spec.order <= 8:
+        if permanent(spec).support_size != p:
+            return "formula P differs from the immanant engine"
+        # the engine's determinant reads det_coeff, as count_D does,
+        # so D is checked against the signed counts of the class walks
+        walked = sum(1 for _, d_m in per_monomial(
+            spec, lambda rep: perm_class_stats(spec, rep).d_m) if d_m)
+        if walked != d:
+            return "formula D differs from the immanant engine"
+    return None
 
-        def check(spec=spec):
-            n = spec.order
-            hook = immanant(spec, Partition((n - 1, 1)))
-            cohook = immanant(spec, Partition((2,) + (1,) * (n - 2)))
-            for mono in hall_support(spec):
-                stats = perm_class_stats(spec, mono)
-                got = near_hook_coeff(spec, mono, stats)
-                expected = (hook.coefficient(mono), cohook.coefficient(mono))
+
+def _padic_certificate(spec, seed):
+    _require_prime_power(spec)
+    for mono, profile in padic_profiles(spec):
+        if not profile.strictly_minimal:
+            return f"one-block term not strictly minimal at {mono}"
+    return None
+
+
+def _odd_order_near_hooks_vanish(spec, seed):
+    _require(spec.order % 2 == 1, f"order {spec.order} is not odd")
+    hook, cohook = _near_hooks(spec)
+    if not hook.is_zero:
+        return f"imm_(n-1,1) has {hook.support_size} terms"
+    if not cohook.is_zero:
+        return f"imm_(2,1^(n-2)) has {cohook.support_size} terms"
+    for mono in hall_support(spec):
+        if near_hook_scalar_numerator(spec, mono) != 0:
+            return f"scalar numerator nonzero at {mono}"
+    return None
+
+
+def _two_mod_four_near_hook_counts(spec, seed):
+    _require(spec.order % 4 == 2, f"order {spec.order} is not 2 mod 4")
+    counts = count_I_nearhook(spec)
+    if _near_hook_path(spec) == "bruteforce":
+        hook, cohook = _near_hooks(spec)
+        if counts != (hook.support_size, cohook.support_size):
+            return f"formula counts {counts} differ from the immanant engine"
+    expected = (count_P(spec), count_D(spec))
+    if counts != expected:
+        return f"(I_hook, I_cohook) = {counts} != (P, D) = {expected}"
+    return None
+
+
+def _near_hook_master_formula(spec, seed):
+    hook, cohook = _near_hooks(spec)
+    for mono in hall_support(spec):
+        got = near_hook_coeff(spec, mono, perm_class_stats(spec, mono))
+        expected = (hook.coefficient(mono), cohook.coefficient(mono))
+        if got != expected:
+            return f"coefficient mismatch {got} != {expected} at {mono}"
+    return None
+
+
+def _odd_order_twin_immanants(spec, seed):
+    _require(spec.order % 2 == 1 and spec.order >= 7, f"order {spec.order} is not odd and >= 7")
+    diff = twin_difference(spec)
+    if not diff.is_zero:
+        return f"twin difference has {diff.support_size} terms"
+    return None
+
+
+def _even_cyclic_twin_x0_coefficient(spec, seed):
+    n = spec.order
+    _require(
+        spec.rank == 1 and n % 2 == 0 and n >= 6,
+        f"{spec.name} is not an even cyclic group of order >= 6",
+    )
+    expected = (3 - n) * (-1) ** ((n - 2) // 2)
+    got = twin_difference(spec).coefficient((n,) + (0,) * (n - 1))
+    if got != expected:
+        return f"[x_0^{n}] twin difference = {got} != {expected}"
+    return None
+
+
+def _jacobi_complementary_minors(spec, seed):
+    return _minor_witness(("conv", "jacobi"), spec, MINOR_SEEDS, seed)
+
+
+def _odd_order_minor_scalars(spec, seed):
+    return _minor_witness(("f1", "t2t12", "scalars"), spec, MINOR_SEEDS, seed)
+
+
+def _principal_minor_reduction(spec, seed):
+    return _minor_witness(("reduction",), spec, REDUCTION_SEEDS, seed)
+
+
+def _closed_character_forms(spec, seed):
+    for n in range(6, 10):
+        hook = Partition((n - 1, 1))
+        cohook = Partition((2,) + (1,) * (n - 2))
+        h3 = Partition((n - 3, 1, 1, 1))
+        j3 = Partition((n - 3, 3))
+        twin_a = Partition((4,) + (1,) * (n - 4))
+        twin_b = Partition((2, 2, 2) + (1,) * (n - 6))
+        for p in partitions_of(n):
+            mu = CycleType(p.parts)
+            pairs = [
+                (hook_char_n11(mu), mn_character(hook, mu)),
+                (cohook_char(mu), mn_character(cohook, mu)),
+                (char_n3_111(mu), mn_character(h3, mu)),
+                (char_n3_3(mu), mn_character(j3, mu)),
+                (twin_diff_char(mu), mn_character(twin_a, mu) - mn_character(twin_b, mu)),
+            ]
+            for got, expected in pairs:
                 if got != expected:
-                    return f"coefficient mismatch {got} != {expected} at {mono}"
-            return None
-
-        reports.append(_run("near-hook-master-formula", spec.name, {}, check))
-    return reports
+                    return f"closed form {got} != MN {expected} on class {mu.lengths}"
+    return None
 
 
-def suite_thm15(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
+def _regular_character_identity(spec, seed):
+    n = spec.order
+    total = GroupPolynomial.zero(spec)
+    for lam in partitions_of(n):
+        total = total.add_scaled(immanant(spec, lam), dimension(lam))
+    expected = GroupPolynomial.from_terms(spec, {tuple(doubling_counts(spec)): math.factorial(n)})
+    if total != expected:
+        return "regular-character sum differs from n! * prod x_{2a}"
+    return None
+
+
+class Check(NamedTuple):
+    """One theorem of one suite, checked on each group of a default list.
+
+    body(spec, seed) returns None or a failure witness, and params(spec) is
+    the report's params.  groups is None for a check on no group.
+    """
+
+    suite: str
+    theorem: str
+    groups: tuple[str, ...] | None
+    body: Callable
+    params: Callable
+
+
+def _no_params(spec):
+    return {}
+
+
+def _order_param(spec):
+    return {"order": spec.order}
+
+
+# Every theorem-level check, in report order; "all" runs the suites in the
+# order they first appear here.
+CHECKS = (
+    Check("hall", "c3-ground-truth", ("c3",), _c3_ground_truth, _no_params),
+    Check("hall", "hall-permanent-support", HALL_GROUPS, _hall_permanent_support, _no_params),
+    Check("thm13", "prime-power-P-equals-D", PRIME_POWER_GROUPS, _prime_power_p_equals_d,
+          _order_param),
+    Check("thm13", "padic-certificate", PADIC_GROUPS, _padic_certificate, _no_params),
+    Check("thm14", "odd-order-near-hooks-vanish", ODD_GROUPS, _odd_order_near_hooks_vanish,
+          _no_params),
+    Check("thm14", "two-mod-four-near-hook-counts", TWO_MOD_FOUR_GROUPS,
+          _two_mod_four_near_hook_counts, lambda spec: {"path": _near_hook_path(spec)}),
+    Check("thm14", "near-hook-master-formula", MASTER_FORMULA_GROUPS, _near_hook_master_formula,
+          _no_params),
+    Check("thm15", "odd-order-twin-immanants", TWIN_GROUPS, _odd_order_twin_immanants,
+          _no_params),
+    Check("prop42", "even-cyclic-twin-x0-coefficient", ("c6", "c8"),
+          _even_cyclic_twin_x0_coefficient, _order_param),
+    Check("jacobi", "jacobi-complementary-minors", JACOBI_GROUPS, _jacobi_complementary_minors,
+          lambda spec: {"seeds": MINOR_SEEDS}),
+    Check("scalars", "odd-order-minor-scalars", SCALAR_GROUPS, _odd_order_minor_scalars,
+          lambda spec: {"seeds": MINOR_SEEDS}),
+    Check("scalars", "principal-minor-reduction", REDUCTION_GROUPS, _principal_minor_reduction,
+          lambda spec: {"seeds": REDUCTION_SEEDS}),
+    Check("charlayer", "closed-character-forms", None, _closed_character_forms, _no_params),
+    Check("charlayer", "regular-character-identity", REGULAR_CHAR_GROUPS,
+          _regular_character_identity, _no_params),
+)
+
+
+def _run_checks(suite: str, groups=None, max_order=None, seed: int = 1) -> list[VerifyReport]:
+    """One report per row of the suite and group, in table order."""
     reports = []
-    for spec in _groups(TWIN_GROUPS, groups, max_order):
-
-        def check(spec=spec):
-            _require(
-                spec.order % 2 == 1 and spec.order >= 7,
-                f"order {spec.order} is not odd and >= 7",
-            )
-            diff = twin_difference(spec)
-            if not diff.is_zero:
-                return f"twin difference has {diff.support_size} terms"
-            return None
-
-        reports.append(_run("odd-order-twin-immanants", spec.name, {}, check))
+    for check in CHECKS:
+        if check.suite != suite:
+            continue
+        if check.groups is None:
+            # A check on S_6..S_9, not on a group, runs only when neither
+            # --groups nor a --max-order below 9 narrows the suite.
+            if groups is None and (max_order is None or max_order >= 9):
+                params = check.params(None)
+                reports.append(_run(check.theorem, "s6..s9", params, check.body, None, seed))
+            continue
+        for spec in _groups(check.groups, groups, max_order):
+            params = check.params(spec)
+            reports.append(_run(check.theorem, spec.name, params, check.body, spec, seed))
     return reports
 
 
-def suite_prop42(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
-    reports = []
-    for spec in _groups(("c6", "c8"), groups, max_order):
-
-        def check(spec=spec):
-            n = spec.order
-            _require(
-                spec.rank == 1 and n % 2 == 0 and n >= 6,
-                f"{spec.name} is not an even cyclic group of order >= 6",
-            )
-            expected = (3 - n) * (-1) ** ((n - 2) // 2)
-            mono = (n,) + (0,) * (n - 1)
-            got = twin_difference(spec).coefficient(mono)
-            if got != expected:
-                return f"[x_0^{n}] twin difference = {got} != {expected}"
-            return None
-
-        reports.append(
-            _run("even-cyclic-twin-x0-coefficient", spec.name, {"order": spec.order}, check)
-        )
-    return reports
-
-
-def suite_jacobi(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
-    return [
-        _run("jacobi-complementary-minors", spec.name, {"seeds": MINOR_SEEDS},
-             lambda spec=spec: _minor_witness(("conv", "jacobi"), spec, MINOR_SEEDS, seed))
-        for spec in _groups(JACOBI_GROUPS, groups, max_order)
-    ]
-
-
-def suite_scalars(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
-    reports = [
-        _run("odd-order-minor-scalars", spec.name, {"seeds": MINOR_SEEDS},
-             lambda spec=spec: _minor_witness(("f1", "t2t12", "scalars"), spec, MINOR_SEEDS, seed))
-        for spec in _groups(SCALAR_GROUPS, groups, max_order)
-    ]
-    reports += [
-        _run("principal-minor-reduction", spec.name, {"seeds": REDUCTION_SEEDS},
-             lambda spec=spec: _minor_witness(("reduction",), spec, REDUCTION_SEEDS, seed))
-        for spec in _groups(REDUCTION_GROUPS, groups, max_order)
-    ]
-    return reports
-
-
-def suite_charlayer(groups=None, max_order=None, seed=1) -> list[VerifyReport]:
-    reports = []
-
-    def closed_forms():
-        for n in range(6, 10):
-            hook = Partition((n - 1, 1))
-            cohook = Partition((2,) + (1,) * (n - 2))
-            h3 = Partition((n - 3, 1, 1, 1))
-            j3 = Partition((n - 3, 3))
-            twin_a = Partition((4,) + (1,) * (n - 4))
-            twin_b = Partition((2, 2, 2) + (1,) * (n - 6))
-            for p in partitions_of(n):
-                mu = CycleType(p.parts)
-                pairs = [
-                    (hook_char_n11(mu), mn_character(hook, mu)),
-                    (cohook_char(mu), mn_character(cohook, mu)),
-                    (char_n3_111(mu), mn_character(h3, mu)),
-                    (char_n3_3(mu), mn_character(j3, mu)),
-                    (
-                        twin_diff_char(mu),
-                        mn_character(twin_a, mu) - mn_character(twin_b, mu),
-                    ),
-                ]
-                for got, expected in pairs:
-                    if got != expected:
-                        return f"closed form {got} != MN {expected} on class {mu.lengths}"
-        return None
-
-    # The closed forms are checked on S_6..S_9, not on a group: they run only
-    # when neither --groups nor a --max-order below 9 narrows the suite.
-    if groups is None and (max_order is None or max_order >= 9):
-        reports.append(_run("closed-character-forms", "s6..s9", {}, closed_forms))
-    for spec in _groups(REGULAR_CHAR_GROUPS, groups, max_order):
-
-        def check(spec=spec):
-            n = spec.order
-            total = GroupPolynomial.zero(spec)
-            for lam in partitions_of(n):
-                total = total.add_scaled(immanant(spec, lam), dimension(lam))
-            expected = GroupPolynomial.from_terms(
-                spec, {tuple(doubling_counts(spec)): math.factorial(n)}
-            )
-            if total != expected:
-                return "regular-character sum differs from n! * prod x_{2a}"
-            return None
-
-        reports.append(_run("regular-character-identity", spec.name, {}, check))
-    return reports
-
-
-# The single ordered registry of suites; "all" runs them in this order.
-_SUITE_FUNCS = {
-    "hall": suite_hall,
-    "thm13": suite_thm13,
-    "thm14": suite_thm14,
-    "thm15": suite_thm15,
-    "prop42": suite_prop42,
-    "jacobi": suite_jacobi,
-    "scalars": suite_scalars,
-    "charlayer": suite_charlayer,
-}
+_SUITE_FUNCS = {s: partial(_run_checks, s) for s in dict.fromkeys(c.suite for c in CHECKS)}
 SUITES = (*_SUITE_FUNCS, "all")
+# Bound only because perfbench/inproc.py traces suite_* and patches _SUITE_FUNCS.
+globals().update({f"suite_{name}": fn for name, fn in _SUITE_FUNCS.items()})
 
 
 def run_suite(suite: str, groups=None, max_order=None, seed: int = 1) -> list[VerifyReport]:

@@ -41,6 +41,15 @@ def test_partition_validation():
     assert Partition((3, 1, 1)).weight == 5
 
 
+def test_list_built_shapes_are_tuples_and_hashable():
+    # mn_character's cache is keyed on the parts and the cycle lengths
+    lam, mu = Partition([2, 1]), CycleType([2, 1])
+    assert (lam, mu) == (Partition((2, 1)), CycleType((2, 1)))
+    assert mn_character(lam, CycleType((2, 1))) == 0
+    assert mn_character(Partition((2, 1)), mu) == 0
+    assert mn_character(lam, CycleType([3])) == -1
+
+
 def test_partitions_of_counts():
     # p(n) for n = 0..10
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]

@@ -289,6 +289,21 @@ def test_empty_selection_is_a_usage_error(capsys, argv):
     assert "empty name in comma list" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("minors", "--group", "c5", "--checks", "f1,f1"),
+    ("minors", "--group", "c5", "--checks", "conv,f1,conv"),
+    ("verify", "--suite", "thm15", "--groups", "c7,c7"),
+])
+def test_repeated_selection_is_a_usage_error(capsys, argv):
+    # a repeated name would run its check twice, not select anything more
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "repeated name in comma list" in captured.err
+
+
 def test_explore_conjecture3(capsys):
     code, doc = run_json(capsys, "explore", "--conjecture", "3", "--n", "7")
     assert code == 0

@@ -19,7 +19,6 @@ from cayley_immanants.groups import (
     negation_parity,
     parse_group,
     perm_parity,
-    zero,
 )
 
 C2 = GroupSpec((2,))
@@ -28,6 +27,12 @@ C5 = GroupSpec((5,))
 C6 = GroupSpec((6,))
 C2xC2 = GroupSpec((2, 2))
 C3xC3 = GroupSpec((3, 3))
+
+
+def zero(spec: GroupSpec):
+    """The identity element: residue 0 in every factor."""
+    return (0,) * spec.rank
+
 
 SMALL_SPECS = [
     GroupSpec(f)

@@ -15,7 +15,6 @@ from cayley_immanants.groups import (
     elements,
     index_of,
     neg_table,
-    zero,
 )
 from cayley_immanants.immanants import determinant, immanant, perm_class_stats, permanent
 from cayley_immanants.characters import Partition
@@ -151,10 +150,10 @@ def zero_sum_partitions_oracle(spec, seq_elements):
     for partition in all_set_partitions(len(seq_elements)):
         ok = True
         for block in partition:
-            total = zero(spec)
+            total = (0,) * spec.rank
             for i in block:
                 total = add(spec, total, seq_elements[i])
-            if total != zero(spec):
+            if total != (0,) * spec.rank:
                 ok = False
                 break
         if ok:
@@ -183,11 +182,11 @@ def test_hall_support_members_are_zero_sum():
         els = elements(spec)
         for mono in hall_support(spec):
             assert sum(mono) == spec.order
-            total = zero(spec)
+            total = (0,) * spec.rank
             for i, e in enumerate(mono):
                 for _ in range(e):
                     total = add(spec, total, els[i])
-            assert total == zero(spec)
+            assert total == (0,) * spec.rank
 
 
 def test_hall_support_equals_permanent_support():
@@ -459,6 +458,16 @@ def test_closed_form_P_matches_hall_enumeration(factors, size):
     assert count_P(spec) == len(hall_support(spec)) == size
 
 
+def test_closed_form_P_refuses_a_sum_not_divisible_by_the_order(monkeypatch):
+    # the closed form is always divisible, so only a stub reaches the guard
+    from cayley_immanants import supports
+
+    real = supports.elements
+    monkeypatch.setattr(supports, "elements", lambda spec: real(spec)[:-1])
+    with pytest.raises(ArithmeticError, match="129 not divisible by 5"):
+        count_P(C5)
+
+
 def test_hall_envelope_admits_c13_and_refuses_c14():
     from cayley_immanants import errors, immanants, supports
 
@@ -652,6 +661,18 @@ def test_padic_profile_c4_all_zero():
     # hand-computed: valuation k*r + sum v_2((b-1)!) per shape, all partitions
     # qualify over the zero sequence
     assert shapes == {(4,): 3, (3, 1): 5, (2, 2): 4, (2, 1, 1): 6, (1, 1, 1, 1): 8}
+
+
+def test_padic_profile_is_not_strictly_minimal_on_a_tie(monkeypatch):
+    # by Result 1 no valid input ties the one-block term, so only a stub can
+    # show that a tie is not strictly minimal
+    from cayley_immanants import supports
+
+    monkeypatch.setattr(supports, "_block_valuations",
+                        lambda spec, p, counts: iter([(spec.order, 3), (1, 3)]))
+    profile = padic_profile(C4, ((0,),) * 4)
+    assert profile.min_valuation == 3
+    assert not profile.strictly_minimal
 
 
 def test_padic_profile_c4_0022():

@@ -50,6 +50,20 @@ def test_thm13_suite_small():
     assert ("padic-certificate", "c8") in statuses(reports)
 
 
+def test_thm13_check_catches_a_walked_d_m_that_differs_from_count_d(monkeypatch):
+    # count_D and the engine's determinant both read det_coeff, so only the
+    # class walks can disagree with them
+    from cayley_immanants import verify
+    from cayley_immanants.immanants import PermClassStats
+
+    real = verify.perm_class_stats
+    monkeypatch.setattr(verify, "perm_class_stats",
+                        lambda spec, mono: PermClassStats(real(spec, mono).p_m, 0))
+    report = run_suite("thm13", groups=["c5"])[0]
+    assert (report.theorem, report.status) == ("prime-power-P-equals-D", "fail")
+    assert report.witness == "formula D differs from the immanant engine"
+
+
 def test_thm14_hypothesis_skip():
     reports = run_suite("thm14", groups=["c4"], max_order=6)
     st = statuses(reports)
