@@ -24,7 +24,7 @@ from collections.abc import Iterator
 
 from .characters import Partition, partitions_of
 from .errors import EnvelopeError
-from .groups import GroupSpec, _prime_factorization, parse_group
+from .groups import GroupSpec, _prime_factorization, elements, parse_group
 from .immanants import (
     check_sweep_envelope,
     immanant,
@@ -38,7 +38,6 @@ from .supports import (
     count_I_nearhook,
     count_P,
     det_coeff,
-    monomial_sequence,
     near_hook_coeff,
     padic_profile,
     padic_profiles,
@@ -190,15 +189,18 @@ def cmd_padic(args) -> int:
         print(f"error: {spec.name} does not have prime-power order", file=sys.stderr)
         return 2
     if args.all:
-        profiles = [(monomial_sequence(spec, m), prof) for m, prof in padic_profiles(spec)]
+        # a monomial's row lists each element label as often as its exponent,
+        # in element order: the labelling that `monomial_sequence` gives
+        labels = [_format_element(g) for g in elements(spec)]
+        rows = [(" ".join([label for label, e in zip(labels, m) for _ in range(e)]), prof)
+                for m, prof in padic_profiles(spec)]
     else:
         seq = _parse_sequence(args.sequence)
-        profiles = [(seq, padic_profile(spec, seq))]
+        rows = [(" ".join(map(_format_element, seq)), padic_profile(spec, seq))]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["sequence", "min_valuation", "strictly_minimal"])
-    for seq, profile in profiles:
-        rendered = " ".join(_format_element(g) for g in seq)
+    for rendered, profile in rows:
         writer.writerow([rendered, profile.min_valuation, profile.strictly_minimal])
     _emit(buffer.getvalue(), args.out)
     return 0

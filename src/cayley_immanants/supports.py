@@ -5,17 +5,21 @@ over the zero-sum set partitions of a sequence's positions.  Production
 code evaluates it on multisets only, with one recursion and two folds:
 `_anchored_blocks` lists the zero-sum blocks through one fixed copy of the
 least present element, with their binomial counts of labelled ways and
-their residual multisets.  `_anchored_block_sum` folds them into the signed
-partition sum, and `_min_valuation` into the least p-adic valuation of a
-partition term that the p-adic profile reads (a min-plus fold, since the
-valuation adds up over blocks); each fold is memoized on residual
-multisets.  The
-labelled enumeration of the partitions is a test oracle
+their residual multisets.  It enumerates the copies of every element kind
+but the last and solves for the last kind's (`_cancellers`).
+`_anchored_block_sum` folds the blocks into the signed partition sum, and
+`_min_valuation` into the least p-adic valuation of a partition term that
+the p-adic profile reads (a min-plus fold, since the valuation adds up over
+blocks); each fold is memoized on residual multisets.  The labelled
+enumeration of the partitions is a test oracle
 (`tests/test_supports.py`); the tests pin it, the multiset routes and the
 engine's permutation-class walks against each other and against a
 brute-force sum over all n! permutations at small orders.
 
 `hall_support` is one tuple of monomials, enumerated in lexicographic order.
+The completion table `_completions` counts the ways to finish each partial
+monomial; the enumeration descends only into exponents that leave a
+completion, and the table's full count is P.
 `hall_orbits` labels it with one int per monomial, its orbit under a
 relabelling group, numbered in order of first appearance, so each orbit's
 first monomial is its least member.  `per_monomial` is the one route from a
@@ -47,6 +51,7 @@ from .groups import (
     doubling_counts,
     elements,
     index_of,
+    neg_table,
     negation_parity,
 )
 from .polynomials import Monomial
@@ -89,31 +94,75 @@ def check_hall_envelope(spec: GroupSpec) -> None:
 
 
 @lru_cache(maxsize=None)
+def _completions(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """_completions[pos][rem][psum]: the ways to complete a Hall monomial.
+
+    Counts the exponents e_pos..e_(n-1) that sum to rem and bring the
+    weighted sum psum + sum_i e_i * elements[i] to zero.  It holds
+    n * (n+1) * n ints, and [0][n][0] is the Hall support size P.
+    """
+    n = spec.order
+    add = add_table(spec)
+    mult = _multiple_table(spec)
+    last = n - 1
+    table = [tuple(
+        tuple(int(add[psum][mult[last][rem]] == 0) for psum in range(n))
+        for rem in range(n + 1)
+    )]
+    for pos in range(last - 1, -1, -1):
+        after = table[-1]
+        table.append(tuple(
+            tuple(sum(after[rem - k][add[psum][mult[pos][k]]] for k in range(rem + 1))
+                  for psum in range(n))
+            for rem in range(n + 1)
+        ))
+    return tuple(reversed(table))
+
+
+@lru_cache(maxsize=None)
 def hall_support(spec: GroupSpec) -> tuple[Monomial, ...]:
     """All degree-n exponent vectors whose weighted element sum is zero, ascending.
 
     By Hall's theorem these are exactly the monomials of the permanent.  The
     backtracking tries exponents in increasing order, so they come out in
-    lexicographic order.  Raises EnvelopeError, before enumerating, above
-    MAX_HALL_MONOMIALS.
+    lexicographic order.  It descends only into exponents that
+    `_completions` says can still be completed, so every branch ends in a
+    monomial, and the last exponent is what the degree leaves.  Raises
+    EnvelopeError, before any table is built, above MAX_HALL_MONOMIALS.
     """
     check_hall_envelope(spec)
     n = spec.order
     add = add_table(spec)
     mult = _multiple_table(spec)
+    completions = _completions(spec)
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def live_exponents(pos: int, rem: int, psum: int) -> tuple[int, ...]:
+        # the exponents k at pos that leave a completion; equal tuples are
+        # stored once
+        after = completions[pos + 1]
+        ks = tuple(k for k in range(rem + 1) if after[rem - k][add[psum][mult[pos][k]]])
+        return shared.setdefault(ks, ks)
+
+    live = [[[live_exponents(pos, rem, psum) for psum in range(n)] for rem in range(n + 1)]
+            for pos in range(n - 1)]
     out: list[Monomial] = []
     exp = [0] * n
+    penult = n - 2
 
     def descend(pos: int, remaining: int, psum: int) -> None:
-        if pos == n - 1:
-            if add[psum][mult[pos][remaining]] == 0:
-                exp[pos] = remaining
+        # every position is written on the way down, so none is reset
+        if pos == penult:
+            for k in live[pos][remaining][psum]:
+                exp[pos] = k
+                exp[pos + 1] = remaining - k
                 out.append(tuple(exp))
             return
-        for k in range(remaining + 1):
+        step = add[psum]
+        multiples = mult[pos]
+        for k in live[pos][remaining][psum]:
             exp[pos] = k
-            descend(pos + 1, remaining - k, add[psum][mult[pos][k]])
-        exp[pos] = 0
+            descend(pos + 1, remaining - k, step[multiples[k]])
 
     descend(0, n, 0)
     return tuple(out)
@@ -182,6 +231,25 @@ def per_monomial(spec: GroupSpec, value, relabellings=affine_maps):
         yield mono, values[label]
 
 
+@lru_cache(maxsize=None)
+def _cancellers(spec: GroupSpec) -> tuple[tuple[int, tuple[int | None, ...]], ...]:
+    """(ord g, first) per element g, to solve psum + j*g = 0 for j.
+
+    first[psum] is the least j >= 0 that solves it, or None if no multiple
+    of g cancels psum; the other solutions are first[psum] + ord g, ...
+    """
+    n = spec.order
+    neg = neg_table(spec)
+    rows = []
+    for row in _multiple_table(spec):
+        order = row.index(0, 1)
+        first: list[int | None] = [None] * n
+        for j in range(order):
+            first[neg[row[j]]] = j
+        rows.append((order, tuple(first)))
+    return tuple(rows)
+
+
 def _anchored_blocks(
     spec: GroupSpec, counts: tuple[int, ...]
 ) -> list[tuple[int, int, tuple[int, ...]]]:
@@ -192,7 +260,9 @@ def _anchored_blocks(
     counts the labelled position sets with its contents, and residual is
     counts without it.  Every set partition of the positions has exactly one
     block through the anchor copy, so both partition folds below recurse
-    over these blocks.  The empty multiset has none.
+    over these blocks.  The empty multiset has none.  The copies of every
+    kind but the last are enumerated; the last kind's are solved for with
+    `_cancellers`, so no branch is spent on a nonzero sum.
     """
     n = spec.order
     anchor = next((g for g, c in enumerate(counts) if c), None)
@@ -200,28 +270,42 @@ def _anchored_blocks(
         return []
     add = add_table(spec)
     mult = _multiple_table(spec)
+    cancel = _cancellers(spec)
     kinds = [g for g in range(anchor + 1, n) if counts[g]]
+    last = len(kinds) - 1
     blocks = []
     chosen = [0] * n
 
+    def emit(size: int) -> None:
+        ways = math.comb(counts[anchor] - 1, chosen[anchor] - 1)
+        for g in kinds:
+            ways *= math.comb(counts[g], chosen[g])
+        blocks.append((size, ways, tuple(map(sub, counts, chosen))))
+
     def pick(pos: int, psum: int, size: int) -> None:
-        if pos == len(kinds):
-            if psum == 0:
-                # binomials per block, not per branch: most branches sum to nonzero
-                ways = math.comb(counts[anchor] - 1, chosen[anchor] - 1)
-                for g in kinds:
-                    ways *= math.comb(counts[g], chosen[g])
-                blocks.append((size, ways, tuple(map(sub, counts, chosen))))
-            return
         g = kinds[pos]
-        for j in range(counts[g] + 1):
-            chosen[g] = j
-            pick(pos + 1, add[psum][mult[g][j]], size + j)
+        if pos == last:
+            order, first = cancel[g]
+            if first[psum] is not None:
+                for j in range(first[psum], counts[g] + 1, order):
+                    chosen[g] = j
+                    emit(size + j)
+        else:
+            for j in range(counts[g] + 1):
+                chosen[g] = j
+                pick(pos + 1, add[psum][mult[g][j]], size + j)
         chosen[g] = 0
 
-    for j in range(1, counts[anchor] + 1):
-        chosen[anchor] = j
-        pick(0, mult[anchor][j], j)
+    if kinds:
+        for j in range(1, counts[anchor] + 1):
+            chosen[anchor] = j
+            pick(0, mult[anchor][j], j)
+    else:
+        # the anchor is the only kind: a block holds a multiple of its order
+        order = cancel[anchor][0]
+        for j in range(order, counts[anchor] + 1, order):
+            chosen[anchor] = j
+            emit(j)
     return blocks
 
 

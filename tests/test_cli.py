@@ -85,6 +85,23 @@ def test_determinant_keeps_the_sweep_envelope(capsys):
     assert supports.hall_support.cache_info().currsize == 0
 
 
+def test_hall_envelope_refuses_before_any_table(capsys):
+    # c14 has 1,432,860 Hall monomials: the closed form refuses it before the
+    # completion table or the enumeration is built
+    from cayley_immanants import supports
+
+    supports.hall_support.cache_clear()
+    supports._completions.cache_clear()
+    code = main(["support", "--group", "c14"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "enumeration envelope" in captured.err
+    assert supports.hall_support.cache_info().currsize == 0
+    assert supports._completions.cache_info().currsize == 0
+    assert supports._completions.cache_info().misses == 0
+
+
 def test_partition_weight_mismatch_exit_code(capsys):
     code = main(["imm", "--group", "c4", "--partition", "3,1,1"])
     assert code == 2

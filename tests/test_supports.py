@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -18,9 +19,11 @@ from cayley_immanants.groups import (
 )
 from cayley_immanants.immanants import determinant, immanant, perm_class_stats, permanent
 from cayley_immanants.characters import Partition
+from cayley_immanants.cli import _abelian_groups_of_order
 from cayley_immanants.supports import (
     _anchored_block_sum,
     _anchored_blocks,
+    _completions,
     _legendre,
     _min_valuation,
     count_D,
@@ -187,6 +190,49 @@ def test_hall_support_members_are_zero_sum():
                 for _ in range(e):
                     total = add(spec, total, els[i])
             assert total == (0,) * spec.rank
+
+
+def oracle_hall_support(spec):
+    """Every composition of n into n parts with zero weighted sum, sorted.
+
+    The compositions come from stars and bars, and the sums from the residue
+    vectors, so neither shares code with the backtracking or its tables.
+    """
+    n = spec.order
+    els = elements(spec)
+    out = []
+    for bars in itertools.combinations(range(2 * n - 1), n - 1):
+        cuts = (-1, *bars, 2 * n - 1)
+        mono = tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+        total = [0] * spec.rank
+        for g, e in zip(els, mono):
+            total = [(t + e * x) % f for t, x, f in zip(total, g, spec.factors)]
+        if not any(total):
+            out.append(mono)
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (2, 4), (2, 2, 2), (8,), (3, 3), (9,)],
+    ids=str,
+)
+def test_hall_support_matches_brute_force_in_lexicographic_order(factors):
+    # `hall_orbits` and `per_monomial` read the order, not just the set
+    spec = GroupSpec(factors)
+    assert hall_support(spec) == oracle_hall_support(spec)
+
+
+@pytest.mark.parametrize("order", range(2, 17))
+def test_completion_table_counts_the_hall_support(order):
+    # a third route to P, next to the closed form and the enumeration
+    for spec in _abelian_groups_of_order(order):
+        n = spec.order
+        table = _completions(spec)
+        assert (len(table), len(table[0]), len(table[0][0])) == (n, n + 1, n)
+        assert table[0][n][0] == count_P(spec)
+        if order <= 12:
+            assert table[0][n][0] == len(hall_support(spec))
 
 
 def test_hall_support_equals_permanent_support():
@@ -387,16 +433,49 @@ def _blocks_by_key(spec, counts):
     return by_key
 
 
-@pytest.mark.parametrize("factors", [(4,), (2, 2), (5,), (6,), (2, 4)], ids=str)
-def test_anchored_blocks_match_subset_enumeration(factors):
+def affine_representatives(spec):
+    """The first monomial of each affine orbit: the ones `det_coeff` is read on."""
+    labels = hall_orbits(spec, affine_maps)
+    return [orbit_members(spec, labels, k)[0] for k in range(max(labels) + 1)]
+
+
+@pytest.mark.parametrize(
+    "factors, monomials",
+    [pytest.param(f, hall_support, id=str(f)) for f in [(4,), (2, 2), (5,), (6,), (2, 4)]]
+    + [pytest.param(f, affine_representatives, id=str(f))
+       for f in [(7,), (9,), (3, 3), (2, 2, 2)]],
+)
+def test_anchored_blocks_match_subset_enumeration(factors, monomials):
     # monomial_sequence lists the elements in index order, so seq[0] is the anchor
     spec = GroupSpec(factors)
-    for mono in sorted(hall_support(spec)):
+    for mono in monomials(spec):
         assert _blocks_by_key(spec, mono) == oracle_anchored_blocks(spec, _indices(spec, mono))
 
 
 def test_anchored_blocks_of_the_empty_multiset():
     assert _anchored_blocks(C4, (0, 0, 0, 0)) == []
+
+
+@pytest.mark.parametrize(
+    "spec, counts, sizes",
+    [
+        # the anchor is the only kind: its zero sums are the multiples of its order
+        (C4, (0, 0, 4, 0), {2, 4}),
+        (C4, (0, 3, 0, 0), set()),
+        (C3, (3, 0, 0), {1, 2, 3}),
+        (C9, (0, 0, 0, 7, 0, 0, 0, 0, 0), {3, 6}),
+        # the last kind's order 2 is below its count 4: j in {0, 2, 4}
+        (C6, (1, 0, 0, 4, 0, 0), {1, 3, 5}),
+        (C6, (0, 0, 2, 3, 0, 0), set()),
+        (C6, (0, 0, 3, 3, 0, 0), {3, 5}),
+    ],
+    ids=str,
+)
+def test_anchored_blocks_solve_the_last_kind(spec, counts, sizes):
+    seq = [g for g, c in enumerate(counts) for _ in range(c)]
+    blocks = _blocks_by_key(spec, counts)
+    assert blocks == oracle_anchored_blocks(spec, seq)
+    assert {size for size, _ in blocks} == sizes
 
 
 @given(st.data())
