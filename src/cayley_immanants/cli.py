@@ -190,7 +190,7 @@ def cmd_padic(args) -> int:
         return 2
     if args.all:
         # a monomial's row lists each element label as often as its exponent,
-        # in element order: the labelling that `monomial_sequence` gives
+        # in element order: its lexicographically smallest labelling
         labels = [_format_element(g) for g in elements(spec)]
         rows = [(" ".join([label for label, e in zip(labels, m) for _ in range(e)]), prof)
                 for m, prof in padic_profiles(spec)]

@@ -207,12 +207,13 @@ def negation_parity(spec: GroupSpec) -> int:
     return perm_parity(neg_table(spec))
 
 
-def automorphisms(spec: GroupSpec) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def automorphisms(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """Every automorphism phi of the group, as index maps phi[g].
 
     Each cyclic generator may go to any element whose order divides its
     factor; that choice fixes a homomorphism, which is kept when it is a
-    bijection.
+    bijection.  Built once per spec.
     """
     els = elements(spec)
     idx = _index_map(spec)
@@ -232,21 +233,23 @@ def automorphisms(spec: GroupSpec) -> list[tuple[int, ...]]:
         )
         if len(set(phi)) == n:
             out.append(phi)
-    return out
+    return tuple(out)
 
 
-def affine_maps(spec: GroupSpec) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def affine_maps(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     """The relabellings g -> phi(g) + 2*gamma of the group's elements.
 
     Conjugating a permutation sigma by the affine map u -> phi(u) + gamma
     keeps its cycle type and relabels the monomial prod_u x_{u+sigma(u)}
     by exactly this map, so immanant coefficients are constant on its
-    orbits.  One index tuple per distinct (phi, 2*gamma).
+    orbits.  One index tuple per distinct (phi, 2*gamma), built once per
+    spec.
     """
     add = add_table(spec)
     shifts = sorted(set(double_table(spec)))
-    return [
+    return tuple(
         tuple(add[phi[g]][s] for g in range(spec.order))
         for phi in automorphisms(spec)
         for s in shifts
-    ]
+    )

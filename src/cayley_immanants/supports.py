@@ -16,20 +16,23 @@ enumeration of the partitions is a test oracle
 engine's permutation-class walks against each other and against a
 brute-force sum over all n! permutations at small orders.
 
-`hall_support` is one tuple of monomials, enumerated in lexicographic order.
-The completion table `_completions` counts the ways to finish each partial
-monomial; the enumeration descends only into exponents that leave a
-completion, and the table's full count is P.
-`hall_orbits` labels it with one int per monomial, its orbit under a
-relabelling group, numbered in order of first appearance, so each orbit's
-first monomial is its least member.  `per_monomial` is the one route from a
-per-orbit value to the monomials: it evaluates each orbit's first monomial
-and reads the value back through the labels for the later ones.  The
-counts D and I_(n-1,1), I_(2,1^(n-2)) use the orbits of
+The Hall support is enumerated in lexicographic order by one walk,
+`_walk_hall_support`.  The completion table `_completions` counts the ways
+to finish each partial monomial; the walk descends only into exponents that
+leave a completion, and the table's full count is P.  The orbits of a
+relabelling group reach the two kinds of caller by two routes.  Counts
+stream: `orbit_representatives` keeps each orbit's least member and its
+size from one pass of the walk, and stores no other monomial, so the
+counts D and I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes over
+representatives.  Rows label: `hall_support` stores the walk as one tuple,
+`hall_orbits` labels it with one int per monomial, numbered in order of
+first appearance, so each orbit's first monomial is its least member, and
+`per_monomial` evaluates each orbit's first monomial and reads the value
+back through the labels for the later ones.  The counts use the orbits of
 `groups.affine_maps`, on which det_coeff and the near-hook scalar are
-constant.  The p-adic profile reads
-the block sizes of the zero-sum partitions, which a translation changes, so
-`padic_profiles` uses the orbits of `groups.automorphisms` only.
+constant.  The p-adic profile reads the block sizes of the zero-sum
+partitions, which a translation changes, so `padic_profiles` uses the
+orbits of `groups.automorphisms` only.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from typing import TYPE_CHECKING
 
 from .errors import EnvelopeError
 from .groups import (
-    Element,
     GroupSpec,
     _prime_factorization,
     add_table,
@@ -74,8 +76,10 @@ def _multiple_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-# The largest Hall support `hall_support` materialises.  Measured: `support
-# --group c13` (400,024 monomials) peaks at 120 MB; c14 has 1,432,860.
+# The largest Hall support that is enumerated.  Measured: `support --group
+# c13` (400,024 monomials) streams its counts at about 20 MB; a row route
+# (`padic --all`) also stores the support and its labels, about 100 MB more
+# at c13.  c14 has 1,432,860.
 MAX_HALL_MONOMIALS = 500_000
 
 
@@ -119,18 +123,15 @@ def _completions(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(reversed(table))
 
 
-@lru_cache(maxsize=None)
-def hall_support(spec: GroupSpec) -> tuple[Monomial, ...]:
-    """All degree-n exponent vectors whose weighted element sum is zero, ascending.
+def _walk_hall_support(spec: GroupSpec, visit) -> None:
+    """Call visit(monomial) on every Hall monomial, in lexicographic order.
 
-    By Hall's theorem these are exactly the monomials of the permanent.  The
-    backtracking tries exponents in increasing order, so they come out in
-    lexicographic order.  It descends only into exponents that
-    `_completions` says can still be completed, so every branch ends in a
-    monomial, and the last exponent is what the degree leaves.  Raises
-    EnvelopeError, before any table is built, above MAX_HALL_MONOMIALS.
+    The one enumeration behind `hall_support` and `orbit_representatives`.
+    The backtracking tries exponents in increasing order and descends only
+    into exponents that `_completions` says can still be completed, so every
+    branch ends in a monomial, and the last exponent is what the degree
+    leaves.  Callers check the Hall envelope first.
     """
-    check_hall_envelope(spec)
     n = spec.order
     add = add_table(spec)
     mult = _multiple_table(spec)
@@ -146,7 +147,6 @@ def hall_support(spec: GroupSpec) -> tuple[Monomial, ...]:
 
     live = [[[live_exponents(pos, rem, psum) for psum in range(n)] for rem in range(n + 1)]
             for pos in range(n - 1)]
-    out: list[Monomial] = []
     exp = [0] * n
     penult = n - 2
 
@@ -156,7 +156,7 @@ def hall_support(spec: GroupSpec) -> tuple[Monomial, ...]:
             for k in live[pos][remaining][psum]:
                 exp[pos] = k
                 exp[pos + 1] = remaining - k
-                out.append(tuple(exp))
+                visit(tuple(exp))
             return
         step = add[psum]
         multiples = mult[pos]
@@ -165,6 +165,19 @@ def hall_support(spec: GroupSpec) -> tuple[Monomial, ...]:
             descend(pos + 1, remaining - k, step[multiples[k]])
 
     descend(0, n, 0)
+
+
+@lru_cache(maxsize=None)
+def hall_support(spec: GroupSpec) -> tuple[Monomial, ...]:
+    """All degree-n exponent vectors whose weighted element sum is zero, ascending.
+
+    By Hall's theorem these are exactly the monomials of the permanent.
+    Raises EnvelopeError, before any table is built, above
+    MAX_HALL_MONOMIALS.
+    """
+    check_hall_envelope(spec)
+    out: list[Monomial] = []
+    _walk_hall_support(spec, out.append)
     return tuple(out)
 
 
@@ -186,35 +199,104 @@ def count_P(spec: GroupSpec) -> int:
     return total // n
 
 
+def _relabelling_group(spec: GroupSpec, relabellings) -> tuple[tuple[int, ...], ...]:
+    """The maps of `relabellings(spec)`, checked to act on the Hall support.
+
+    Pulling a monomial m back through a bijection r gives the weighted sum
+    sum_h m_h * r^-1(h), so an affine r keeps the Hall support; at order 3
+    and above the monomials x_a x_b x_(-a-b) x_0^(n-3) show that no other
+    bijection does.  Raises ArithmeticError, naming the map, for a map that
+    is not an affine bijection, and for a map set without the identity.
+    """
+    n = spec.order
+    add = add_table(spec)
+    neg = neg_table(spec)
+    units = [index_of(spec, tuple(int(i == j) for i in range(spec.rank)))
+             for j in range(spec.rank)]
+    maps = tuple(relabellings(spec))
+    for r in maps:
+        # r is affine iff r(g + e) - r(g) = r(e) - r(0) on every generator e
+        if sorted(r) != list(range(n)) or any(
+            add[r[g]][add[r[e]][neg[r[0]]]] != r[add[g][e]] for e in units for g in range(n)
+        ):
+            raise ArithmeticError(f"relabelling {r!r} is not an affine bijection, so it takes "
+                                  f"Hall monomials outside the Hall support of {spec.name}")
+    identity = tuple(range(n))
+    if identity not in maps:
+        raise ArithmeticError(f"the relabellings of {spec.name} lack the identity {identity!r}")
+    return maps
+
+
 @lru_cache(maxsize=None)
 def hall_orbits(spec: GroupSpec, relabellings, /) -> tuple[int, ...]:
     """One orbit label per monomial of `hall_support(spec)`, in its order.
 
-    `relabellings` returns index maps g -> r[g] that form a group, such as
-    `groups.affine_maps`.  Labels are numbered in order of first appearance,
-    so the first monomial with label k is the least member of orbit k: its
-    representative.  The labelling stores no monomials.  Raises
-    ArithmeticError if a map takes a Hall monomial outside the Hall support.
+    The row routes' labelling.  `relabellings` returns index maps g -> r[g]
+    that form a group, such as `groups.affine_maps`.  Labels are numbered in
+    order of first appearance, so the first monomial with label k is the
+    least member of orbit k: its representative.  The labelling stores no
+    monomials.  Raises ArithmeticError, as `_relabelling_group` does, for
+    a map that takes Hall monomials outside the Hall support and for a map
+    set without the identity.
     """
     monomials = hall_support(spec)
+    maps = _relabelling_group(spec, relabellings)
     index = {mono: i for i, mono in enumerate(monomials)}
     # pulling the exponents back through r relabels by r's inverse, which
     # is in the group too, so these images are the orbit all the same
-    pullbacks = [(r, itemgetter(*r)) for r in relabellings(spec)]
+    pullbacks = [itemgetter(*r) for r in maps]
     labels = [-1] * len(monomials)
     count = 0
     for i, mono in enumerate(monomials):
         if labels[i] >= 0:
             continue
-        for r, pullback in pullbacks:
-            j = index.get(pullback(mono))
-            if j is None:
-                raise ArithmeticError(f"relabelling {r!r} takes Hall monomial "
-                                      f"{mono!r} outside the Hall support of {spec.name}")
-            labels[j] = count
-        labels[i] = count
+        for pullback in pullbacks:
+            labels[index[pullback(mono)]] = count
         count += 1
     return tuple(labels)
+
+
+@lru_cache(maxsize=None)
+def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...]:
+    """(least member, orbit size) per affine orbit of the Hall support, ascending.
+
+    The count paths' route: one pass over the Hall enumeration that keeps
+    only the representatives, the same least members that
+    `hall_orbits(spec, affine_maps)` labels first.  A monomial is the least
+    member of its orbit iff no pulled-back image is smaller, and its orbit
+    size is |A| over the number of maps that fix it.  Raises
+    ArithmeticError if `affine_maps(spec)` is not a group acting on the Hall
+    support: a map that leaves it, no identity, a stabilizer whose size
+    does not divide |A|, or orbit sizes that do not sum to P.  Raises
+    EnvelopeError, before any table is built, above MAX_HALL_MONOMIALS.
+    """
+    check_hall_envelope(spec)
+    maps = _relabelling_group(spec, affine_maps)
+    pullbacks = [itemgetter(*r) for r in maps]
+    reps: list[tuple[Monomial, int]] = []
+
+    def visit(mono: Monomial) -> None:
+        fixed = 0
+        for i, pullback in enumerate(pullbacks):
+            image = pullback(mono)
+            if image < mono:
+                # neighbouring monomials tend to fall to the same map, so
+                # it is tried first on the next one
+                pullbacks[0], pullbacks[i] = pullback, pullbacks[0]
+                return
+            fixed += image == mono
+        size, rest = divmod(len(maps), fixed)
+        if rest:
+            raise ArithmeticError(f"{fixed} relabellings of {spec.name} fix {mono!r}, "
+                                  f"which does not divide the {len(maps)} maps")
+        reps.append((mono, size))
+
+    _walk_hall_support(spec, visit)
+    total = sum(size for _, size in reps)
+    if total != count_P(spec):
+        raise ArithmeticError(f"orbit sizes of {spec.name} sum to {total}, "
+                              f"not to P = {count_P(spec)}")
+    return tuple(reps)
 
 
 def per_monomial(spec: GroupSpec, value, relabellings=affine_maps):
@@ -356,9 +438,10 @@ def count_D(spec: GroupSpec) -> int:
 
     Every determinant monomial is a permanent monomial (same permutation
     sum, different weights), so only the Hall support is scanned, one
-    representative per affine orbit.
+    representative per affine orbit, weighted by its orbit size.
     """
-    return sum(d for _, d in per_monomial(spec, lambda rep: det_coeff(spec, rep) != 0))
+    return sum(size for rep, size in orbit_representatives(spec)
+               if det_coeff(spec, rep) != 0)
 
 
 def near_hook_scalar_numerator(spec: GroupSpec, mono: Monomial) -> int:
@@ -395,17 +478,14 @@ def count_I_nearhook(spec: GroupSpec) -> tuple[int, int]:
     On the Hall support p_m > 0 always, so the hook count needs just the
     scalar; the cohook count additionally needs d_m, taken from the
     partition formula.  No n! sweep is involved at any order.  Both tests
-    run once per affine orbit and are read back through its labels.
+    run once per affine orbit, weighted by its orbit size.
     """
-
-    def nonzero(rep: Monomial) -> tuple[bool, bool]:
-        hook = near_hook_scalar_numerator(spec, rep) != 0
-        return hook, hook and det_coeff(spec, rep) != 0
-
     hook = cohook = 0
-    for _, (h, c) in per_monomial(spec, nonzero):
-        hook += h
-        cohook += c
+    for rep, size in orbit_representatives(spec):
+        if near_hook_scalar_numerator(spec, rep) != 0:
+            hook += size
+            if det_coeff(spec, rep) != 0:
+                cohook += size
     return hook, cohook
 
 
@@ -465,26 +545,30 @@ def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
     every multi-block term, which certifies a nonzero coefficient.
     """
     n = spec.order
-    factorization = _prime_factorization(n)
-    if len(factorization) != 1:
-        raise ValueError(f"group order {n} is not a prime power")
-    (p, r), = factorization.items()
     if len(sequence) != n:
         raise ValueError(f"sequence length {len(sequence)} != group order {n}")
-    seq = tuple(index_of(spec, g) for g in sequence)
     add = add_table(spec)
     total = 0
     counts = [0] * n
-    for s in seq:
+    for g in sequence:
+        s = index_of(spec, g)
         total = add[total][s]
         counts[s] += 1
     if total != 0:
         raise ValueError("sequence is not zero-sum")
+    return _counts_profile(spec, tuple(counts))
 
+
+def _counts_profile(spec: GroupSpec, counts: tuple[int, ...]) -> ValuationProfile:
+    """The profile of every sequence with these element counts, a Hall monomial."""
+    factorization = _prime_factorization(spec.order)
+    if len(factorization) != 1:
+        raise ValueError(f"group order {spec.order} is not a prime power")
+    (p, r), = factorization.items()
     one_block = None
     multi_block = []
-    for size, v in _block_valuations(spec, p, tuple(counts)):
-        if size == n:
+    for size, v in _block_valuations(spec, p, counts):
+        if size == spec.order:
             one_block = v
         else:
             multi_block.append(v)
@@ -501,20 +585,9 @@ def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
 def padic_profiles(spec: GroupSpec) -> list[tuple[Monomial, ValuationProfile]]:
     """(monomial, padic_profile of its sequence) over the Hall support, sorted.
 
-    The profile is computed once per orbit of `groups.automorphisms` and
-    shared by the orbit: an automorphism maps zero-sum blocks to zero-sum
-    blocks of the same sizes.  Translations do not, so affine orbits would
-    be wrong here.
+    The profile is computed once per orbit of `groups.automorphisms`, from
+    the representative's exponents, and shared by the orbit: an automorphism
+    maps zero-sum blocks to zero-sum blocks of the same sizes.  Translations
+    do not, so affine orbits would be wrong here.
     """
-    return list(per_monomial(
-        spec, lambda rep: padic_profile(spec, monomial_sequence(spec, rep)), automorphisms
-    ))
-
-
-def monomial_sequence(spec: GroupSpec, mono: Monomial) -> tuple[Element, ...]:
-    """The lexicographically smallest labelling of a monomial as a sequence."""
-    els = elements(spec)
-    seq: list[Element] = []
-    for i, e in enumerate(mono):
-        seq.extend([els[i]] * e)
-    return tuple(seq)
+    return list(per_monomial(spec, lambda rep: _counts_profile(spec, rep), automorphisms))

@@ -45,11 +45,11 @@ from cayley_immanants.supports import (
     count_I_nearhook,
     count_P,
     hall_support,
-    monomial_sequence,
     near_hook_coeff,
     near_hook_scalar_numerator,
     padic_profile,
 )
+from test_supports import monomial_sequence
 
 SEED = 1
 

@@ -2,10 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cayley_immanants
 from cayley_immanants.cli import main
+from cayley_immanants.errors import EnvelopeError
+from cayley_immanants.groups import GroupSpec
 from cayley_immanants.minors import IdentityCheckError
 
 
@@ -88,10 +95,12 @@ def test_determinant_keeps_the_sweep_envelope(capsys):
 def test_hall_envelope_refuses_before_any_table(capsys):
     # c14 has 1,432,860 Hall monomials: the closed form refuses it before the
     # completion table or the enumeration is built
-    from cayley_immanants import supports
+    from cayley_immanants import groups, supports
 
     supports.hall_support.cache_clear()
     supports._completions.cache_clear()
+    supports.orbit_representatives.cache_clear()
+    groups.affine_maps.cache_clear()
     code = main(["support", "--group", "c14"])
     captured = capsys.readouterr()
     assert code == 3
@@ -100,6 +109,40 @@ def test_hall_envelope_refuses_before_any_table(capsys):
     assert supports.hall_support.cache_info().currsize == 0
     assert supports._completions.cache_info().currsize == 0
     assert supports._completions.cache_info().misses == 0
+    assert supports.orbit_representatives.cache_info().currsize == 0
+    assert groups.affine_maps.cache_info().currsize == 0
+    # a direct labelling call is refused before its map set is built too
+    with pytest.raises(EnvelopeError):
+        supports.hall_orbits(GroupSpec((14,)), groups.affine_maps)
+    assert supports._completions.cache_info().misses == 0
+    assert groups.affine_maps.cache_info().currsize == 0
+
+
+# Runs a command and prints its exit code and peak RSS in kilobytes.  Linux
+# counts the memory of the process that forks into a child's peak, so the
+# command is started from this small launcher, not from the test process.
+LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_cold_support_c12_stores_no_hall_support():
+    # the counts stream orbit representatives; the stored Hall support and
+    # its labelling peaked at 45 MB here
+    src = Path(cayley_immanants.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-m", "cayley_immanants", "support", "--group", "c12"]
+    out = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    *doc, last = out.splitlines()
+    code, peak_kb = map(int, last.split())
+    assert code == 0
+    assert json.loads("\n".join(doc)) == {"D": 86500, "I_cohook": 59820, "I_hook": 77160,
+                                          "P": 112720, "group": "c12"}
+    assert peak_kb < 30 * 1024
 
 
 def test_partition_weight_mismatch_exit_code(capsys):
@@ -393,7 +436,7 @@ def _raise_key_error(*args, **kwargs):
 def test_crashing_check_is_an_error_and_the_rest_still_report(capsys, monkeypatch):
     from cayley_immanants import supports, verify
 
-    monkeypatch.setattr(supports, "padic_profile", _raise_key_error)
+    monkeypatch.setattr(supports, "_counts_profile", _raise_key_error)
     code, doc = run_json(capsys, "verify", "--suite", "thm13", "--max-order", "4")
     assert code == 4 and doc["passed"] is False
     by_theorem = {(r["theorem"], r["group"]): r for r in doc["reports"]}

@@ -33,7 +33,6 @@ from cayley_immanants.polynomials import GroupPolynomial
 from cayley_immanants.supports import (
     hall_orbits,
     hall_support,
-    monomial_sequence,
     near_hook_scalar_numerator,
     padic_profile,
 )
@@ -41,6 +40,7 @@ from test_polynomials import monomial_of_perm
 from test_supports import (
     _indices,
     labelled_det_coeff,
+    monomial_sequence,
     oracle_block_shapes,
     orbit_members,
     relabel,

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -32,9 +33,9 @@ from cayley_immanants.supports import (
     det_coeff,
     hall_orbits,
     hall_support,
-    monomial_sequence,
     near_hook_coeff,
     near_hook_scalar_numerator,
+    orbit_representatives,
     padic_profile,
     padic_profiles,
     per_monomial,
@@ -47,6 +48,15 @@ C5 = GroupSpec((5,))
 C6 = GroupSpec((6,))
 C2xC2 = GroupSpec((2, 2))
 C9 = GroupSpec((9,))
+
+
+def monomial_sequence(spec: GroupSpec, mono) -> tuple:
+    """The lexicographically smallest labelling of a monomial as a sequence."""
+    els = elements(spec)
+    seq = []
+    for i, e in enumerate(mono):
+        seq.extend([els[i]] * e)
+    return tuple(seq)
 
 
 # The labelled partition-lattice formula: the test oracle for the two folds
@@ -635,7 +645,7 @@ def test_hall_orbits_hold_one_entry_per_spec_and_map_set():
     with pytest.raises(TypeError):
         hall_orbits(spec)
     hall_orbits.cache_clear()
-    count_D(spec)
+    list(per_monomial(spec, lambda rep: None))
     labels = hall_orbits(spec, affine_maps)
     info = hall_orbits.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
@@ -670,6 +680,115 @@ def test_per_monomial_reads_each_representative_once():
     for mono, rep in rows:
         assert rep <= mono
         assert mono in {relabel(rep, phi) for phi in maps}
+
+
+@pytest.mark.parametrize("order", range(2, 13))
+def test_orbit_representatives_are_the_first_members_of_the_labels(order):
+    for spec in _abelian_groups_of_order(order):
+        labels = hall_orbits(spec, affine_maps)
+        first = {}
+        for mono, label in zip(hall_support(spec), labels, strict=True):
+            first.setdefault(label, mono)
+        sizes = collections.Counter(labels)
+        expected = [(first[k], sizes[k]) for k in range(len(first))]
+        assert list(orbit_representatives(spec)) == expected
+
+
+def burnside_orbit_count(spec, maps):
+    """(1/|A|) sum_r |Fix(r)|: a monomial fixed by r is constant on r's cycles.
+
+    |Fix(r)| counts exponents per cycle by a (degree, sum) DP: a cycle of
+    length L with element sum s adds L*e to the degree and e*s to the sum.
+    """
+    n = spec.order
+    add = add_table(spec)
+    total = 0
+    for r in maps:
+        seen = set()
+        states = {(0, 0): 1}
+        for start in range(n):
+            if start in seen:
+                continue
+            length, cycle_sum, g = 0, 0, start
+            while g not in seen:
+                seen.add(g)
+                length += 1
+                cycle_sum = add[cycle_sum][g]
+                g = r[g]
+            grown = collections.Counter()
+            for (degree, psum), ways in states.items():
+                while degree <= n:
+                    grown[degree, psum] += ways
+                    degree += length
+                    psum = add[psum][cycle_sum]
+            states = grown
+        total += states[n, 0]
+    orbits, rest = divmod(total, len(maps))
+    if rest:
+        raise ArithmeticError(f"Burnside sum {total} not divisible by {len(maps)}")
+    return orbits
+
+
+@pytest.mark.parametrize("factors", [(11,), (2, 6), (13,)], ids=str)
+def test_orbit_count_matches_burnside(factors):
+    spec = GroupSpec(factors)
+    reps = orbit_representatives(spec)
+    assert len(reps) == burnside_orbit_count(spec, affine_maps(spec))
+    assert [mono for mono, _ in reps] == sorted(mono for mono, _ in reps)
+    assert sum(size for _, size in reps) == count_P(spec)
+
+
+@pytest.fixture
+def fake_affine_maps(monkeypatch):
+    """Swap the map set that `orbit_representatives` reads, on a cold cache."""
+    from cayley_immanants import supports
+
+    orbit_representatives.cache_clear()
+    yield lambda maps: monkeypatch.setattr(supports, "affine_maps", lambda spec: maps)
+    orbit_representatives.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "maps, message",
+    [(((0, 1, 2, 3), (1, 0, 2, 3)), r"\(1, 0, 2, 3\).*outside the Hall support of c4"),
+     (((1, 2, 3, 0), (3, 0, 1, 2), (2, 3, 0, 1)), r"lack the identity \(0, 1, 2, 3\)")],
+    ids=["non-affine", "no-identity"],
+)
+def test_orbit_representatives_refuse_a_map_set_that_is_no_group_action(
+    fake_affine_maps, maps, message
+):
+    # refused before any orbit size is divided out: no ZeroDivisionError
+    fake_affine_maps(maps)
+    with pytest.raises(ArithmeticError, match=message) as caught:
+        orbit_representatives(C4)
+    assert type(caught.value) is ArithmeticError
+
+
+def test_orbit_representatives_refuse_orbit_sizes_that_miss_P(fake_affine_maps, monkeypatch):
+    # {identity, g -> g+1} is not closed, so counting the maps that fix a
+    # monomial does not give its orbit size
+    fake_affine_maps((tuple(range(5)), (1, 2, 3, 4, 0)))
+    with pytest.raises(ArithmeticError, match="orbit sizes of c5 sum to 29, not to P = 26"):
+        orbit_representatives(C5)
+    from cayley_immanants import supports
+
+    fake_affine_maps(affine_maps(C5))
+    real = supports.count_P
+    monkeypatch.setattr(supports, "count_P", lambda spec: real(spec) + 1)
+    with pytest.raises(ArithmeticError, match="sum to 26, not to P = 27"):
+        orbit_representatives(C5)
+
+
+def test_counts_store_no_hall_support():
+    # the counts read the stream of representatives, not the labelled support
+    spec = GroupSpec((3, 3))
+    for cache in (hall_support, hall_orbits, orbit_representatives):
+        cache.cache_clear()
+    count_D(spec)
+    count_I_nearhook(spec)
+    assert hall_support.cache_info().currsize == 0
+    assert hall_orbits.cache_info().currsize == 0
+    assert orbit_representatives.cache_info().currsize == 1
 
 
 def test_near_hook_coeff_c2():
