@@ -2,26 +2,42 @@
 
 One ordered table, CHECKS, holds the theorem checks.  A row names its suite
 and theorem, its default groups, a body(spec, seed) that returns None or a
-failure witness, and params(spec) for the report.  One runner walks the
-rows of a suite, and `_report` sorts each outcome into pass, fail, skipped or
-error.  Group lists default to the orders the checks were designed around and
-can be overridden, though not by an empty list; all randomness is derived from
-the caller's seed.  The suite_<name> functions are the runner bound to each
-suite; they stay only because the benchmark tracer wraps them by name.  The
-exact minor checks live in a second table, MINOR_CHECKS, which the
-jacobi/scalars rows and the `minors` command run in one loop: seeds outer,
-checks inner, so all checks at a seed read one minor table.
+failure witness, and params(spec) for the report.  One runner takes the
+(check, group) rows of the requested suites in table order, and `_report`
+sorts each outcome into pass, fail, skipped or error.  Group lists default
+to the orders the checks were designed around and can be overridden, though
+not by an empty list; all randomness is derived from the caller's seed.
+
+The runner shards the rows by group (the S_6..S_9 row is a shard of its
+own), since rows on different groups share no memo entry.  The shard indices
+go on a pipe, largest group order first.  This process and one `os.fork`ed
+worker per further CPU read it until it is empty; a worker pickles its
+(row index, report) pairs back over a pipe of its own and leaves by
+`os._exit`.  Each report is put back at its row index, so the output does
+not depend on which process ran a row.  With one CPU or one shard nothing
+forks.  A worker that exits nonzero, or a row that comes back without a
+report, is a crash (RuntimeError), and every worker is reaped before the
+runner returns.  Forking assumes a process with no threads, as the CLI is.
+Within a shard, a group's rows run back to back, so its class walks, orbit
+stream and minor tables are built once.
+
+The suite_<name> functions are the runner bound to each suite; they stay
+only because the benchmark tracer wraps them by name.  The exact minor
+checks live in a second table, MINOR_CHECKS, which the jacobi/scalars rows
+and the `minors` command run in one loop: seeds outer, checks inner, so all
+checks at a seed read one minor table.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .characters import (
     CycleType,
@@ -525,34 +541,165 @@ CHECKS = (
 )
 
 
-def _run_checks(suite: str, groups=None, max_order=None, seed: int = 1) -> list[VerifyReport]:
-    """One report per row of the suite and group, in table order."""
-    reports = []
+def _rows(suites, groups, max_order) -> list[tuple[Check, GroupSpec | None]]:
+    """The (check, group) rows of the suites, in table order; None is S_6..S_9."""
+    rows = []
     for check in CHECKS:
-        if check.suite != suite:
+        if check.suite not in suites:
             continue
         if check.groups is None:
             # A check on S_6..S_9, not on a group, runs only when neither
             # --groups nor a --max-order below 9 narrows the suite.
             if groups is None and (max_order is None or max_order >= 9):
-                params = check.params(None)
-                reports.append(_run(check.theorem, "s6..s9", params, check.body, None, seed))
+                rows.append((check, None))
             continue
-        for spec in _groups(check.groups, groups, max_order):
-            params = check.params(spec)
-            reports.append(_run(check.theorem, spec.name, params, check.body, spec, seed))
+        rows.extend((check, spec) for spec in _groups(check.groups, groups, max_order))
+    return rows
+
+
+def _shards(rows) -> list[list[int]]:
+    """Row indices grouped by group, largest group order first, ties in table order.
+
+    A group's rows form one shard, so its class walks, orbit stream and minor
+    tables stay in one process's memo.  The S_6..S_9 row is a shard of its
+    own, run last.
+    """
+    by_spec: dict[GroupSpec | None, list[int]] = {}
+    for i, (_, spec) in enumerate(rows):
+        by_spec.setdefault(spec, []).append(i)
+
+    def order(shard):
+        spec = rows[shard[0]][1]
+        return 0 if spec is None else spec.order
+
+    return sorted(by_spec.values(), key=order, reverse=True)
+
+
+def _worker_count(shards: int) -> int:
+    """How many processes drain the shard queue, this one included."""
+    return min(len(os.sched_getaffinity(0)), shards)
+
+
+_INDEX_BYTES = 4  # one shard index on the queue pipe
+
+
+def _drain(queue: int, rows, shards, seed: int) -> list[tuple[int, VerifyReport]]:
+    """Run the shards read off the queue until it is empty: (row index, report) pairs."""
+    pairs = []
+    while index := os.read(queue, _INDEX_BYTES):
+        for i in shards[int.from_bytes(index, "little")]:
+            check, spec = rows[i]
+            group = "s6..s9" if spec is None else spec.name
+            pairs.append((i, _run(check.theorem, group, check.params(spec), check.body, spec,
+                                  seed)))
+    return pairs
+
+
+def _work(queue: int, rows, shards, seed: int, result: int) -> NoReturn:
+    """A forked worker: drain the queue, pickle its pairs into the result pipe, exit.
+
+    It leaves by os._exit, so it never unwinds into its caller's frames and
+    never flushes a buffer it inherited.  Any exception exits nonzero.
+    """
+    import pickle
+
+    code = 1
+    try:
+        with open(result, "wb") as pipe:
+            pickle.dump(_drain(queue, rows, shards, seed), pipe)
+        code = 0
+    except BaseException:  # noqa: BLE001 - the worker exits here; the parent sees the code
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def _forked_pairs(queue: int, rows, shards, seed: int, workers: int):
+    """Drain the queue here and in `workers` forked processes; every (row, report) pair.
+
+    A worker that exits nonzero raises RuntimeError.  Every worker is reaped
+    before this returns or raises, and one still running is killed first.
+    """
+    import pickle
+    import signal
+
+    sys.stdout.flush()
+    sys.stderr.flush()  # a worker must not write the parent's buffered text again
+    results: list[int] = []  # read end of each worker's result pipe
+    running: list[int] = []  # pids not yet reaped
+    try:
+        for _ in range(workers):
+            result, into = os.pipe()
+            results.append(result)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(queue, rows, shards, seed, into)
+            finally:
+                os.close(into)
+            running.append(pid)
+        pairs = _drain(queue, rows, shards, seed)
+        for pid, result in zip(list(running), results):
+            with open(result, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            running.remove(pid)
+            if status != 0:
+                raise RuntimeError(
+                    f"a verify worker exited with code {os.waitstatus_to_exitcode(status)}")
+            pairs += pickle.loads(data)
+        return pairs
+    finally:
+        for result in results:
+            os.close(result)
+        for pid in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_checks(suites, groups=None, max_order=None, seed: int = 1) -> list[VerifyReport]:
+    """One report per (check, group) row of the suites, in table order.
+
+    The shards go on a pipe as fixed-width indices, largest group first.  This
+    process and up to one forked worker per further CPU read it until it is
+    empty, and each report is put back at its row index.
+    """
+    rows = _rows(suites, groups, max_order)
+    shards = _shards(rows)
+    queue, feed = os.pipe()
+    try:
+        os.write(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(shards))))
+    finally:
+        os.close(feed)
+    try:
+        workers = _worker_count(len(shards)) - 1
+        if workers > 0:
+            pairs = _forked_pairs(queue, rows, shards, seed, workers)
+        else:
+            pairs = _drain(queue, rows, shards, seed)
+    finally:
+        os.close(queue)
+    reports: list = [None] * len(rows)
+    for i, report in pairs:
+        reports[i] = report
+    missing = sum(report is None for report in reports)
+    if missing:
+        raise RuntimeError(f"{missing} of {len(rows)} verify rows came back without a report")
     return reports
 
 
-_SUITE_FUNCS = {s: partial(_run_checks, s) for s in dict.fromkeys(c.suite for c in CHECKS)}
+_SUITE_FUNCS = {s: partial(_run_checks, (s,)) for s in dict.fromkeys(c.suite for c in CHECKS)}
 SUITES = (*_SUITE_FUNCS, "all")
-# Bound only because perfbench/inproc.py traces suite_* and patches _SUITE_FUNCS.
+# Bound only because perfbench/inproc.py traces suite_* and patches _SUITE_FUNCS;
+# run_suite calls _run_checks itself.
 globals().update({f"suite_{name}": fn for name, fn in _SUITE_FUNCS.items()})
 
 
 def run_suite(suite: str, groups=None, max_order=None, seed: int = 1) -> list[VerifyReport]:
-    if suite == "all":
-        return [r for fn in _SUITE_FUNCS.values() for r in fn(groups, max_order, seed)]
-    if suite not in _SUITE_FUNCS:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
-    return _SUITE_FUNCS[suite](groups, max_order, seed)
+    suites = tuple(_SUITE_FUNCS) if suite == "all" else (suite,)
+    return _run_checks(suites, groups, max_order, seed)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -454,6 +455,36 @@ def test_crashing_check_is_an_error_and_the_rest_still_report(capsys, monkeypatc
     assert doc["checks"]["t2t12"] == {"status": "error", "counterexample": "KeyError: 'boom'"}
 
 
+def test_a_worker_that_dies_is_a_crash_and_every_worker_is_reaped(capsys, monkeypatch, tmp_path):
+    # the check dies in any forked worker; in this process it waits until one
+    # has died, so the worker is sure to take a shard
+    from cayley_immanants import verify
+
+    parent = os.getpid()
+    died = tmp_path / "died"
+
+    def body(spec, seed):
+        if os.getpid() != parent:
+            died.touch()
+            os._exit(9)
+        deadline = time.monotonic() + 30
+        while not died.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return None
+
+    check = verify.Check("hall", "dies-in-a-worker", ("c3", "c4", "c5"), body, verify._no_params)
+    monkeypatch.setattr(verify, "CHECKS", (check,))
+    monkeypatch.setattr(verify, "_worker_count", lambda shards: 2)
+    with pytest.raises(RuntimeError, match="exited with code 9"):
+        verify.run_suite("hall")
+    died.unlink()
+    code, out = run_cli(capsys, "verify", "--suite", "hall")
+    assert (code, out) == (4, "")
+    assert died.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize(
     "exc",
     [ArithmeticError("partition-formula value 3 not divisible by 2"),
@@ -543,7 +574,8 @@ STDOUT_SHA256 = {
     "minors --group c11 --seeds 3 --seed 1 --checks conv,jacobi,f1,t2t12,scalars":
         "fab9335f9afc9e30b63c514c56827e741f06ab2f5ebaf49d02da6ff8e89e5623",
     # the headline command, as `perfbench/workloads.py` pins it; run after
-    # other tests have filled the per-process caches
+    # other tests have filled the per-process caches, with its rows in
+    # per-group forked workers on a host with more than one CPU
     "verify --suite all --seed 1":
         "36df352ee8f715f8e080c49624b504410a543b2bedb91f2f67f2ee9ddcc15920",
 }

@@ -1,3 +1,6 @@
+import os
+import time
+
 import pytest
 
 from cayley_immanants.characters import Partition
@@ -102,14 +105,78 @@ def test_c9_suites_walk_each_representative_once():
     assert _class_walk.cache_info().currsize == info.currsize
 
 
-def test_all_suites_walk_699_distinct_classes():
+def test_all_suites_walk_699_distinct_classes(monkeypatch):
     # each distinct (group, monomial) is walked once; the determinant walks
-    # none, and thm13 reads the walks of its representatives from the memo
+    # none, and thm13 reads the walks of its representatives from the memo.
+    # One process runs every shard, so this memo sees every walk.
+    from cayley_immanants import verify
+
+    monkeypatch.setattr(verify, "_worker_count", lambda shards: 1)
     _class_walk.cache_clear()
     reports = run_suite("all")
     assert all(r.status in ("pass", "skipped") for r in reports)
     info = _class_walk.cache_info()
     assert (info.misses, info.hits + info.misses) == (699, 2306)
+
+
+def test_each_group_runs_in_exactly_one_shard():
+    # so a forked run makes the same 699 walks as one process: no group's
+    # census is walked in two processes
+    from cayley_immanants import verify
+
+    rows = verify._rows(tuple(verify._SUITE_FUNCS), None, None)
+    shards = verify._shards(rows)
+    assert len(rows) == 61
+    assert sorted(i for shard in shards for i in shard) == list(range(61))
+    shard_of = {}
+    for k, shard in enumerate(shards):
+        assert shard == sorted(shard)  # table order inside a shard
+        for i in shard:
+            assert shard_of.setdefault(rows[i][1], k) == k
+    assert len(shards) == len(shard_of) == 14
+    assert [rows[i][0].theorem for i in shards[-1]] == ["closed-character-forms"]
+    orders = [rows[shard[0]][1].order for shard in shards[:-1]]
+    assert orders == sorted(orders, reverse=True) and orders[0] == 10
+    # one process per CPU, never more processes than shards
+    assert verify._worker_count(len(shards)) == min(len(os.sched_getaffinity(0)), 14)
+    assert verify._worker_count(1) == 1
+
+
+def test_forked_workers_report_what_one_process_reports(monkeypatch):
+    # three processes on any host, so the fork path runs even with one CPU
+    from cayley_immanants import verify
+
+    def rows(reports):
+        return [r.to_json_dict() for r in reports]
+
+    monkeypatch.setattr(verify, "_worker_count", lambda shards: 3)
+    forked = rows(run_suite("all"))
+    monkeypatch.setattr(verify, "_worker_count", lambda shards: 1)
+    assert forked == rows(run_suite("all"))
+    assert len(forked) == 61
+
+
+def test_all_suites_build_one_minor_table_per_specialization(monkeypatch):
+    # a group's jacobi, scalars and reduction rows run back to back in its
+    # shard, so the small table cache never evicts a table that is read again
+    from cayley_immanants import minors, verify
+
+    built = []
+
+    class CountingTable(minors._MinorTable):
+        def __init__(self, spec, rho):
+            built.append((spec, rho))
+            super().__init__(spec, rho)
+
+    monkeypatch.setattr(minors, "_MinorTable", CountingTable)
+    monkeypatch.setattr(verify, "_worker_count", lambda shards: 1)
+    minors._minor_table.cache_clear()
+    try:
+        reports = run_suite("all")
+    finally:
+        minors._minor_table.cache_clear()
+    assert all(r.status in ("pass", "skipped") for r in reports)
+    assert len(built) == len(set(built)) == 52
 
 
 def test_thm15_and_prop42():
@@ -297,3 +364,68 @@ def test_a_crash_stops_its_own_check_and_the_rest_go_on(monkeypatch, built_table
     assert [r.status for r in reports] == ["pass", "pass", "error"]
     assert reports[2].witness == "KeyError: 'boom'"
     assert sorted(built_tables) == [1, 2, 3, 4]
+
+
+def _wait_for(path, seconds=30):
+    """Wait until a forked worker has made the file, at most `seconds`."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+def test_an_interrupted_parent_kills_and_reaps_a_running_worker(monkeypatch, tmp_path):
+    # the worker's check would run for a minute; this process stops as soon
+    # as the worker has started it
+    from cayley_immanants import verify
+
+    class Stop(BaseException):
+        pass
+
+    parent = os.getpid()
+    started = tmp_path / "started"
+
+    def body(spec, seed):
+        if os.getpid() != parent:
+            started.touch()
+            time.sleep(60)
+            return None
+        _wait_for(started)
+        raise Stop
+
+    check = verify.Check("hall", "stops-the-parent", ("c3", "c4"), body, verify._no_params)
+    monkeypatch.setattr(verify, "CHECKS", (check,))
+    monkeypatch.setattr(verify, "_worker_count", lambda shards: 2)
+    start = time.monotonic()
+    with pytest.raises(Stop):
+        run_suite("hall")
+    assert started.exists()
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_returns_too_few_reports_is_a_crash(monkeypatch, tmp_path):
+    # the worker exits 0 but hands back one pair fewer than it ran
+    from cayley_immanants import verify
+
+    parent = os.getpid()
+    ran = tmp_path / "ran"
+    real_drain = verify._drain
+
+    def body(spec, seed):
+        if os.getpid() != parent:
+            ran.touch()
+        _wait_for(ran)
+        return None
+
+    def drain(*args):
+        pairs = real_drain(*args)
+        return pairs if os.getpid() == parent else pairs[:-1]
+
+    check = verify.Check("hall", "loses-a-report", ("c3", "c4", "c5"), body, verify._no_params)
+    monkeypatch.setattr(verify, "CHECKS", (check,))
+    monkeypatch.setattr(verify, "_drain", drain)
+    monkeypatch.setattr(verify, "_worker_count", lambda shards: 2)
+    with pytest.raises(RuntimeError, match="of 3 verify rows came back without a report"):
+        run_suite("hall")
+    assert ran.exists()
