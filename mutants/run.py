@@ -1,0 +1,172 @@
+"""Mutation runner: does tier-1 catch each of a fixed list of one-line faults?
+
+    python3 mutants/run.py                      # every mutant
+    python3 mutants/run.py jacobi-raise f1-raise  # the named ones
+
+Run from anywhere; it reads the checkout it sits in and writes nothing there.
+Each mutant is one (file, old, new) edit.  For each, the checkout (less .git,
+caches and benchmark results) is copied to a temporary directory, the edit
+is applied there, and tier-1 runs in that copy with `pytest -x -q`.  A
+mutant is *caught* when a test fails (the first failing test is named),
+*survived* when every test passes, and *equivalent* when the list documents
+that no test can tell it from the real code; an equivalent mutant is not
+run, but its edit must still apply.  The unmutated copy runs first: if it
+fails, no mutant is tried.
+
+An edit whose old text does not occur exactly once in its file is stale and
+stops the run before any test does.  The exit code is 0 when every
+non-equivalent mutant was caught, else 1.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    equivalent: str | None = None  # why no test can tell it apart
+
+
+MINORS = "src/cayley_immanants/minors.py"
+VERIFY = "src/cayley_immanants/verify.py"
+SUPPORTS = "src/cayley_immanants/supports.py"
+
+MUTANTS = (
+    # every raise of an exact minor identity, replaced by pass
+    Mutant("conv-raise", MINORS,
+           '                raise IdentityCheckError(\n'
+           '                    f"sum_r x_r y_(r+s) = [s = 0] at s={s}", residual, expected\n'
+           '                )\n',
+           "                pass\n"),
+    Mutant("jacobi-raise", MINORS,
+           '            raise IdentityCheckError(f"complementary minor {list(subset)}", lhs, rhs)',
+           "            pass"),
+    Mutant("scalars-raise", MINORS,
+           "            raise IdentityCheckError(equation, lhs, rhs)",
+           "            pass"),
+    Mutant("reduction-raise", MINORS,
+           '        raise IdentityCheckError("twin = F1 - det + 2*(T12 - T2)", lhs, rhs)',
+           "        pass"),
+    Mutant("f1-raise", VERIFY,
+           '        raise IdentityCheckError("F1 = det", lhs, rhs)',
+           "        pass"),
+    Mutant("t2t12-raise", VERIFY,
+           '        raise IdentityCheckError("T12 = T2", lhs, rhs)',
+           "        pass"),
+    Mutant("b4-equation-deleted", MINORS,
+           '        ("B4 = S", b4, s_val),\n', "",
+           equivalent="B4 = B5 for every x and y (swap j and k; w is symmetric in them), "
+                      "so B4 = S fails only where B5 = S does"),
+    # the mutation survey's survivors, since covered by a test each
+    Mutant("thm13-walked-d", VERIFY,
+           "        if walked != d:", "        if False:"),
+    Mutant("count-p-divisibility", SUPPORTS,
+           "    if total % n:\n"
+           '        raise ArithmeticError(f"closed-form P sum {total} not divisible by {n}")\n',
+           ""),
+    Mutant("padic-strictly-minimal", SUPPORTS,
+           "strictly_minimal=all(v > one_block for v in multi_block)",
+           "strictly_minimal=all(v >= one_block for v in multi_block)"),
+    # the sharded verify runner's crash checks
+    Mutant("worker-status-ignored", VERIFY,
+           "            if status != 0:", "            if False:"),
+    Mutant("missing-report-ignored", VERIFY,
+           "    if missing:", "    if False:"),
+)
+
+
+def _copy_checkout(into: Path) -> None:
+    shutil.copytree(ROOT, into, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", "results", "mutants"))
+
+
+def _apply(tree: Path, mutant: Mutant) -> None:
+    path = tree / mutant.file
+    text = path.read_text()
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _tier1(tree: Path) -> tuple[bool, str, float]:
+    """(passed, first failing test or pass count, seconds) of `pytest -x -q` in tree."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {TIMEOUT_S} s", time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode == 0:
+        return True, lines[-1] if lines else "", seconds
+    failed = [line.split(" - ")[0] for line in lines if line.startswith(("FAILED", "ERROR"))]
+    return False, failed[0] if failed else f"pytest exit {proc.returncode}", seconds
+
+
+def _stale(mutants) -> list[str]:
+    out = []
+    for mutant in mutants:
+        count = (ROOT / mutant.file).read_text().count(mutant.old)
+        if count != 1:
+            out.append(f"{mutant.name}: old text occurs {count} times in {mutant.file}")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutant(s) {', '.join(unknown)} (choose from {', '.join(by_name)})",
+              file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in argv] or list(MUTANTS)
+    stale = _stale(chosen)
+    if stale:
+        print("stale edits:\n  " + "\n  ".join(stale), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        baseline = Path(scratch) / "baseline"
+        _copy_checkout(baseline)
+        passed, detail, seconds = _tier1(baseline)
+        print(f"{'baseline':24} {'pass' if passed else 'FAIL':10} {seconds:6.1f} s  {detail}",
+              flush=True)
+        if not passed:
+            return 1
+        survivors = 0
+        for mutant in chosen:
+            if mutant.equivalent:
+                print(f"{mutant.name:24} {'equivalent':10} {'':8}  {mutant.equivalent}",
+                      flush=True)
+                continue
+            tree = Path(scratch) / mutant.name
+            _copy_checkout(tree)
+            _apply(tree, mutant)
+            passed, detail, seconds = _tier1(tree)
+            survivors += passed
+            print(f"{mutant.name:24} {'SURVIVED' if passed else 'caught':10} {seconds:6.1f} s  "
+                  f"{detail}", flush=True)
+            shutil.rmtree(tree)
+    run = sum(not m.equivalent for m in chosen)
+    print(f"{run - survivors} of {run} caught, {survivors} survived, "
+          f"{len(chosen) - run} documented equivalent")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

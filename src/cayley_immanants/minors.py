@@ -6,7 +6,9 @@ from Cramer determinants on that same matrix, and the convolution residual
 sum_r x_r y_(r+s) = [s = 0] certifies them.  That residual is the matrix
 identity M*Y = I for Y = (y_(a+b)), so it also proves the inverse
 group-Hankel.  Identity checks compare rationals for equality, never within
-a tolerance.
+a tolerance, and have one failure convention: a check raises
+IdentityCheckError(equation, lhs, rhs) at its first broken equation, and
+none returns a failure.
 
 Each specialization (spec, rho) gets one table, kept in a small LRU cache:
 the Cayley matrix with its denominators cleared in integers (every row holds
@@ -264,41 +266,36 @@ def gamma_expression(
 
 @dataclass(frozen=True)
 class JacobiReport:
-    """Outcome of the complementary-minor checks on 1-, 2-, 3-subsets."""
+    """How many complementary-minor identities a passing check compared."""
 
     checked: int
-    violations: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def jacobi_check(spec: GroupSpec, rho: RationalSpecialization) -> JacobiReport:
-    """Compare every principal minor of size n-1, n-2, n-3 with its y form."""
+    """Compare every principal minor of size n-1, n-2, n-3 with its y form.
+
+    The subsets run by size, each size in lexicographic order; the first
+    minor that differs raises IdentityCheckError naming its removed indices.
+    """
     n = spec.order
     table = _minor_table(spec, rho)
     y, delta = table.profile.y, table.profile.delta
     add = add_table(spec)
     dbl = double_table(spec)
+    y_forms = itertools.chain(
+        (((i,), delta * y[dbl[i]]) for i in range(n)),
+        (((i, j), delta * (y[dbl[i]] * y[dbl[j]] - y[add[i][j]] ** 2))
+         for i, j in itertools.combinations(range(n), 2)),
+        (((i, j, k), delta * gamma_expression(spec, y, i, j, k))
+         for i, j, k in itertools.combinations(range(n), 3)),
+    )
     checked = 0
-    violations = []
-
-    def record(subset, lhs, rhs):
-        nonlocal checked
-        checked += 1
+    for subset, rhs in y_forms:
+        lhs = table.minor(subset)
         if lhs != rhs:
-            violations.append((subset, lhs, rhs))
-
-    for i in range(n):
-        record((i,), table.minor((i,)), delta * y[dbl[i]])
-    for i, j in itertools.combinations(range(n), 2):
-        rhs = delta * (y[dbl[i]] * y[dbl[j]] - y[add[i][j]] ** 2)
-        record((i, j), table.minor((i, j)), rhs)
-    for i, j, k in itertools.combinations(range(n), 3):
-        rhs = delta * gamma_expression(spec, y, i, j, k)
-        record((i, j, k), table.minor((i, j, k)), rhs)
-    return JacobiReport(checked=checked, violations=tuple(violations))
+            raise IdentityCheckError(f"complementary minor {list(subset)}", lhs, rhs)
+        checked += 1
+    return JacobiReport(checked=checked)
 
 
 def lemma43_scalars(
@@ -366,30 +363,20 @@ def lemma43_scalars(
     return (c_val, s_val, b1, b2, b3, b4, b5)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    """Both sides of the principal-minor reduction at one specialization."""
-
-    twin_value: Fraction
-    minor_value: Fraction
-
-    @property
-    def passed(self) -> bool:
-        return self.twin_value == self.minor_value
-
-
 def reduction_check(
     spec: GroupSpec,
     rho: RationalSpecialization,
     twin: GroupPolynomial,
-) -> ReductionReport:
-    """Evaluate the twin-immanant difference against F1 - det + 2(T12 - T2).
+) -> None:
+    """Check the twin-immanant difference against F1 - det + 2(T12 - T2).
 
     The identity is matrix-general, so it holds for even groups too.  The
     caller computes the twin polynomial once and passes it for every seed.
+    Unequal sides raise IdentityCheckError.
     """
     if spec.order < 6:
         raise ValueError("both twin shapes need group order >= 6")
     lhs = twin.evaluate(rho)
     rhs = F1(spec, rho) - specialized_det(spec, rho) + 2 * (T12(spec, rho) - T2(spec, rho))
-    return ReductionReport(twin_value=lhs, minor_value=rhs)
+    if lhs != rhs:
+        raise IdentityCheckError("twin = F1 - det + 2*(T12 - T2)", lhs, rhs)

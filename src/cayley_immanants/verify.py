@@ -25,7 +25,9 @@ The suite_<name> functions are the runner bound to each suite; they stay
 only because the benchmark tracer wraps them by name.  The exact minor
 checks live in a second table, MINOR_CHECKS, which the jacobi/scalars rows
 and the `minors` command run in one loop: seeds outer, checks inner, so all
-checks at a seed read one minor table.
+checks at a seed read one minor table.  A minor check has one way to fail:
+it raises IdentityCheckError at its first broken equation, and that
+equation and its two sides are the counterexample.
 """
 
 from __future__ import annotations
@@ -186,10 +188,11 @@ def _groups(names, override, max_order):
 class MinorCheck(NamedTuple):
     """An exact minor identity checked at seeded random points.
 
-    body(spec, rho, twin) returns None or an (equation, lhs, rhs) failure; an
-    IdentityCheckError it raises is the same failure.  twin is the twin-immanant
-    difference when uses_twin is set (swept once per group, not once per seed),
-    else None.  odd_order and min_order are the identity's hypothesis.
+    body(spec, rho) returns if the identity holds at rho and raises
+    IdentityCheckError, naming the first broken equation, if not; a
+    uses_twin body also takes twin=, the twin-immanant difference, swept once
+    per group rather than once per seed.  odd_order and min_order are the
+    identity's hypothesis.
     """
 
     body: Callable
@@ -198,48 +201,25 @@ class MinorCheck(NamedTuple):
     uses_twin: bool = False
 
 
-def _conv_body(spec, rho, twin):
-    inverse_profile(spec, rho)  # raises on the first nonzero convolution residual
-    return None
-
-
-def _jacobi_body(spec, rho, twin):
-    report = jacobi_check(spec, rho)
-    if report.passed:
-        return None
-    subset, lhs, rhs = report.violations[0]
-    return f"complementary minor {list(subset)}", lhs, rhs
-
-
-def _f1_body(spec, rho, twin):
+def _f1_body(spec, rho):
     lhs, rhs = F1(spec, rho), specialized_det(spec, rho)
-    return None if lhs == rhs else ("F1 = det", lhs, rhs)
+    if lhs != rhs:
+        raise IdentityCheckError("F1 = det", lhs, rhs)
 
 
-def _t2t12_body(spec, rho, twin):
+def _t2t12_body(spec, rho):
     lhs, rhs = T12(spec, rho), T2(spec, rho)
-    return None if lhs == rhs else ("T12 = T2", lhs, rhs)
-
-
-def _scalars_body(spec, rho, twin):
-    lemma43_scalars(spec, rho)
-    return None
-
-
-def _reduction_body(spec, rho, twin):
-    report = reduction_check(spec, rho, twin=twin)
-    if report.passed:
-        return None
-    return "twin = F1 - det + 2*(T12 - T2)", report.twin_value, report.minor_value
+    if lhs != rhs:
+        raise IdentityCheckError("T12 = T2", lhs, rhs)
 
 
 MINOR_CHECKS = {
-    "conv": MinorCheck(_conv_body),
-    "jacobi": MinorCheck(_jacobi_body),
+    "conv": MinorCheck(inverse_profile),
+    "jacobi": MinorCheck(jacobi_check),
     "f1": MinorCheck(_f1_body, odd_order=True),
     "t2t12": MinorCheck(_t2t12_body, odd_order=True),
-    "scalars": MinorCheck(_scalars_body, odd_order=True),
-    "reduction": MinorCheck(_reduction_body, min_order=6, uses_twin=True),
+    "scalars": MinorCheck(lemma43_scalars, odd_order=True),
+    "reduction": MinorCheck(reduction_check, min_order=6, uses_twin=True),
 }
 
 
@@ -250,19 +230,21 @@ def _minor_outcomes(
 
     Hypotheses are tested, and the twin swept, before the first seed; then
     every live check runs at a seed before the next, so they read one minor
-    table per seed.  An outcome is the check's first counterexample, None, or
-    the exception that stopped it.
+    table per seed.  An outcome is the check's first counterexample, taken
+    from the IdentityCheckError it raised, None, or the exception that
+    stopped it.
     """
     checks = [MINOR_CHECKS[name] for name in names]
+    bodies = [check.body for check in checks]
     outcomes: list = [None] * len(checks)
     seconds = [0.0] * len(checks)
-    twins: list = [None] * len(checks)
     for i, check in enumerate(checks):
         start = time.perf_counter()
         try:
             _require(not check.odd_order or spec.order % 2 == 1, "odd order required")
             _require(spec.order >= check.min_order, f"group order below {check.min_order}")
-            twins[i] = twin_difference(spec) if check.uses_twin else None
+            if check.uses_twin:
+                bodies[i] = partial(check.body, twin=twin_difference(spec))
         except Exception as exc:  # noqa: BLE001 - sorted per check by _report
             outcomes[i] = exc
         seconds[i] = time.perf_counter() - start
@@ -270,17 +252,13 @@ def _minor_outcomes(
     for s in range(seed, seed + seeds):
         for i in live:
             start = time.perf_counter()
-            failure = None
             try:
-                rho = random_specialization(spec, s, value_range)
-                failure = checks[i].body(spec, rho, twins[i])
+                bodies[i](spec, random_specialization(spec, s, value_range))
             except IdentityCheckError as exc:
-                failure = exc.equation, exc.lhs, exc.rhs
+                outcomes[i] = {"seed": s, "equation": exc.equation, "lhs": str(exc.lhs),
+                               "rhs": str(exc.rhs)}
             except Exception as exc:  # noqa: BLE001 - sorted per check by _report
                 outcomes[i] = exc
-            if failure is not None:
-                equation, lhs, rhs = failure
-                outcomes[i] = {"seed": s, "equation": equation, "lhs": str(lhs), "rhs": str(rhs)}
             seconds[i] += time.perf_counter() - start
         live = [i for i in live if outcomes[i] is None]
     return list(zip(outcomes, seconds))
@@ -620,6 +598,7 @@ def _work(queue: int, rows, shards, seed: int, result: int) -> NoReturn:
 def _forked_pairs(queue: int, rows, shards, seed: int, workers: int):
     """Drain the queue here and in `workers` forked processes; every (row, report) pair.
 
+    With workers <= 0 nothing forks and this process drains the queue alone.
     A worker that exits nonzero raises RuntimeError.  Every worker is reaped
     before this returns or raises, and one still running is killed first.
     """
@@ -675,11 +654,7 @@ def _run_checks(suites, groups=None, max_order=None, seed: int = 1) -> list[Veri
     finally:
         os.close(feed)
     try:
-        workers = _worker_count(len(shards)) - 1
-        if workers > 0:
-            pairs = _forked_pairs(queue, rows, shards, seed, workers)
-        else:
-            pairs = _drain(queue, rows, shards, seed)
+        pairs = _forked_pairs(queue, rows, shards, seed, _worker_count(len(shards)) - 1)
     finally:
         os.close(queue)
     reports: list = [None] * len(rows)

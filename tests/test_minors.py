@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -282,8 +283,7 @@ def test_gamma_symmetric():
 def test_jacobi_check_passes():
     for spec in (C3, C4, C5, C6, GroupSpec((2, 2))):
         for seed in range(2):
-            report = jacobi_check(spec, random_specialization(spec, seed))
-            assert report.passed, report.violations[:3]
+            report = jacobi_check(spec, random_specialization(spec, seed))  # raises on a miss
             n = spec.order
             assert report.checked == n + math.comb(n, 2) + math.comb(n, 3)
 
@@ -308,16 +308,16 @@ def test_reduction_check_c6_and_c7():
     twin7 = twin_difference(C7)
     assert twin7.is_zero
     for seed in range(2):
-        report = reduction_check(C7, random_specialization(C7, seed), twin=twin7)
-        assert report.passed
-        assert report.twin_value == 0
+        rho = random_specialization(C7, seed)
+        reduction_check(C7, rho, twin=twin7)  # raises unless both sides agree
+        assert twin7.evaluate(rho) == 0
 
     twin6 = twin_difference(C6)
     saw_nonzero = False
     for seed in range(3):
-        report = reduction_check(C6, random_specialization(C6, seed), twin=twin6)
-        assert report.passed
-        saw_nonzero = saw_nonzero or report.twin_value != 0
+        rho = random_specialization(C6, seed)
+        reduction_check(C6, rho, twin=twin6)
+        saw_nonzero = saw_nonzero or twin6.evaluate(rho) != 0
     assert saw_nonzero
 
 
@@ -362,6 +362,7 @@ def oracle_sums(spec, rho):
 
 
 def oracle_jacobi(spec, rho):
+    """(checked, violations): every 1-, 2-, 3-subset minor against its y form."""
     n = spec.order
     y = oracle_y(spec, rho)
     delta = oracle_minor(spec, rho, set())
@@ -383,7 +384,7 @@ def oracle_jacobi(spec, rho):
         checked += 1
         if lhs != rhs:
             violations.append((subset, lhs, rhs))
-    return JacobiReport(checked=checked, violations=tuple(violations))
+    return checked, violations
 
 
 def oracle_scalars(spec, rho):
@@ -436,7 +437,9 @@ def test_minor_table_matches_fresh_determinants(spec, rho):
     minors._minor_table.cache_clear()
     assert specialized_det(spec, rho) == oracle_minor(spec, rho, set())
     assert (F1(spec, rho), T2(spec, rho), T12(spec, rho)) == oracle_sums(spec, rho)
-    assert jacobi_check(spec, rho) == oracle_jacobi(spec, rho)
+    checked, violations = oracle_jacobi(spec, rho)
+    assert violations == []
+    assert jacobi_check(spec, rho) == JacobiReport(checked=checked)
     # every minor the checks filled in, read back from the table
     table = minors._minor_table(spec, rho)
     n = spec.order
@@ -463,7 +466,7 @@ def test_specializations_with_one_seed_never_share_a_table():
     wide = random_specialization(C5, seed=3, value_range=64)
     assert narrow.seed == wide.seed and narrow.values != wide.values
     for rho in (narrow, wide, narrow):
-        assert jacobi_check(C5, rho).passed
+        jacobi_check(C5, rho)  # raises on a differing minor
         assert (F1(C5, rho), T2(C5, rho), T12(C5, rho)) == oracle_sums(C5, rho)
     assert minors._minor_table(C5, narrow) is not minors._minor_table(C5, wide)
     for rho in (narrow, wide):
@@ -532,3 +535,126 @@ def test_minors_command_fails_on_a_corrupted_inverse(corrupt_y1, capsys):
         assert witness["seed"] == 1
         assert witness["equation"].startswith("sum_r x_r y_(r+s) = [s = 0] at s=")
         assert witness["lhs"] != witness["rhs"]
+
+
+def _run_cli(capsys, *argv):
+    code = main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+@pytest.fixture
+def corrupt_minor_1(monkeypatch):
+    """The table's minor det A(1|1) comes out one too large; delta, the
+    Cramer solves and so the inverse profile stay true."""
+    true_minor = minors._MinorTable.minor
+
+    def corrupted(self, removed):
+        return true_minor(self, removed) + (1 if removed == (1,) else 0)
+
+    monkeypatch.setattr(minors._MinorTable, "minor", corrupted)
+    minors._minor_table.cache_clear()
+    yield
+    minors._minor_table.cache_clear()
+
+
+def test_jacobi_check_fails_on_a_corrupted_minor(corrupt_minor_1, capsys):
+    rho = random_specialization(C5, seed=1)
+    inverse_profile(C5, rho)  # the profile still certifies
+    with pytest.raises(IdentityCheckError, match=r"^complementary minor \[1\]: "):
+        jacobi_check(C5, rho)
+
+    code, doc = _run_cli(capsys, "minors", "--group", "c5", "--seeds", "2",
+                         "--checks", "conv,jacobi")
+    assert code == 1
+    assert doc["checks"]["conv"] == {"status": "pass", "counterexample": None}
+    witness = doc["checks"]["jacobi"]["counterexample"]
+    assert doc["checks"]["jacobi"]["status"] == "fail"
+    assert (witness["seed"], witness["equation"]) == (1, "complementary minor [1]")
+    assert witness["lhs"] != witness["rhs"]
+
+    code, doc = _run_cli(capsys, "verify", "--suite", "jacobi", "--groups", "c5")
+    assert code == 1
+    (report,) = doc["reports"]
+    assert report["status"] == "fail"
+    assert report["witness"].startswith("complementary minor [1]: ")
+    assert report["witness"].endswith(" at seed 1")
+
+
+_REDUCTION = "twin = F1 - det + 2*(T12 - T2)"
+
+
+def test_reduction_check_fails_on_a_twin_with_one_coefficient_off(monkeypatch, capsys):
+    from cayley_immanants import verify
+
+    def twin_off_by_one(spec):
+        x0_power = {(spec.order,) + (0,) * (spec.order - 1): 1}
+        return twin_difference(spec).add_scaled(GroupPolynomial.from_terms(spec, x0_power))
+
+    rho = random_specialization(C6, seed=1)
+    with pytest.raises(IdentityCheckError, match=re.escape(_REDUCTION)):
+        reduction_check(C6, rho, twin=twin_off_by_one(C6))
+
+    monkeypatch.setattr(verify, "twin_difference", twin_off_by_one)
+    code, doc = _run_cli(capsys, "minors", "--group", "c6", "--seeds", "2",
+                         "--checks", "reduction")
+    assert code == 1
+    witness = doc["checks"]["reduction"]["counterexample"]
+    assert doc["checks"]["reduction"]["status"] == "fail"
+    assert (witness["seed"], witness["equation"]) == (1, _REDUCTION)
+    assert witness["lhs"] != witness["rhs"]
+
+    code, doc = _run_cli(capsys, "verify", "--suite", "scalars", "--groups", "c6")
+    assert code == 1
+    by_theorem = {r["theorem"]: r for r in doc["reports"]}
+    assert by_theorem["odd-order-minor-scalars"]["status"] == "skipped"
+    reduction = by_theorem["principal-minor-reduction"]
+    assert reduction["status"] == "fail"
+    assert reduction["witness"].startswith(_REDUCTION + ": ")
+
+
+_T12_EQUATION = "2*T12 = delta*(C - n*S)"
+
+
+def test_lemma43_scalars_fail_on_a_wrong_t12(monkeypatch, capsys):
+    # only minors' T12 is off: lemma43_scalars reads it, verify's t2t12 check does not
+    true_t12 = minors.T12
+    monkeypatch.setattr(minors, "T12", lambda spec, rho: true_t12(spec, rho) + 1)
+    with pytest.raises(IdentityCheckError, match=re.escape(_T12_EQUATION)):
+        lemma43_scalars(C5, random_specialization(C5, seed=1))
+
+    code, doc = _run_cli(capsys, "minors", "--group", "c5", "--seeds", "2",
+                         "--checks", "scalars")
+    assert code == 1
+    witness = doc["checks"]["scalars"]["counterexample"]
+    assert (witness["seed"], witness["equation"]) == (1, _T12_EQUATION)
+    assert witness["lhs"] != witness["rhs"]
+
+    code, doc = _run_cli(capsys, "verify", "--suite", "scalars", "--groups", "c5")
+    assert code == 1
+    by_theorem = {r["theorem"]: r for r in doc["reports"]}
+    assert by_theorem["principal-minor-reduction"]["status"] == "skipped"
+    scalars = by_theorem["odd-order-minor-scalars"]
+    assert scalars["status"] == "fail"
+    assert scalars["witness"].startswith(_T12_EQUATION + ": ")
+
+
+# --- Lemma 4.3: B4 = S is implied by B5 = S ----------------------------------
+
+
+@pytest.mark.parametrize("spec", [C3, C5, C7], ids=["c3", "c5", "c7"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_b4_and_b5_sums_agree_for_any_x_and_y(spec, data):
+    # swapping j and k maps each B4 term w*y_2j*y_(i+k)^2 to the B5 term
+    # w*y_2k*y_(i+j)^2, and w = x_2i*x_(j+k)^2 is symmetric in j and k, so
+    # B4 = B5 holds for every x and y and `B4 = S` can only fail with `B5 = S`
+    n = spec.order
+    vector = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+    x, y = data.draw(vector), data.draw(vector)
+    add, dbl = add_table(spec), double_table(spec)
+    b4 = b5 = 0
+    for i, j, k in itertools.product(range(n), repeat=3):
+        w = x[dbl[i]] * x[add[j][k]] ** 2
+        b4 += w * y[dbl[j]] * y[add[i][k]] ** 2
+        b5 += w * y[dbl[k]] * y[add[i][j]] ** 2
+    assert b4 == b5
