@@ -81,6 +81,32 @@ MUTANTS = (
     Mutant("padic-strictly-minimal", SUPPORTS,
            "strictly_minimal=all(v > one_block for v in multi_block)",
            "strictly_minimal=all(v >= one_block for v in multi_block)"),
+    Mutant("certificate-non-strict", SUPPORTS,
+           "    if _least_split_valuation(p, r) <= one_block:",
+           "    if _least_split_valuation(p, r) < one_block:"),
+    Mutant("padic-certificate-fold", VERIFY,
+           "            if profile != certificate:", "            if False:"),
+    Mutant("hall-envelope-non-strict", SUPPORTS,
+           "    if p > MAX_HALL_MONOMIALS:", "    if p >= MAX_HALL_MONOMIALS:",
+           equivalent="no group has exactly 500,000 Hall monomials: P jumps from "
+                      "400,024 (c13) to 1,432,860 (c14)"),
+    # the second mutation survey's survivors: one verify comparison each
+    Mutant("odd-order-scalar-loop", VERIFY,
+           "        if near_hook_scalar_numerator(spec, mono) != 0:", "        if False:"),
+    Mutant("two-mod-four-engine", VERIFY,
+           "        if counts != (hook.support_size, cohook.support_size):", "        if False:"),
+    Mutant("master-formula", VERIFY,
+           "        if got != expected:\n            return f\"coefficient mismatch",
+           "        if False:\n            return f\"coefficient mismatch"),
+    Mutant("odd-order-twin", VERIFY,
+           "    if not diff.is_zero:", "    if False:"),
+    Mutant("even-cyclic-twin-x0", VERIFY,
+           "    if got != expected:\n        return f\"[x_0^",
+           "    if False:\n        return f\"[x_0^"),
+    Mutant("regular-character", VERIFY,
+           "    if total != expected:", "    if False:"),
+    Mutant("closed-character-forms", VERIFY,
+           "                if got != expected:", "                if False:"),
     # the sharded verify runner's crash checks
     Mutant("worker-status-ignored", VERIFY,
            "            if status != 0:", "            if False:"),

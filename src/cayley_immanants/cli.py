@@ -33,6 +33,8 @@ from .immanants import (
 )
 from .minors import IdentityCheckError
 from .supports import (
+    _walk_hall_support,
+    block_size_certificate,
     check_hall_envelope,
     count_D,
     count_I_nearhook,
@@ -40,7 +42,6 @@ from .supports import (
     det_coeff,
     near_hook_coeff,
     padic_profile,
-    padic_profiles,
     per_monomial,
 )
 from .verify import MINOR_CHECKS, SUITES, exit_code, run_minor_checks, run_suite
@@ -185,23 +186,23 @@ def _parse_sequence(text: str):
 
 def cmd_padic(args) -> int:
     spec = args.group
-    if len(_prime_factorization(spec.order)) != 1:
-        print(f"error: {spec.name} does not have prime-power order", file=sys.stderr)
-        return 2
-    if args.all:
-        # a monomial's row lists each element label as often as its exponent,
-        # in element order: its lexicographically smallest labelling
-        labels = [_format_element(g) for g in elements(spec)]
-        rows = [(" ".join([label for label, e in zip(labels, m) for _ in range(e)]), prof)
-                for m, prof in padic_profiles(spec)]
-    else:
-        seq = _parse_sequence(args.sequence)
-        rows = [(" ".join(map(_format_element, seq)), padic_profile(spec, seq))]
+    # every zero-sum sequence has this profile; ValueError for a composite order
+    profile = block_size_certificate(spec)
+    tail = [profile.min_valuation, profile.strictly_minimal]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["sequence", "min_valuation", "strictly_minimal"])
-    for rendered, profile in rows:
-        writer.writerow([rendered, profile.min_valuation, profile.strictly_minimal])
+    if args.all:
+        # rows stream from the walk: each element label as often as its
+        # exponent, in element order, the lexicographically smallest labelling
+        check_hall_envelope(spec)
+        labels = [_format_element(g) for g in elements(spec)]
+        _walk_hall_support(spec, lambda mono: writer.writerow(
+            [" ".join([label for label, e in zip(labels, mono) for _ in range(e)]), *tail]))
+    else:
+        seq = _parse_sequence(args.sequence)
+        padic_profile(spec, seq)  # refuses a wrong length or a nonzero sum
+        writer.writerow([" ".join(map(_format_element, seq)), *tail])
     _emit(buffer.getvalue(), args.out)
     return 0
 

@@ -8,31 +8,31 @@ least present element, with their binomial counts of labelled ways and
 their residual multisets.  It enumerates the copies of every element kind
 but the last and solves for the last kind's (`_cancellers`).
 `_anchored_block_sum` folds the blocks into the signed partition sum, and
-`_min_valuation` into the least p-adic valuation of a partition term that
-the p-adic profile reads (a min-plus fold, since the valuation adds up over
-blocks); each fold is memoized on residual multisets.  The labelled
-enumeration of the partitions is a test oracle
-(`tests/test_supports.py`); the tests pin it, the multiset routes and the
-engine's permutation-class walks against each other and against a
-brute-force sum over all n! permutations at small orders.
+`_min_valuation` into the least p-adic valuation of a partition term (a
+min-plus fold, since the valuation adds up over blocks); each fold is
+memoized on residual multisets.  The labelled enumeration of the
+partitions is a test oracle (`tests/test_supports.py`); the tests pin it,
+the multiset routes and the engine's permutation-class walks against each
+other and against a brute-force sum over all n! permutations at small
+orders.
 
 The Hall support is enumerated in lexicographic order by one walk,
-`_walk_hall_support`.  The completion table `_completions` counts the ways
-to finish each partial monomial; the walk descends only into exponents that
-leave a completion, and the table's full count is P.  The orbits of a
-relabelling group reach the two kinds of caller by two routes.  Counts
-stream: `orbit_representatives` keeps each orbit's least member and its
-size from one pass of the walk, and stores no other monomial, so the
-counts D and I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes over
-representatives.  Rows label: `hall_support` stores the walk as one tuple,
-`hall_orbits` labels it with one int per monomial, numbered in order of
-first appearance, so each orbit's first monomial is its least member, and
-`per_monomial` evaluates each orbit's first monomial and reads the value
-back through the labels for the later ones.  The counts use the orbits of
-`groups.affine_maps`, on which det_coeff and the near-hook scalar are
-constant.  The p-adic profile reads the block sizes of the zero-sum
-partitions, which a translation changes, so `padic_profiles` uses the
-orbits of `groups.automorphisms` only.
+`_walk_hall_support`, which descends only into exponents that the
+completion table `_completions` says can still be completed.  The orbits
+of `groups.affine_maps`, on which det_coeff and the near-hook scalar are
+constant, reach callers by two routes.  Counts stream:
+`orbit_representatives` keeps each orbit's least member and its size from
+one pass of the walk, and D and I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes
+over them.  Rows label: `hall_support` stores the walk, `hall_orbits`
+labels it with one int per monomial in order of first appearance, and
+`per_monomial` evaluates each orbit's first monomial and copies the value
+to the later members.
+
+The p-adic profile is a size certificate: a term's valuation charges each
+block by its size alone, so `block_size_certificate` bounds every
+multi-block term of every Hall monomial at once.  The zero-sum fold is its
+oracle, which `_counts_profile` reads and the `padic-certificate` row
+compares with it.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .groups import (
     _prime_factorization,
     add_table,
     affine_maps,
-    automorphisms,
     doubling_counts,
     elements,
     index_of,
@@ -76,10 +75,10 @@ def _multiple_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-# The largest Hall support that is enumerated.  Measured: `support --group
-# c13` (400,024 monomials) streams its counts at about 20 MB; a row route
-# (`padic --all`) also stores the support and its labels, about 100 MB more
-# at c13.  c14 has 1,432,860.
+# The largest Hall support that is enumerated.  It bounds time only: the
+# routes that store the support sit under the order-10 sweep envelope, and
+# `support --group c13` and `padic --group c13 --all` (400,024 monomials)
+# stream at about 20 and 48 MB.  c14 has 1,432,860.
 MAX_HALL_MONOMIALS = 500_000
 
 
@@ -126,7 +125,8 @@ def _completions(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def _walk_hall_support(spec: GroupSpec, visit) -> None:
     """Call visit(monomial) on every Hall monomial, in lexicographic order.
 
-    The one enumeration behind `hall_support` and `orbit_representatives`.
+    The one enumeration behind `hall_support`, `orbit_representatives` and
+    the rows of `padic --all`.
     The backtracking tries exponents in increasing order and descends only
     into exponents that `_completions` says can still be completed, so every
     branch ends in a monomial, and the last exponent is what the degree
@@ -199,21 +199,23 @@ def count_P(spec: GroupSpec) -> int:
     return total // n
 
 
-def _relabelling_group(spec: GroupSpec, relabellings) -> tuple[tuple[int, ...], ...]:
-    """The maps of `relabellings(spec)`, checked to act on the Hall support.
+def _affine_pullbacks(spec: GroupSpec) -> list[itemgetter]:
+    """Pullbacks through `affine_maps(spec)`, checked to keep the Hall support.
 
     Pulling a monomial m back through a bijection r gives the weighted sum
     sum_h m_h * r^-1(h), so an affine r keeps the Hall support; at order 3
     and above the monomials x_a x_b x_(-a-b) x_0^(n-3) show that no other
     bijection does.  Raises ArithmeticError, naming the map, for a map that
-    is not an affine bijection, and for a map set without the identity.
+    is not an affine bijection, and for a map set without the identity.  The
+    images of a monomial are its orbit: pulling back through r relabels by
+    r's inverse, which is in the group too.
     """
     n = spec.order
     add = add_table(spec)
     neg = neg_table(spec)
     units = [index_of(spec, tuple(int(i == j) for i in range(spec.rank)))
              for j in range(spec.rank)]
-    maps = tuple(relabellings(spec))
+    maps = tuple(affine_maps(spec))
     for r in maps:
         # r is affine iff r(g + e) - r(g) = r(e) - r(0) on every generator e
         if sorted(r) != list(range(n)) or any(
@@ -224,27 +226,21 @@ def _relabelling_group(spec: GroupSpec, relabellings) -> tuple[tuple[int, ...], 
     identity = tuple(range(n))
     if identity not in maps:
         raise ArithmeticError(f"the relabellings of {spec.name} lack the identity {identity!r}")
-    return maps
+    return [itemgetter(*r) for r in maps]
 
 
 @lru_cache(maxsize=None)
-def hall_orbits(spec: GroupSpec, relabellings, /) -> tuple[int, ...]:
-    """One orbit label per monomial of `hall_support(spec)`, in its order.
+def hall_orbits(spec: GroupSpec, /) -> tuple[int, ...]:
+    """One affine orbit label per monomial of `hall_support(spec)`, in its order.
 
-    The row routes' labelling.  `relabellings` returns index maps g -> r[g]
-    that form a group, such as `groups.affine_maps`.  Labels are numbered in
-    order of first appearance, so the first monomial with label k is the
-    least member of orbit k: its representative.  The labelling stores no
-    monomials.  Raises ArithmeticError, as `_relabelling_group` does, for
-    a map that takes Hall monomials outside the Hall support and for a map
-    set without the identity.
+    The row routes' labelling.  Labels are numbered in order of first
+    appearance, so the first monomial with label k is the least member of
+    orbit k: its representative.  The labelling stores no monomials.
+    Raises ArithmeticError as `_affine_pullbacks` does.
     """
     monomials = hall_support(spec)
-    maps = _relabelling_group(spec, relabellings)
+    pullbacks = _affine_pullbacks(spec)
     index = {mono: i for i, mono in enumerate(monomials)}
-    # pulling the exponents back through r relabels by r's inverse, which
-    # is in the group too, so these images are the orbit all the same
-    pullbacks = [itemgetter(*r) for r in maps]
     labels = [-1] * len(monomials)
     count = 0
     for i, mono in enumerate(monomials):
@@ -261,18 +257,18 @@ def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...
     """(least member, orbit size) per affine orbit of the Hall support, ascending.
 
     The count paths' route: one pass over the Hall enumeration that keeps
-    only the representatives, the same least members that
-    `hall_orbits(spec, affine_maps)` labels first.  A monomial is the least
-    member of its orbit iff no pulled-back image is smaller, and its orbit
-    size is |A| over the number of maps that fix it.  Raises
-    ArithmeticError if `affine_maps(spec)` is not a group acting on the Hall
-    support: a map that leaves it, no identity, a stabilizer whose size
-    does not divide |A|, or orbit sizes that do not sum to P.  Raises
-    EnvelopeError, before any table is built, above MAX_HALL_MONOMIALS.
+    only the representatives, the least members that `hall_orbits(spec)`
+    labels first.  A monomial is the least member of its orbit iff no
+    pulled-back image is smaller, and its orbit size is |A| over the number
+    of maps that fix it.  Raises ArithmeticError if `affine_maps(spec)` is
+    not a group acting on the Hall support: a map that leaves it, no
+    identity, a stabilizer whose size does not divide |A|, or orbit sizes
+    that do not sum to P.  Raises EnvelopeError, before any table is built,
+    above MAX_HALL_MONOMIALS.
     """
     check_hall_envelope(spec)
-    maps = _relabelling_group(spec, affine_maps)
-    pullbacks = [itemgetter(*r) for r in maps]
+    pullbacks = _affine_pullbacks(spec)
+    n_maps = len(pullbacks)
     reps: list[tuple[Monomial, int]] = []
 
     def visit(mono: Monomial) -> None:
@@ -285,10 +281,10 @@ def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...
                 pullbacks[0], pullbacks[i] = pullback, pullbacks[0]
                 return
             fixed += image == mono
-        size, rest = divmod(len(maps), fixed)
+        size, rest = divmod(n_maps, fixed)
         if rest:
             raise ArithmeticError(f"{fixed} relabellings of {spec.name} fix {mono!r}, "
-                                  f"which does not divide the {len(maps)} maps")
+                                  f"which does not divide the {n_maps} maps")
         reps.append((mono, size))
 
     _walk_hall_support(spec, visit)
@@ -299,15 +295,15 @@ def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...
     return tuple(reps)
 
 
-def per_monomial(spec: GroupSpec, value, relabellings=affine_maps):
+def per_monomial(spec: GroupSpec, value):
     """(monomial, value) over the Hall support, in lexicographic order.
 
-    `value` must be constant on the orbits of `relabellings(spec)`: it is
-    called once per orbit, on the representative (the orbit's first
-    monomial), and its result is given to every later member.
+    `value` must be constant on the affine orbits: it is called once per
+    orbit, on the representative (the orbit's first monomial), and its
+    result is given to every later member.
     """
     values: list = []
-    for mono, label in zip(hall_support(spec), hall_orbits(spec, relabellings), strict=True):
+    for mono, label in zip(hall_support(spec), hall_orbits(spec), strict=True):
         if label == len(values):
             values.append(value(mono))
         yield mono, values[label]
@@ -537,34 +533,76 @@ class ValuationProfile:
     strictly_minimal: bool
 
 
-def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
-    """Least valuation over the zero-sum-partition terms of a sequence.
+def _prime_power(spec: GroupSpec) -> tuple[int, int]:
+    """(p, r) with |G| = p^r; ValueError for an order that is not a prime power."""
+    factorization = _prime_factorization(spec.order)
+    if len(factorization) != 1:
+        raise ValueError(f"group order {spec.order} is not a prime power")
+    (p, r), = factorization.items()
+    return p, r
 
-    Only defined for groups of prime-power order and zero-sum sequences;
-    strictly_minimal records whether the one-block term sits strictly below
-    every multi-block term, which certifies a nonzero coefficient.
+
+def _least_split_valuation(p: int, r: int) -> int:
+    """Least sum of r + v_p((s-1)!) over the compositions of p^r into >= 2 parts s.
+
+    A min-plus DP over the running total, O(n^2) for n = p^r.
+    """
+    n = p**r
+    cost = [r + _legendre(s - 1, p) for s in range(n + 1)]  # cost[0] is never read
+    # least[m]: the least cost of a composition of m, 0 for the empty one
+    least = [0] * n
+    for m in range(1, n):
+        least[m] = min(least[m - s] + cost[s] for s in range(1, m + 1))
+    return min(least[n - s] + cost[s] for s in range(1, n))
+
+
+def block_size_certificate(spec: GroupSpec) -> ValuationProfile:
+    """The p-adic profile of every Hall monomial of a group of order n = p^r.
+
+    A partition term n^k prod (|B|-1)! has valuation sum_B r + v_p((|B|-1)!),
+    which reads block sizes only.  The one-block term, (p^r - 1)/(p - 1), is
+    zero-sum on every Hall monomial, and `_least_split_valuation` bounds
+    every other term (restricting to zero-sum partitions only raises it).
+    The bound separates by Result 1's lemma: every s < p^r has digit sum
+    S_p(s-1) <= r(p-1) - 1, so by Legendre a part costs r + v_p((s-1)!) >=
+    s/(p-1), and >= 2 parts cost >= p^r/(p-1) > (p^r - 1)/(p - 1).  It is
+    computed on each call all the same: ArithmeticError, naming the order,
+    if it does not separate; ValueError if n is not a prime power.
+    """
+    p, r = _prime_power(spec)
+    one_block = (spec.order - 1) // (p - 1)
+    if _least_split_valuation(p, r) <= one_block:
+        raise ArithmeticError(f"the block-size bound does not separate the one-block "
+                              f"term at order {spec.order}")
+    return ValuationProfile(p=p, r=r, min_valuation=one_block, strictly_minimal=True)
+
+
+def padic_profile(spec: GroupSpec, sequence) -> ValuationProfile:
+    """`block_size_certificate`, for a zero-sum sequence of length n only.
+
+    Anything else raises ValueError.  strictly_minimal certifies a nonzero
+    coefficient: the one-block term sits below every multi-block term.
     """
     n = spec.order
     if len(sequence) != n:
         raise ValueError(f"sequence length {len(sequence)} != group order {n}")
     add = add_table(spec)
     total = 0
-    counts = [0] * n
     for g in sequence:
-        s = index_of(spec, g)
-        total = add[total][s]
-        counts[s] += 1
+        total = add[total][index_of(spec, g)]
     if total != 0:
         raise ValueError("sequence is not zero-sum")
-    return _counts_profile(spec, tuple(counts))
+    return block_size_certificate(spec)
 
 
 def _counts_profile(spec: GroupSpec, counts: tuple[int, ...]) -> ValuationProfile:
-    """The profile of every sequence with these element counts, a Hall monomial."""
-    factorization = _prime_factorization(spec.order)
-    if len(factorization) != 1:
-        raise ValueError(f"group order {spec.order} is not a prime power")
-    (p, r), = factorization.items()
+    """The zero-sum fold's profile of a Hall monomial's sequences.
+
+    The independent route to `block_size_certificate`.  It is constant on
+    the orbits of `groups.automorphisms`, which map zero-sum blocks to
+    zero-sum blocks of the same sizes.
+    """
+    p, r = _prime_power(spec)
     one_block = None
     multi_block = []
     for size, v in _block_valuations(spec, p, counts):
@@ -574,20 +612,5 @@ def _counts_profile(spec: GroupSpec, counts: tuple[int, ...]) -> ValuationProfil
             multi_block.append(v)
     if one_block is None:
         raise ArithmeticError("zero-sum sequence has no one-block partition")
-    return ValuationProfile(
-        p=p,
-        r=r,
-        min_valuation=min([one_block, *multi_block]),
-        strictly_minimal=all(v > one_block for v in multi_block),
-    )
-
-
-def padic_profiles(spec: GroupSpec) -> list[tuple[Monomial, ValuationProfile]]:
-    """(monomial, padic_profile of its sequence) over the Hall support, sorted.
-
-    The profile is computed once per orbit of `groups.automorphisms`, from
-    the representative's exponents, and shared by the orbit: an automorphism
-    maps zero-sum blocks to zero-sum blocks of the same sizes.  Translations
-    do not, so affine orbits would be wrong here.
-    """
-    return list(per_monomial(spec, lambda rep: _counts_profile(spec, rep), automorphisms))
+    return ValuationProfile(p, r, min([one_block, *multi_block]),
+                            strictly_minimal=all(v > one_block for v in multi_block))

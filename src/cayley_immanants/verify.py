@@ -39,6 +39,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from .characters import (
@@ -53,10 +54,12 @@ from .characters import (
     partitions_of,
     twin_diff_char,
 )
+from . import supports
 from .errors import EnvelopeError
 from .groups import (
     GroupSpec,
     _prime_factorization,
+    automorphisms,
     doubling_counts,
     parse_group,
 )
@@ -81,13 +84,13 @@ from .minors import (
 )
 from .polynomials import GroupPolynomial
 from .supports import (
+    block_size_certificate,
     count_D,
     count_I_nearhook,
     count_P,
     hall_support,
     near_hook_coeff,
     near_hook_scalar_numerator,
-    padic_profiles,
     per_monomial,
 )
 
@@ -358,9 +361,15 @@ def _prime_power_p_equals_d(spec, seed):
 
 def _padic_certificate(spec, seed):
     _require_prime_power(spec)
-    for mono, profile in padic_profiles(spec):
-        if not profile.strictly_minimal:
-            return f"one-block term not strictly minimal at {mono}"
+    certificate = block_size_certificate(spec)
+    # the zero-sum fold is constant on automorphism orbits, so it is read on
+    # each orbit's least member, the monomial that no image undercuts
+    pullbacks = [itemgetter(*phi) for phi in automorphisms(spec)]
+    for mono in hall_support(spec):
+        if all(pullback(mono) >= mono for pullback in pullbacks):
+            profile = supports._counts_profile(spec, mono)
+            if profile != certificate:
+                return f"zero-sum fold gives {profile}, not the size certificate, at {mono}"
     return None
 
 

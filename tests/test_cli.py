@@ -114,7 +114,7 @@ def test_hall_envelope_refuses_before_any_table(capsys):
     assert groups.affine_maps.cache_info().currsize == 0
     # a direct labelling call is refused before its map set is built too
     with pytest.raises(EnvelopeError):
-        supports.hall_orbits(GroupSpec((14,)), groups.affine_maps)
+        supports.hall_orbits(GroupSpec((14,)))
     assert supports._completions.cache_info().misses == 0
     assert groups.affine_maps.cache_info().currsize == 0
 
@@ -187,6 +187,19 @@ def test_padic_all_c4(capsys):
     assert len(rows) == 10
     assert all(r["strictly_minimal"] == "True" for r in rows)
     assert {r["sequence"] for r in rows} >= {"0 0 0 0", "1 1 1 1", "0 0 2 2"}
+
+
+def test_padic_all_stores_no_hall_support(capsys):
+    # the rows stream from the Hall walk: nothing is stored or labelled
+    from cayley_immanants import supports
+
+    supports.hall_support.cache_clear()
+    supports.hall_orbits.cache_clear()
+    code, out = run_cli(capsys, "padic", "--group", "c9", "--all")
+    assert code == 0
+    assert len(out.splitlines()) == 1 + supports.count_P(GroupSpec((9,))) == 2705
+    assert supports.hall_support.cache_info().currsize == 0
+    assert supports.hall_orbits.cache_info().currsize == 0
 
 
 def test_padic_single_sequence(capsys):
@@ -550,8 +563,7 @@ STDOUT_SHA256 = {
         "1e3c6bd11937b96b71104d86355adbe8ad27b620bcd12e0198ba24d806fe9beb",
     "verify --suite hall --max-order 6":
         "7720cd6ab9aaa9167e9efda9768314b2a72f832109fd634b71d221ab150e670f",
-    # largest orbits: 20 (c10) and 16 (c2xc4) affine; 4 (c8) and 48 (c3xc3)
-    # under automorphisms, the orbits that `padic` uses
+    # largest orbits: 20 (c10) and 16 (c2xc4) affine; `padic` labels no orbit
     "support --group c10 --report full":
         "d2ffe0dbc0da5d4a01b05dcf7e19efa91b4438cf232f3538e8672044b073547a",
     "support --group c2xc4 --report full":
@@ -565,6 +577,9 @@ STDOUT_SHA256 = {
         "02d7f116ccf5ff2fb3ef2b6f7ca3be339e49959d3af0946b92be3e5321c84af9",
     "padic --group c2xc4 --all":
         "cca2180de95f92ae0ef668e9181f7ed931cde597fdb0358ab8b6957128048c1d",
+    # streamed from the Hall walk: 32,066 rows, no stored support
+    "padic --group c11 --all":
+        "47c57680e379d311f55a27c17825ace7898a7e73a5750d67c4512782a66fab8c",
     # every exact-minor check, through `minors` and through `verify`
     "minors --group c7 --seeds 2 --checks conv,jacobi,f1,t2t12,scalars,reduction":
         "d07b8253e85bab69efb36828efe07b64a301bea0c9aac5360d89ff5a2c5f58f0",

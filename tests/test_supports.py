@@ -1,5 +1,7 @@
 import collections
+import csv
 import functools
+import io
 import itertools
 import math
 import random
@@ -20,13 +22,16 @@ from cayley_immanants.groups import (
 )
 from cayley_immanants.immanants import determinant, immanant, perm_class_stats, permanent
 from cayley_immanants.characters import Partition
-from cayley_immanants.cli import _abelian_groups_of_order
+from cayley_immanants.cli import _abelian_groups_of_order, main
 from cayley_immanants.supports import (
     _anchored_block_sum,
     _anchored_blocks,
     _completions,
+    _counts_profile,
+    _least_split_valuation,
     _legendre,
     _min_valuation,
+    block_size_certificate,
     count_D,
     count_I_nearhook,
     count_P,
@@ -37,7 +42,6 @@ from cayley_immanants.supports import (
     near_hook_scalar_numerator,
     orbit_representatives,
     padic_profile,
-    padic_profiles,
     per_monomial,
 )
 
@@ -371,15 +375,22 @@ def test_block_shapes_match_labelled_enumeration(factors):
         _assert_fold_matches_oracle(spec, mono)
 
 
+def automorphism_representatives(spec):
+    """The least member of each automorphism orbit of the Hall support.
+
+    The monomials the `padic-certificate` check folds: no automorphism
+    image of them is smaller.
+    """
+    maps = automorphisms(spec)
+    return [m for m in hall_support(spec) if all(relabel(m, phi) >= m for phi in maps)]
+
+
 @pytest.mark.parametrize("factors", [(9,), (3, 3)], ids=str)
 def test_block_shapes_match_labelled_enumeration_on_orbit_representatives(factors):
-    # the representatives `padic_profiles` evaluates
+    # the representatives the `padic-certificate` check folds
     spec = GroupSpec(factors)
-    labels = hall_orbits(spec, automorphisms)
-    for label in range(max(labels) + 1):
-        orbit = orbit_members(spec, labels, label)
-        assert orbit[0] == min(orbit)
-        _assert_fold_matches_oracle(spec, orbit[0])
+    for mono in automorphism_representatives(spec):
+        _assert_fold_matches_oracle(spec, mono)
 
 
 def test_block_shapes_of_empty_and_non_zero_sum_multisets():
@@ -445,7 +456,7 @@ def _blocks_by_key(spec, counts):
 
 def affine_representatives(spec):
     """The first monomial of each affine orbit: the ones `det_coeff` is read on."""
-    labels = hall_orbits(spec, affine_maps)
+    labels = hall_orbits(spec)
     return [orbit_members(spec, labels, k)[0] for k in range(max(labels) + 1)]
 
 
@@ -607,17 +618,16 @@ LABEL_SPECS = [
 @settings(max_examples=40, deadline=None)
 def test_hall_orbits_label_the_hall_support(data):
     spec = data.draw(st.sampled_from(LABEL_SPECS), label="spec")
-    relabellings = data.draw(st.sampled_from([affine_maps, automorphisms]), label="maps")
     support = hall_support(spec)
     assert all(a < b for a, b in zip(support, support[1:]))
-    labels = hall_orbits(spec, relabellings)
+    labels = hall_orbits(spec)
     # the labelling stores one int per monomial, no monomials
     assert len(labels) == len(support)
     assert all(type(k) is int for k in labels)
     count = max(labels) + 1
     assert set(labels) == set(range(count))
     position = {m: i for i, m in enumerate(support)}
-    maps = relabellings(spec)
+    maps = affine_maps(spec)
     for i, mono in enumerate(support):
         for r in maps:
             assert labels[position[relabel(mono, r)]] == labels[i]
@@ -629,24 +639,27 @@ def test_hall_orbits_label_the_hall_support(data):
     assert sum(map(len, members)) == count_P(spec)
 
 
-def test_hall_orbits_refuse_a_map_that_leaves_the_hall_support():
-    # swapping x_0 and x_1 of c4 is a bijection but not an affine map
-    def swap(spec):
-        return [(1, 0, 2, 3)]
-
+def test_hall_orbits_refuse_a_map_that_leaves_the_hall_support(fake_affine_maps):
+    # swapping x_0 and x_1 of c4 is a bijection but not an affine map; a
+    # refusal is not cached, so only the cold cache needs clearing
+    hall_orbits.cache_clear()
+    fake_affine_maps([(0, 1, 2, 3), (1, 0, 2, 3)])
     with pytest.raises(ArithmeticError, match=r"\(1, 0, 2, 3\).*outside the Hall support of c4"):
-        hall_orbits(C4, swap)
+        hall_orbits(C4)
 
 
-def test_hall_orbits_hold_one_entry_per_spec_and_map_set():
+def test_hall_orbits_hold_one_entry_per_spec():
+    # affine orbits only: no map set is a parameter, so none is a cache key
     spec = GroupSpec((6,))
     with pytest.raises(TypeError):
-        hall_orbits(spec, relabellings=affine_maps)
+        hall_orbits(spec, affine_maps)
     with pytest.raises(TypeError):
-        hall_orbits(spec)
+        hall_orbits(spec=spec)
+    with pytest.raises(TypeError):
+        list(per_monomial(spec, lambda rep: None, affine_maps))
     hall_orbits.cache_clear()
     list(per_monomial(spec, lambda rep: None))
-    labels = hall_orbits(spec, affine_maps)
+    labels = hall_orbits(spec)
     info = hall_orbits.cache_info()
     assert (info.currsize, info.hits) == (1, 1)
     assert len(labels) == count_P(spec)
@@ -658,7 +671,7 @@ def test_per_monomial_refuses_a_support_that_does_not_match_its_labels(monkeypat
 
     spec = GroupSpec((5,))
     real = hall_support(spec)
-    hall_orbits(spec, affine_maps)
+    hall_orbits(spec)
     monkeypatch.setattr(supports, "hall_support", lambda spec: real[:-1])
     with pytest.raises(ValueError):
         list(per_monomial(spec, lambda rep: 1))
@@ -672,20 +685,20 @@ def test_per_monomial_reads_each_representative_once():
         calls.append(rep)
         return rep
 
-    rows = list(per_monomial(spec, value, automorphisms))
-    labels = hall_orbits(spec, automorphisms)
+    rows = list(per_monomial(spec, value))
+    labels = hall_orbits(spec)
     assert calls == [orbit_members(spec, labels, k)[0] for k in range(max(labels) + 1)]
     assert [mono for mono, _ in rows] == sorted(hall_support(spec))
-    maps = automorphisms(spec)
+    maps = affine_maps(spec)
     for mono, rep in rows:
         assert rep <= mono
-        assert mono in {relabel(rep, phi) for phi in maps}
+        assert mono in {relabel(rep, r) for r in maps}
 
 
 @pytest.mark.parametrize("order", range(2, 13))
 def test_orbit_representatives_are_the_first_members_of_the_labels(order):
     for spec in _abelian_groups_of_order(order):
-        labels = hall_orbits(spec, affine_maps)
+        labels = hall_orbits(spec)
         first = {}
         for mono, label in zip(hall_support(spec), labels, strict=True):
             first.setdefault(label, mono)
@@ -863,14 +876,55 @@ def test_padic_profile_c4_all_zero():
 
 def test_padic_profile_is_not_strictly_minimal_on_a_tie(monkeypatch):
     # by Result 1 no valid input ties the one-block term, so only a stub can
-    # show that a tie is not strictly minimal
+    # show that the zero-sum fold calls a tie not strictly minimal
     from cayley_immanants import supports
 
     monkeypatch.setattr(supports, "_block_valuations",
                         lambda spec, p, counts: iter([(spec.order, 3), (1, 3)]))
-    profile = padic_profile(C4, ((0,),) * 4)
+    profile = _counts_profile(C4, (4, 0, 0, 0))
     assert profile.min_valuation == 3
     assert not profile.strictly_minimal
+
+
+def _prime_powers(limit):
+    primes = [p for p in range(2, limit + 1) if all(p % q for q in range(2, p))]
+    return [(p, r) for p in primes for r in range(1, limit.bit_length()) if p**r <= limit]
+
+
+def test_block_size_bound_separates_by_exactly_one():
+    # the least multi-block cost of a composition is one above the
+    # one-block value (p^r - 1)/(p - 1) at every prime power up to 256
+    powers = _prime_powers(256)
+    assert len(powers) == 70 and (2, 8) in powers and (251, 1) in powers
+    for p, r in powers:
+        assert _least_split_valuation(p, r) == (p**r - 1) // (p - 1) + 1, (p, r)
+
+
+def test_block_size_bound_matches_every_composition():
+    # the DP against the least over all compositions, listed, at n <= 16
+    for p, r in _prime_powers(16):
+        n = p**r
+        costs = [
+            sum(r + _legendre(s - 1, p) for s in parts)
+            for k in range(2, n + 1)
+            for cuts in itertools.combinations(range(1, n), k - 1)
+            for parts in [[b - a for a, b in zip((0, *cuts), (*cuts, n))]]
+        ]
+        assert _least_split_valuation(p, r) == min(costs), (p, r)
+
+
+def test_a_tied_block_size_bound_refuses_the_certificate(monkeypatch):
+    # v_2(2!) stubbed to -1 makes the split 3 + 1 of c4 cost 2 + (-1) + 2 + 0 = 3,
+    # the one-block value itself: a tie is no certificate
+    from cayley_immanants import supports
+
+    real = supports._legendre
+    monkeypatch.setattr(supports, "_legendre", lambda m, p: real(m, p) - 2 * (m == 2))
+    assert _least_split_valuation(2, 2) == 3
+    with pytest.raises(ArithmeticError, match="does not separate .* at order 4"):
+        block_size_certificate(C4)
+    with pytest.raises(ArithmeticError, match="at order 4"):
+        padic_profile(C4, ((0,),) * 4)
 
 
 def test_padic_profile_c4_0022():
@@ -918,13 +972,22 @@ def test_padic_certificate_forces_nonzero_det_coeff():
 
 
 @pytest.mark.parametrize("factors", [(4,), (2, 2), (8,), (2, 4), (2, 2, 2)], ids=str)
-def test_padic_profiles_match_per_monomial_profiles(factors):
+def test_padic_profiles_match_per_monomial_profiles(factors, capsys):
+    # the streamed rows of `padic --all` against a per-monomial profile,
+    # and the zero-sum fold on every monomial, with no orbit filter
     spec = GroupSpec(factors)
-    expected = [
-        (m, padic_profile(spec, monomial_sequence(spec, m)))
-        for m in sorted(hall_support(spec))
-    ]
-    assert padic_profiles(spec) == expected
+    assert main(["padic", "--group", spec.name, "--all"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["sequence", "min_valuation", "strictly_minimal"]
+    support = sorted(hall_support(spec))
+    assert len(rows) == len(support) + 1
+    certificate = block_size_certificate(spec)
+    for row, mono in zip(rows[1:], support, strict=True):
+        seq = monomial_sequence(spec, mono)
+        profile = padic_profile(spec, seq)
+        assert profile == certificate == _counts_profile(spec, mono)
+        assert row == [" ".join(":".join(map(str, g)) for g in seq),
+                       str(profile.min_valuation), str(profile.strictly_minimal)]
 
 
 def test_downstream_counts_isomorphism_invariant():

@@ -5,8 +5,9 @@ import pytest
 
 from cayley_immanants.characters import Partition
 from cayley_immanants.errors import EnvelopeError
-from cayley_immanants.groups import GroupSpec, affine_maps
+from cayley_immanants.groups import GroupSpec
 from cayley_immanants.immanants import _class_walk, immanant, perm_class_stats
+from cayley_immanants.polynomials import GroupPolynomial
 from cayley_immanants.supports import hall_orbits
 from cayley_immanants.verify import VerifyReport, run_suite
 
@@ -67,6 +68,114 @@ def test_thm13_check_catches_a_walked_d_m_that_differs_from_count_d(monkeypatch)
     assert report.witness == "formula D differs from the immanant engine"
 
 
+def test_padic_certificate_check_fails_where_the_fold_ties(monkeypatch):
+    # the size certificate never reads the zero-sum fold, so a tie in the
+    # fold shows only in the comparison
+    from cayley_immanants import supports
+
+    monkeypatch.setattr(supports, "_block_valuations",
+                        lambda spec, p, counts: iter([(spec.order, 3), (1, 3)]))
+    (report,) = run_suite("thm13", groups=["c4"])[1:]
+    assert (report.theorem, report.status) == ("padic-certificate", "fail")
+    assert report.witness == (
+        "zero-sum fold gives ValuationProfile(p=2, r=2, min_valuation=3, strictly_minimal=False), "
+        "not the size certificate, at (0, 0, 0, 4)")
+
+
+def test_padic_certificate_check_fails_on_a_tied_block_size_bound(monkeypatch):
+    # v_2(2!) stubbed to -1: the split 3 + 1 of c4 costs the one-block value
+    from cayley_immanants import supports
+
+    real = supports._legendre
+    monkeypatch.setattr(supports, "_legendre", lambda m, p: real(m, p) - 2 * (m == 2))
+    (report,) = run_suite("thm13", groups=["c4"])[1:]
+    assert (report.theorem, report.status) == ("padic-certificate", "fail")
+    assert report.witness == ("ArithmeticError: the block-size bound does not separate "
+                              "the one-block term at order 4")
+
+
+def test_odd_order_near_hook_check_reads_the_scalar_on_every_monomial(monkeypatch):
+    # the engine's hook and cohook vanish; only the scalar loop reads the stub
+    from cayley_immanants import verify
+
+    monkeypatch.setattr(verify, "near_hook_scalar_numerator", lambda spec, mono: mono[1])
+    (report,) = run_suite("thm14", groups=["c3"])[:1]
+    assert (report.theorem, report.status) == ("odd-order-near-hooks-vanish", "fail")
+    assert report.witness == "scalar numerator nonzero at (0, 3, 0)"
+
+
+def _zero_immanant(spec, lam):
+    return GroupPolynomial.zero(spec)
+
+
+def test_two_mod_four_check_compares_the_formula_counts_with_the_engine(monkeypatch):
+    # count_P and count_D read no immanant, so only the engine side changes
+    from cayley_immanants import verify
+
+    monkeypatch.setattr(verify, "immanant", _zero_immanant)
+    report = {r.theorem: r for r in run_suite("thm14", groups=["c6"])}[
+        "two-mod-four-near-hook-counts"]
+    assert report.status == "fail"
+    assert report.witness == "formula counts (80, 68) differ from the immanant engine"
+
+
+def test_master_formula_check_compares_every_coefficient(monkeypatch):
+    from cayley_immanants import verify
+
+    real = verify.near_hook_coeff
+    monkeypatch.setattr(verify, "near_hook_coeff",
+                        lambda spec, mono, stats: tuple(v + 1 for v in real(spec, mono, stats)))
+    report = {r.theorem: r for r in run_suite("thm14", groups=["c7"])}[
+        "near-hook-master-formula"]
+    assert report.status == "fail"
+    assert report.witness == "coefficient mismatch (1, 1) != (0, 0) at (0, 0, 0, 0, 0, 0, 7)"
+
+
+def _one_term_twin(spec):
+    return GroupPolynomial.from_terms(spec, {(spec.order,) + (0,) * (spec.order - 1): 1})
+
+
+def test_odd_order_twin_check_fails_on_a_nonzero_twin(monkeypatch):
+    from cayley_immanants import verify
+
+    monkeypatch.setattr(verify, "twin_difference", _one_term_twin)
+    (report,) = run_suite("thm15", groups=["c7"])
+    assert (report.theorem, report.status) == ("odd-order-twin-immanants", "fail")
+    assert report.witness == "twin difference has 1 terms"
+
+
+def test_even_cyclic_twin_check_reads_the_x0_coefficient(monkeypatch):
+    from cayley_immanants import verify
+
+    monkeypatch.setattr(verify, "twin_difference", _one_term_twin)
+    (report,) = run_suite("prop42", groups=["c6"])
+    assert (report.theorem, report.status) == ("even-cyclic-twin-x0-coefficient", "fail")
+    assert report.witness == "[x_0^6] twin difference = 1 != -3"
+
+
+def test_regular_character_check_sums_every_immanant(monkeypatch):
+    # the permanent left out of the sum sum_lam dim(lam) imm_lam
+    from cayley_immanants import verify
+
+    real = verify.immanant
+    monkeypatch.setattr(verify, "immanant", lambda spec, lam: (
+        _zero_immanant(spec, lam) if lam.parts == (spec.order,) else real(spec, lam)))
+    (report,) = run_suite("charlayer", groups=["c3"])
+    assert (report.theorem, report.status) == ("regular-character-identity", "fail")
+    assert report.witness == "regular-character sum differs from n! * prod x_{2a}"
+
+
+def test_closed_character_check_compares_every_closed_form(monkeypatch):
+    from cayley_immanants import verify
+
+    real = verify.hook_char_n11
+    monkeypatch.setattr(verify, "hook_char_n11", lambda mu: real(mu) + (mu.lengths == (6,)))
+    # a check on S_6..S_9, not on a group: it runs only without --groups
+    report = run_suite("charlayer")[0]
+    assert (report.theorem, report.status) == ("closed-character-forms", "fail")
+    assert report.witness == "closed form 0 != MN -1 on class (6,)"
+
+
 def test_thm14_hypothesis_skip():
     reports = run_suite("thm14", groups=["c4"], max_order=6)
     st = statuses(reports)
@@ -97,7 +206,7 @@ def test_c9_suites_walk_each_representative_once():
     for suite in ("thm15", "scalars"):
         assert all(r.status == "pass" for r in run_suite(suite, groups=["c9"]))
     info = _class_walk.cache_info()
-    assert info.misses == max(hall_orbits(c9, affine_maps)) + 1 == 70
+    assert info.misses == max(hall_orbits(c9)) + 1 == 70
     assert info.hits >= 210
     # the envelope refuses before the memo sees the call
     with pytest.raises(EnvelopeError):
