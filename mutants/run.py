@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 MINORS = "src/cayley_immanants/minors.py"
 VERIFY = "src/cayley_immanants/verify.py"
 SUPPORTS = "src/cayley_immanants/supports.py"
+CLI = "src/cayley_immanants/cli.py"
 
 MUTANTS = (
     # every raise of an exact minor identity, replaced by pass
@@ -71,6 +72,16 @@ MUTANTS = (
            '        ("B4 = S", b4, s_val),\n', "",
            equivalent="B4 = B5 for every x and y (swap j and k; w is symmetric in them), "
                       "so B4 = S fails only where B5 = S does"),
+    # the other lemma 4.3 sums are computed inline, with no route to patch:
+    # one factor dropped from each
+    Mutant("b1-sum", MINORS,
+           "                b1 += w * y2i * y2j * y2k", "                b1 += w * y2i * y2j"),
+    Mutant("b2-sum", MINORS,
+           "                b2 += w * yij * yik * yjk", "                b2 += w * yij * yik"),
+    Mutant("b3-sum", MINORS,
+           "                b3 += w * y2i * yjk**2", "                b3 += w * yjk**2"),
+    Mutant("b5-sum", MINORS,
+           "                b5 += w * y2k * yij**2", "                b5 += w * yij**2"),
     # the mutation survey's survivors, since covered by a test each
     Mutant("thm13-walked-d", VERIFY,
            "        if walked != d:", "        if False:"),
@@ -107,6 +118,25 @@ MUTANTS = (
            "    if total != expected:", "    if False:"),
     Mutant("closed-character-forms", VERIFY,
            "                if got != expected:", "                if False:"),
+    # the engine mutants of the second mutation survey
+    Mutant("block-sign", SUPPORTS,
+           "        term = (-1) ** (size - 1) * n * math.factorial(size - 1)",
+           "        term = (-1) ** size * n * math.factorial(size - 1)"),
+    Mutant("canceller-step-1", SUPPORTS,
+           "                for j in range(first[psum], counts[g] + 1, order):",
+           "                for j in range(first[psum], counts[g] + 1):"),
+    Mutant("cohook-without-det-coeff", SUPPORTS,
+           "            if det_coeff(spec, rep) != 0:\n                cohook += size\n",
+           "            cohook += size\n"),
+    Mutant("min-valuation-default-0", SUPPORTS,
+           "    return min((v for _, v in _block_valuations(spec, p, counts)), default=None)",
+           "    return min((v for _, v in _block_valuations(spec, p, counts)), default=0)"),
+    # the JSON writer: the STDOUT_SHA256 pins read its layout and key order
+    Mutant("writer-int-list-one-line", CLI,
+           '            return "[" + inner + ("," + inner).join(map(_int_repr, value)) + newline + "]"',
+           '            return "[" + ", ".join(map(_int_repr, value)) + "]"'),
+    Mutant("writer-keys-unsorted", CLI,
+           "for key in sorted(value))", "for key in value)"),
     # the sharded verify runner's crash checks
     Mutant("worker-status-ignored", VERIFY,
            "            if status != 0:", "            if False:"),

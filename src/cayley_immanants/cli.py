@@ -87,31 +87,110 @@ def _partition_arg(text: str) -> Partition:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 
 
-def _emit(payload: str | Iterator[str], out: str | None) -> None:
-    """Write a CSV string or streamed JSON chunks to --out or to stdout.
+def _open(out: str | None):
+    """The --out file to write, or stdout (left open)."""
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
 
-    Chunks are joined into blocks of 4096 before writing, since one write
-    per chunk is slow on a pipe.  Stdout always ends with a newline; a file
-    gets the payload as it is.
+
+def _emit(doc, out: str | None) -> None:
+    """Write doc as `_json` text to --out or to stdout, block by block.
+
+    Stdout ends with a newline; a file gets the JSON text alone.
     """
-    chunks = iter((payload,) if isinstance(payload, str) else payload)
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
-        last = ""
-        while block := "".join(itertools.islice(chunks, 4096)):
+    with _open(out) as handle:
+        for block in _json(doc):
             handle.write(block)
-            last = block
-        if not out and not last.endswith("\n"):
+        if not out:
             handle.write("\n")
 
 
+# The writer joins its pieces into one block per this many array elements,
+# since one write per piece is slow on a pipe and one write for the whole
+# document holds all of it.
+_BLOCK_ROWS = 256
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+
+
+def _dumps(value, newline: str) -> str:
+    """json.dumps text of any value, re-indented to sit after newline."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
+def _leaf(value, newline: str) -> str | None:
+    """The text of a value that holds no array element to stream, else None.
+
+    newline is a line break and the value's indent.  str, int and a nonempty
+    list or tuple of ints take fast paths; a dict with a key that is not a
+    str, and every other value that is not a container or an iterator, goes
+    through json.dumps.
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return _int_repr(value)
+    if kind is list or kind is tuple:
+        if value and all(type(item) is int for item in value):
+            inner = newline + "  "
+            return "[" + inner + ("," + inner).join(map(_int_repr, value)) + newline + "]"
+        return None
+    if kind is dict:
+        return None if all(type(key) is str for key in value) else _dumps(value, newline)
+    return None if isinstance(value, Iterator) else _dumps(value, newline)
+
+
+def _write(value, newline: str, parts: list[str]) -> Iterator[None]:
+    """Append the text of a container to parts; yield after each array element.
+
+    value is a str-keyed dict, a list, a tuple or an iterator, which is
+    written as an array as it is consumed.
+    """
+    inner = newline + "  "
+    if type(value) is dict:
+        opener, closer, is_array = "{", "}", False
+        items = ((_encode_str(key) + ": ", value[key]) for key in sorted(value))
+    else:
+        opener, closer, is_array = "[", "]", True
+        items = (("", item) for item in value)
+    separator = opener + inner
+    for prefix, item in items:
+        parts.append(separator + prefix)
+        separator = "," + inner
+        text = _leaf(item, inner)
+        if text is None:
+            yield from _write(item, inner, parts)
+        else:
+            parts.append(text)
+        if is_array:
+            yield
+    # an empty container is written as "{}" or "[]"
+    parts.append(newline + closer if separator[0] == "," else opener + closer)
+
+
 def _json(data) -> Iterator[str]:
-    return json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    """The text of json.dumps(data, indent=2, sort_keys=True), in blocks.
+
+    A block holds about _BLOCK_ROWS array elements, so a document whose rows
+    come from an iterator is never held whole.  An iterator anywhere in data
+    is written as an array.
+    """
+    text = _leaf(data, "\n")
+    if text is not None:
+        yield text
+        return
+    parts: list[str] = []
+    for rows, _ in enumerate(_write(data, "\n", parts), 1):
+        if rows % _BLOCK_ROWS == 0:
+            yield "".join(parts)
+            parts.clear()
+    yield "".join(parts)
 
 
 def cmd_imm(args) -> int:
     spec = args.group
     poly = immanant(spec, args.partition)
-    doc = poly.to_json_dict()
+    doc = {"group": spec.name, "terms": poly.json_terms()}
     summary = {
         "group": spec.name,
         "partition": list(args.partition.parts),
@@ -120,11 +199,11 @@ def cmd_imm(args) -> int:
     }
     if args.out:
         # the file carries the bare polynomial schema; stdout the summary
-        _emit(_json(doc), args.out)
+        _emit(doc, args.out)
         summary["out"] = args.out
-        _emit(_json(summary), None)
+        _emit(summary, None)
     else:
-        _emit(_json(doc | summary), None)
+        _emit(doc | summary, None)
     return 0
 
 
@@ -132,9 +211,9 @@ def cmd_twin(args) -> int:
     poly = twin_difference(args.group)
     doc = {"group": args.group.name, "support_size": poly.support_size}
     if args.out:
-        _emit(_json(poly.to_json_dict()), args.out)
+        _emit({"group": args.group.name, "terms": poly.json_terms()}, args.out)
         doc["out"] = args.out
-    _emit(_json(doc), None)
+    _emit(doc, None)
     return 0
 
 
@@ -153,7 +232,8 @@ def cmd_support(args) -> int:
         "I_cohook": cohook,
     }
     if args.report == "full":
-        # every column is constant on an affine orbit
+        # every column is constant on an affine orbit; per_monomial evaluates
+        # every representative before it returns, so a failing row prints nothing
 
         def row(rep):
             stats = perm_class_stats(spec, rep)
@@ -166,9 +246,9 @@ def cmd_support(args) -> int:
                 "cohook_coeff": c,
             }
 
-        doc["monomials"] = [{"exp": list(mono)} | values
-                            for mono, values in per_monomial(spec, row)]
-    _emit(_json(doc), args.out)
+        doc["monomials"] = ({"exp": list(mono)} | values
+                            for mono, values in per_monomial(spec, row))
+    _emit(doc, args.out)
     return 0
 
 
@@ -184,26 +264,46 @@ def _parse_sequence(text: str):
     return tuple(out)
 
 
+# padic --all writes its CSV rows this many at a time.
+_CSV_BLOCK_ROWS = 4096
+
+
 def cmd_padic(args) -> int:
     spec = args.group
     # every zero-sum sequence has this profile; ValueError for a composite order
     profile = block_size_certificate(spec)
     tail = [profile.min_valuation, profile.strictly_minimal]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["sequence", "min_valuation", "strictly_minimal"])
     if args.all:
-        # rows stream from the walk: each element label as often as its
-        # exponent, in element order, the lexicographically smallest labelling
         check_hall_envelope(spec)
         labels = [_format_element(g) for g in elements(spec)]
-        _walk_hall_support(spec, lambda mono: writer.writerow(
-            [" ".join([label for label, e in zip(labels, mono) for _ in range(e)]), *tail]))
     else:
         seq = _parse_sequence(args.sequence)
         padic_profile(spec, seq)  # refuses a wrong length or a nonzero sum
-        writer.writerow([" ".join(map(_format_element, seq)), *tail])
-    _emit(buffer.getvalue(), args.out)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["sequence", "min_valuation", "strictly_minimal"])
+    with _open(args.out) as handle:
+
+        def flush():
+            handle.write(buffer.getvalue())
+            buffer.seek(0)
+            buffer.truncate()
+
+        if args.all:
+            # rows stream from the walk: each element label as often as its
+            # exponent, in element order, the lexicographically smallest labelling
+            rows = itertools.count(1)
+
+            def visit(mono):
+                writer.writerow(
+                    [" ".join([label for label, e in zip(labels, mono) for _ in range(e)]), *tail])
+                if next(rows) % _CSV_BLOCK_ROWS == 0:
+                    flush()
+
+            _walk_hall_support(spec, visit)
+        else:
+            writer.writerow([" ".join(map(_format_element, seq)), *tail])
+        flush()
     return 0
 
 
@@ -211,7 +311,7 @@ def cmd_minors(args) -> int:
     names = args.checks or list(MINOR_CHECKS)
     reports = run_minor_checks(names, args.group, args.seeds, args.seed, args.range)
     checks = {r.theorem: {"status": r.status, "counterexample": r.witness} for r in reports}
-    _emit(_json({"group": args.group.name, "seeds": args.seeds, "checks": checks}), args.out)
+    _emit({"group": args.group.name, "seeds": args.seeds, "checks": checks}, args.out)
     return exit_code(reports)
 
 
@@ -228,7 +328,7 @@ def cmd_verify(args) -> int:
         "reports": [r.to_json_dict(with_timings=args.timings) for r in reports],
         "passed": exit_code(reports) == 0,
     }
-    _emit(_json(doc), args.out)
+    _emit(doc, args.out)
     return exit_code(reports)
 
 
@@ -247,7 +347,7 @@ def cmd_explore(args) -> int:
         "equal": poly.support_size == count_P(spec),
         "note": "reported for exploration; no result is asserted",
     }
-    _emit(_json(doc), args.out)
+    _emit(doc, args.out)
     return 0
 
 
@@ -296,7 +396,7 @@ def cmd_search_pd_gap(args) -> int:
         "gap_orders": sorted(gap_orders),
         "note": "reported for exploration; no result is asserted",
     }
-    _emit(_json(doc), args.out)
+    _emit(doc, args.out)
     return 0
 
 

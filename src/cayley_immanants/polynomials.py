@@ -8,6 +8,7 @@ convention: all operations return new objects.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,15 +108,14 @@ class GroupPolynomial:
             total += term
         return total
 
-    def canonical_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms sorted lexicographically on exponent vectors."""
-        return sorted(self.terms.items())
+    def json_terms(self) -> Iterator[dict]:
+        """The terms as JSON-ready dicts, lexicographic on exponent vectors.
+
+        One dict is built per step: the CLI streams them, and
+        `to_json_dict` lists them.
+        """
+        terms = self.terms
+        return ({"exp": list(mono), "coeff": str(terms[mono])} for mono in sorted(terms))
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": self.group.name,
-            "terms": [
-                {"exp": list(mono), "coeff": str(coeff)}
-                for mono, coeff in self.canonical_terms()
-            ],
-        }
+        return {"group": self.group.name, "terms": list(self.json_terms())}

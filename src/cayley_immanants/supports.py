@@ -25,8 +25,8 @@ constant, reach callers by two routes.  Counts stream:
 one pass of the walk, and D and I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes
 over them.  Rows label: `hall_support` stores the walk, `hall_orbits`
 labels it with one int per monomial in order of first appearance, and
-`per_monomial` evaluates each orbit's first monomial and copies the value
-to the later members.
+`per_monomial` evaluates each orbit's first monomial, then gives the value
+to the later members as the rows are read.
 
 The p-adic profile is a size certificate: a term's valuation charges each
 block by its size alone, so `block_size_certificate` bounds every
@@ -78,7 +78,7 @@ def _multiple_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
 # The largest Hall support that is enumerated.  It bounds time only: the
 # routes that store the support sit under the order-10 sweep envelope, and
 # `support --group c13` and `padic --group c13 --all` (400,024 monomials)
-# stream at about 20 and 48 MB.  c14 has 1,432,860.
+# stream at about 20 and 19 MB.  c14 has 1,432,860.
 MAX_HALL_MONOMIALS = 500_000
 
 
@@ -296,17 +296,20 @@ def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...
 
 
 def per_monomial(spec: GroupSpec, value):
-    """(monomial, value) over the Hall support, in lexicographic order.
+    """An iterator of (monomial, value) over the Hall support, in lexicographic order.
 
     `value` must be constant on the affine orbits: it is called once per
     orbit, on the representative (the orbit's first monomial), and its
-    result is given to every later member.
+    result is given to every later member.  Every call is made before this
+    returns, so a value that raises does so before the first row.
     """
+    monomials = hall_support(spec)
+    labels = hall_orbits(spec)
     values: list = []
-    for mono, label in zip(hall_support(spec), hall_orbits(spec), strict=True):
+    for mono, label in zip(monomials, labels, strict=True):
         if label == len(values):
             values.append(value(mono))
-        yield mono, values[label]
+    return zip(monomials, map(values.__getitem__, labels))
 
 
 @lru_cache(maxsize=None)

@@ -498,20 +498,35 @@ def test_a_worker_that_dies_is_a_crash_and_every_worker_is_reaped(capsys, monkey
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize(
-    "exc",
-    [ArithmeticError("partition-formula value 3 not divisible by 2"),
-     IdentityCheckError("F1 = det", 1, 0)],
-    ids=["ArithmeticError", "IdentityCheckError"],
-)
-def test_failed_check_outside_verify_exits_1_with_a_message(capsys, monkeypatch, exc):
-    from cayley_immanants import supports
+_COUNTS = (("support", "--group", "c5"), "supports", "det_coeff")
+# a row-only route: the rows stream, so a fault on the last representative,
+# with one row per written block, shows that every row is evaluated before
+# the first byte
+_ROWS = (("support", "--group", "c5", "--report", "full"), "cli", "near_hook_coeff")
+_FAILURES = (ArithmeticError("partition-formula value 3 not divisible by 2"),
+             IdentityCheckError("F1 = det", 1, 0))
 
-    def fail(*args, **kwargs):
-        raise exc
 
-    monkeypatch.setattr(supports, "det_coeff", fail)
-    code = main(["support", "--group", "c5"])
+@pytest.mark.parametrize("argv, module, route, exc", [
+    pytest.param(*call, exc, id=prefix + type(exc).__name__)
+    for prefix, call in (("", _COUNTS), ("rows-", _ROWS)) for exc in _FAILURES
+])
+def test_failed_check_outside_verify_exits_1_with_a_message(capsys, monkeypatch, argv, module,
+                                                            route, exc):
+    from cayley_immanants import cli, supports
+
+    target = {"cli": cli, "supports": supports}[module]
+    real = getattr(target, route)
+    last = supports.orbit_representatives(GroupSpec((5,)))[-1][0]
+
+    def fail(spec, mono, *args):
+        if mono == last:
+            raise exc
+        return real(spec, mono, *args)
+
+    monkeypatch.setattr(target, route, fail)
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 1)
+    code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -612,21 +612,19 @@ def test_reduction_check_fails_on_a_twin_with_one_coefficient_off(monkeypatch, c
     assert reduction["witness"].startswith(_REDUCTION + ": ")
 
 
-_T12_EQUATION = "2*T12 = delta*(C - n*S)"
-
-
-def test_lemma43_scalars_fail_on_a_wrong_t12(monkeypatch, capsys):
-    # only minors' T12 is off: lemma43_scalars reads it, verify's t2t12 check does not
-    true_t12 = minors.T12
-    monkeypatch.setattr(minors, "T12", lambda spec, rho: true_t12(spec, rho) + 1)
-    with pytest.raises(IdentityCheckError, match=re.escape(_T12_EQUATION)):
+def _assert_scalars_fail_on(monkeypatch, capsys, name, equation):
+    # only minors' T2 or T12 is off: lemma43_scalars reads it, verify's t2t12
+    # check does not
+    true_value = getattr(minors, name)
+    monkeypatch.setattr(minors, name, lambda spec, rho: true_value(spec, rho) + 1)
+    with pytest.raises(IdentityCheckError, match=re.escape(equation)):
         lemma43_scalars(C5, random_specialization(C5, seed=1))
 
     code, doc = _run_cli(capsys, "minors", "--group", "c5", "--seeds", "2",
                          "--checks", "scalars")
     assert code == 1
     witness = doc["checks"]["scalars"]["counterexample"]
-    assert (witness["seed"], witness["equation"]) == (1, _T12_EQUATION)
+    assert (witness["seed"], witness["equation"]) == (1, equation)
     assert witness["lhs"] != witness["rhs"]
 
     code, doc = _run_cli(capsys, "verify", "--suite", "scalars", "--groups", "c5")
@@ -635,7 +633,15 @@ def test_lemma43_scalars_fail_on_a_wrong_t12(monkeypatch, capsys):
     assert by_theorem["principal-minor-reduction"]["status"] == "skipped"
     scalars = by_theorem["odd-order-minor-scalars"]
     assert scalars["status"] == "fail"
-    assert scalars["witness"].startswith(_T12_EQUATION + ": ")
+    assert scalars["witness"].startswith(equation + ": ")
+
+
+def test_lemma43_scalars_fail_on_a_wrong_t2(monkeypatch, capsys):
+    _assert_scalars_fail_on(monkeypatch, capsys, "T2", "2*T2 = delta*(C - n*S)")
+
+
+def test_lemma43_scalars_fail_on_a_wrong_t12(monkeypatch, capsys):
+    _assert_scalars_fail_on(monkeypatch, capsys, "T12", "2*T12 = delta*(C - n*S)")
 
 
 # --- Lemma 4.3: B4 = S is implied by B5 = S ----------------------------------
