@@ -142,6 +142,10 @@ MUTANTS = (
            "            if status != 0:", "            if False:"),
     Mutant("missing-report-ignored", VERIFY,
            "    if missing:", "    if False:"),
+    # start-up: every command would load verify to name its checks
+    Mutant("eager-verify-import", CLI,
+           "from . import characters, immanants, verify\n",
+           "from . import characters, immanants, verify\nfrom .verify import SUITES\n"),
 )
 
 

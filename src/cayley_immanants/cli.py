@@ -7,6 +7,11 @@ given; all randomness sits behind --seed.  Exit codes: 0 ok, 1 check failed
 usage or parse error, 3 enumeration envelope exceeded, 4 any other exception,
 with its traceback on stderr (4 wins over 1).  search-pd-gap writes one
 progress line per group to stderr.
+
+The package loads each layer on first read (see `__init__`), and this module
+reads immanants, characters and verify only inside the commands and
+arguments that use them, so `support` and `padic` load neither those nor
+polynomials and minors.
 """
 
 from __future__ import annotations
@@ -19,19 +24,11 @@ import itertools
 import json
 import sys
 import time
-import traceback
 from collections.abc import Iterator
 
-from .characters import Partition, partitions_of
-from .errors import EnvelopeError
+from . import characters, immanants, verify
+from .errors import EnvelopeError, IdentityCheckError
 from .groups import GroupSpec, _prime_factorization, elements, parse_group
-from .immanants import (
-    check_sweep_envelope,
-    immanant,
-    perm_class_stats,
-    twin_difference,
-)
-from .minors import IdentityCheckError
 from .supports import (
     _walk_hall_support,
     block_size_certificate,
@@ -44,7 +41,6 @@ from .supports import (
     padic_profile,
     per_monomial,
 )
-from .verify import MINOR_CHECKS, SUITES, exit_code, run_minor_checks, run_suite
 
 
 def _group_arg(text: str) -> GroupSpec:
@@ -79,10 +75,10 @@ def _name_list(text: str) -> list[str]:
     return names
 
 
-def _partition_arg(text: str) -> Partition:
+def _partition_arg(text: str) -> characters.Partition:
     try:
         parts = tuple(int(p) for p in text.split(","))
-        return Partition(parts)
+        return characters.Partition(parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad partition {text!r}: {exc}")
 
@@ -189,7 +185,7 @@ def _json(data) -> Iterator[str]:
 
 def cmd_imm(args) -> int:
     spec = args.group
-    poly = immanant(spec, args.partition)
+    poly = immanants.immanant(spec, args.partition)
     doc = {"group": spec.name, "terms": poly.json_terms()}
     summary = {
         "group": spec.name,
@@ -208,7 +204,7 @@ def cmd_imm(args) -> int:
 
 
 def cmd_twin(args) -> int:
-    poly = twin_difference(args.group)
+    poly = immanants.twin_difference(args.group)
     doc = {"group": args.group.name, "support_size": poly.support_size}
     if args.out:
         _emit({"group": args.group.name, "terms": poly.json_terms()}, args.out)
@@ -222,7 +218,7 @@ def cmd_support(args) -> int:
     if args.report == "full":
         # the rows walk classes: refuse before the Hall support or any count
         check_hall_envelope(spec)
-        check_sweep_envelope(spec)
+        immanants.check_sweep_envelope(spec)
     hook, cohook = count_I_nearhook(spec)
     doc = {
         "group": spec.name,
@@ -236,7 +232,7 @@ def cmd_support(args) -> int:
         # every representative before it returns, so a failing row prints nothing
 
         def row(rep):
-            stats = perm_class_stats(spec, rep)
+            stats = immanants.perm_class_stats(spec, rep)
             h, c = near_hook_coeff(spec, rep, stats)
             return {
                 "p_m": stats.p_m,
@@ -308,16 +304,16 @@ def cmd_padic(args) -> int:
 
 
 def cmd_minors(args) -> int:
-    names = args.checks or list(MINOR_CHECKS)
-    reports = run_minor_checks(names, args.group, args.seeds, args.seed, args.range)
+    names = args.checks or list(verify.MINOR_CHECKS)
+    reports = verify.run_minor_checks(names, args.group, args.seeds, args.seed, args.range)
     checks = {r.theorem: {"status": r.status, "counterexample": r.witness} for r in reports}
     _emit({"group": args.group.name, "seeds": args.seeds, "checks": checks}, args.out)
-    return exit_code(reports)
+    return verify.exit_code(reports)
 
 
 def cmd_verify(args) -> int:
-    reports = run_suite(args.suite, groups=args.groups, max_order=args.max_order,
-                        seed=args.seed)
+    reports = verify.run_suite(args.suite, groups=args.groups, max_order=args.max_order,
+                               seed=args.seed)
     if not reports:
         # a run that checks nothing must not report a pass
         print(f"error: --groups/--max-order leave no check in suite {args.suite!r}",
@@ -326,10 +322,10 @@ def cmd_verify(args) -> int:
     doc = {
         "suite": args.suite,
         "reports": [r.to_json_dict(with_timings=args.timings) for r in reports],
-        "passed": exit_code(reports) == 0,
+        "passed": verify.exit_code(reports) == 0,
     }
     _emit(doc, args.out)
-    return exit_code(reports)
+    return verify.exit_code(reports)
 
 
 def cmd_explore(args) -> int:
@@ -338,7 +334,7 @@ def cmd_explore(args) -> int:
     if n % 2 == 0 or n < 7:
         print("error: conjecture 3 concerns odd n >= 7", file=sys.stderr)
         return 2
-    poly = immanant(spec, Partition((n - 2, 1, 1)))
+    poly = immanants.immanant(spec, characters.Partition((n - 2, 1, 1)))
     doc = {
         "conjecture": 3,
         "group": spec.name,
@@ -355,7 +351,7 @@ def _abelian_groups_of_order(order: int) -> list[GroupSpec]:
     specs = [[]]
     for p, e in sorted(_prime_factorization(order).items()):
         extended = []
-        for lam in partitions_of(e):
+        for lam in characters.partitions_of(e):
             factors = [p**part for part in lam.parts]
             extended.extend(base + factors for base in specs)
         specs = extended
@@ -400,12 +396,47 @@ def cmd_search_pd_gap(args) -> int:
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its `deferred` arguments when it parses.
+
+    `minors --checks` and `verify --suite` name the checks of verify's
+    registry; they are added only when their command is parsed, so no other
+    command loads verify.
+    """
+
+    def __init__(self, *args, deferred=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._deferred = deferred
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._deferred is not None:
+            self._deferred(self)
+            self._deferred = None
+        return super().parse_known_args(args, namespace)
+
+
+def _minors_checks_argument(p) -> None:
+    p.add_argument("--checks", type=_name_list,
+                   help=f"comma list from: {','.join(verify.MINOR_CHECKS)}")
+
+
+def _verify_arguments(p) -> None:
+    p.add_argument("--suite", choices=verify.SUITES, required=True)
+    p.add_argument("--groups", type=_name_list,
+                   help="comma list of group specs overriding the defaults")
+    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--timings", action="store_true",
+                   help="include wall times (breaks byte-identical output)")
+    p.add_argument("--out")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cayley-imm",
         description="Exact immanants of Cayley-table matrices of finite abelian groups",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def add_common(p, group=True):
         if group:
@@ -437,24 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="one sequence, elements comma-separated, residues colon-joined")
     p.set_defaults(func=cmd_padic)
 
-    p = sub.add_parser("minors", help="exact minor-identity checks at random points")
+    p = sub.add_parser("minors", help="exact minor-identity checks at random points",
+                       deferred=_minors_checks_argument)
     add_common(p)
     p.add_argument("--seeds", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--range", type=_int_at_least(2), default=32)
-    p.add_argument("--checks", type=_name_list,
-                   help=f"comma list from: {','.join(MINOR_CHECKS)}")
     p.set_defaults(func=cmd_minors)
 
-    p = sub.add_parser("verify", help="run a theorem-verification suite")
-    p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("--groups", type=_name_list,
-                   help="comma list of group specs overriding the defaults")
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--timings", action="store_true",
-                   help="include wall times (breaks byte-identical output)")
-    p.add_argument("--out")
+    p = sub.add_parser("verify", help="run a theorem-verification suite",
+                       deferred=_verify_arguments)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("explore", help="numerical exploration of open items")
@@ -486,6 +509,8 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except Exception:  # noqa: BLE001 - a crash is exit 4, never a failed check's 1
+        import traceback  # read on a crash only: importing it costs every call ~4 ms
+
         traceback.print_exc()
         return 4
 

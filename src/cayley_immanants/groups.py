@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 Element = tuple[int, ...]
@@ -18,18 +17,45 @@ Element = tuple[int, ...]
 _FACTOR_RE = re.compile(r"c(\d+)$")
 
 
-@dataclass(frozen=True)
 class GroupSpec:
-    """A finite abelian group presented as C_{d1} x ... x C_{dk}."""
+    """A finite abelian group presented as C_{d1} x ... x C_{dk}.
 
-    factors: tuple[int, ...]
+    An immutable value: equal factors are equal specs with equal hashes, so
+    a spec keys the per-group memos.  It is written out rather than made a
+    frozen dataclass: `dataclasses`, which imports `inspect`, would be the
+    largest import of a `support` or `padic` call.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        if not factors:
             raise ValueError("a group needs at least one cyclic factor")
-        for d in self.factors:
+        for d in factors:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"cyclic factor must be an integer >= 2, got {d!r}")
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupSpec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable GroupSpec")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
+
+    def __repr__(self) -> str:
+        return f"GroupSpec(factors={self.factors!r})"
+
+    def __reduce__(self):
+        # rebuilt through __init__, which validates again
+        return type(self), (self.factors,)
 
     @property
     def order(self) -> int:

@@ -28,18 +28,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
+from .errors import IdentityCheckError
 from .groups import GroupSpec, add_table, double_table, neg_table
 from .polynomials import GroupPolynomial, RationalSpecialization
-
-
-class IdentityCheckError(AssertionError):
-    """An exact identity that a theorem guarantees failed to hold."""
-
-    def __init__(self, equation: str, lhs, rhs):
-        super().__init__(f"{equation}: {lhs} != {rhs}")
-        self.equation = equation
-        self.lhs = lhs
-        self.rhs = rhs
 
 
 def bareiss_det(rows: list[list[int]]) -> int:

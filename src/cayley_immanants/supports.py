@@ -38,10 +38,9 @@ compares with it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter, sub
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import EnvelopeError
 from .groups import (
@@ -55,10 +54,10 @@ from .groups import (
     neg_table,
     negation_parity,
 )
-from .polynomials import Monomial
 
 if TYPE_CHECKING:
     from .immanants import PermClassStats
+    from .polynomials import Monomial
 
 
 @lru_cache(maxsize=None)
@@ -526,8 +525,7 @@ def _min_valuation(spec: GroupSpec, p: int, counts: tuple[int, ...]) -> int | No
     return min((v for _, v in _block_valuations(spec, p, counts)), default=None)
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(NamedTuple):
     """Least p-adic valuation of the partition-formula terms of one sequence."""
 
     p: int

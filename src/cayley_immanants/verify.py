@@ -55,7 +55,7 @@ from .characters import (
     twin_diff_char,
 )
 from . import supports
-from .errors import EnvelopeError
+from .errors import EnvelopeError, IdentityCheckError
 from .groups import (
     GroupSpec,
     _prime_factorization,
@@ -74,7 +74,6 @@ from .minors import (
     F1,
     T2,
     T12,
-    IdentityCheckError,
     inverse_profile,
     jacobi_check,
     lemma43_scalars,

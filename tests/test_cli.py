@@ -264,6 +264,29 @@ def test_minors_unknown_check(capsys):
     assert code == 2
 
 
+def test_an_unknown_suite_is_a_usage_error_that_lists_the_suites(capsys):
+    # the verify arguments are added when that command parses; the choices
+    # still come from the registry
+    from cayley_immanants.verify import SUITES
+
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "bogus"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid choice: 'bogus' (choose from {', '.join(map(repr, SUITES))})" in captured.err
+
+
+def test_minors_help_lists_the_registered_checks(capsys):
+    from cayley_immanants.verify import MINOR_CHECKS
+
+    with pytest.raises(SystemExit) as err:
+        main(["minors", "--help"])
+    assert err.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--checks CHECKS comma list from: " + ",".join(MINOR_CHECKS) in help_text
+
+
 def test_verify_prop42(capsys):
     code, doc = run_json(capsys, "verify", "--suite", "prop42")
     assert code == 0

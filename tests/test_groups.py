@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,31 @@ def test_parse_group_grammar():
         parse_group("d4")
     with pytest.raises(ValueError):
         parse_group("")
+
+
+def test_group_spec_is_an_immutable_value():
+    spec, same = GroupSpec((2, 4)), GroupSpec((2, 4))
+    assert spec == same and hash(spec) == hash(same) and spec is not same
+    assert {spec: 1}[same] == 1
+    assert spec != GroupSpec((4, 2)) and spec != (2, 4)
+    with pytest.raises(AttributeError):
+        spec.factors = (8,)
+    with pytest.raises(AttributeError):
+        spec.order = 8
+    with pytest.raises(AttributeError):
+        del spec.factors
+    assert spec.factors == (2, 4)
+    # verify's forked workers send their results back pickled
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and hash(copy) == hash(spec)
+    assert repr(spec) == "GroupSpec(factors=(2, 4))"
+    assert GroupSpec(factors=(3,)) == C3
+
+
+@pytest.mark.parametrize("factors", [(), (1,), (2, 0), (2, -3), (2.0,), ("c2",)], ids=repr)
+def test_group_spec_refuses_a_bad_factor(factors):
+    with pytest.raises(ValueError):
+        GroupSpec(factors)
 
 
 def test_elements_lex_order_zero_first():

@@ -35,6 +35,7 @@ from cayley_immanants.supports import (
     hall_orbits,
     hall_support,
     near_hook_scalar_numerator,
+    orbit_representatives,
 )
 from test_polynomials import monomial_of_perm
 from test_supports import (
@@ -290,6 +291,68 @@ def test_determinant_matches_the_class_walks_at_c10():
     c10 = GroupSpec((10,))
     sign = _char_weights(Partition((1,) * 10))
     assert determinant(c10) == GroupPolynomial.from_terms(c10, _sweep(c10, sign))
+
+
+def class_size_mismatches(spec: GroupSpec, census) -> list[tuple[int, ...]]:
+    """Cycle types mu whose walked count is not the class size n!/z_mu.
+
+    census(spec, rep) is a walk's census; it is weighted by the orbit size
+    and summed over the orbit representatives of the Hall support.  This
+    sees a lost, doubled or misfiled permutation, not one charged to the
+    wrong monomial within its cycle type.
+    """
+    n = spec.order
+    walked = Counter()
+    for rep, size in orbit_representatives(spec):
+        for lengths, count in census(spec, rep):
+            walked[lengths] += size * count
+    class_size = {}
+    for lam in partitions_of(n):
+        z = 1
+        for length, mult in Counter(lam.parts).items():
+            z *= length**mult * math.factorial(mult)
+        class_size[lam.parts] = math.factorial(n) // z
+    return sorted(mu for mu in walked.keys() | class_size.keys()
+                  if walked[mu] != class_size.get(mu))
+
+
+@pytest.mark.parametrize("factors", [(8,), (2, 4), (9,), (3, 3), (10,)], ids=str)
+def test_walked_censuses_sum_to_the_class_sizes(factors):
+    assert class_size_mismatches(GroupSpec(factors), _class_walk) == []
+
+
+def _census_with(spec: GroupSpec, change):
+    """_class_walk, with change applied to the census of the first
+    representative whose class holds two cycle types."""
+    target = next(rep for rep, _ in orbit_representatives(spec)
+                  if len(_class_walk(spec, rep)) >= 2)
+
+    def census(group, rep):
+        if rep != target:
+            return _class_walk(group, rep)
+        counts = dict(_class_walk(group, rep))
+        change(counts)
+        return tuple(sorted(counts.items()))
+
+    return census
+
+
+def test_class_size_oracle_sees_a_permutation_moved_between_cycle_types():
+    def move(counts):
+        source, sink = sorted(counts)[:2]
+        counts[source] -= 1
+        counts[sink] += 1
+
+    c8 = GroupSpec((8,))
+    assert len(class_size_mismatches(c8, _census_with(c8, move))) == 2
+
+
+def test_class_size_oracle_sees_an_added_permutation():
+    def add(counts):
+        counts[min(counts)] += 1
+
+    c8 = GroupSpec((8,))
+    assert len(class_size_mismatches(c8, _census_with(c8, add))) == 1
 
 
 def test_determinant_walks_no_class():

@@ -4,6 +4,7 @@ import functools
 import io
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from cayley_immanants.immanants import determinant, immanant, perm_class_stats, 
 from cayley_immanants.characters import Partition
 from cayley_immanants.cli import _abelian_groups_of_order, main
 from cayley_immanants.supports import (
+    ValuationProfile,
     _anchored_block_sum,
     _anchored_blocks,
     _completions,
@@ -960,6 +962,17 @@ def test_padic_profile_rejects_bad_input():
         padic_profile(C6, ((0,),) * 6)
     with pytest.raises(ValueError):
         padic_profile(C4, ((1,), (0,), (0,), (0,)))
+
+
+def test_valuation_profile_is_an_immutable_value():
+    profile = block_size_certificate(GroupSpec((8,)))
+    same = ValuationProfile(p=2, r=3, min_valuation=7, strictly_minimal=True)
+    assert profile == same and hash(profile) == hash(same)
+    assert profile != ValuationProfile(2, 3, 7, False)
+    with pytest.raises(AttributeError):
+        profile.min_valuation = 0
+    assert pickle.loads(pickle.dumps(profile)) == profile
+    assert repr(profile) == "ValuationProfile(p=2, r=3, min_valuation=7, strictly_minimal=True)"
 
 
 def test_padic_certificate_forces_nonzero_det_coeff():
