@@ -131,6 +131,13 @@ MUTANTS = (
     Mutant("min-valuation-default-0", SUPPORTS,
            "    return min((v for _, v in _block_valuations(spec, p, counts)), default=None)",
            "    return min((v for _, v in _block_valuations(spec, p, counts)), default=0)"),
+    # the rows' orbit expansion: order, one value per orbit, the size guard
+    Mutant("per-monomial-unsorted", SUPPORTS,
+           "    rows.sort(key=itemgetter(0))\n", ""),
+    Mutant("per-monomial-first-value", SUPPORTS,
+           "        result = value(rep)", "        result = rows[0][1] if rows else value(rep)"),
+    Mutant("per-monomial-size-guard", SUPPORTS,
+           "        if len(orbit) != size:", "        if False:"),
     # the JSON writer: the STDOUT_SHA256 pins read its layout and key order
     Mutant("writer-int-list-one-line", CLI,
            '            return "[" + inner + ("," + inner).join(map(_int_repr, value)) + newline + "]"',

@@ -4,9 +4,10 @@ Subcommands: imm, twin, support, padic, minors, verify, explore,
 search-pd-gap.  Output is JSON on stdout (CSV for padic) unless --out is
 given; all randomness sits behind --seed.  Exit codes: 0 ok, 1 check failed
 (a verify check, or an IdentityCheckError or ArithmeticError anywhere), 2
-usage or parse error, 3 enumeration envelope exceeded, 4 any other exception,
-with its traceback on stderr (4 wins over 1).  search-pd-gap writes one
-progress line per group to stderr.
+usage or parse error or an --out file that cannot be opened, 3 enumeration
+envelope exceeded, 4 any other exception, with its traceback on stderr (4
+wins over 1), 141 (as for SIGPIPE) stdout closed by its reader, e.g. `head`.
+search-pd-gap writes one progress line per group to stderr.
 
 The package loads each layer on first read (see `__init__`), and this module
 reads immanants, characters and verify only inside the commands and
@@ -22,6 +23,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from collections.abc import Iterator
@@ -84,8 +86,13 @@ def _partition_arg(text: str) -> characters.Partition:
 
 
 def _open(out: str | None):
-    """The --out file to write, or stdout (left open)."""
-    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+    """The --out file to write, or stdout (left open); ValueError if it cannot be opened."""
+    if not out:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot open --out file: {exc}") from None
 
 
 def _emit(doc, out: str | None) -> None:
@@ -498,7 +505,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the flush at exit would fail again and print; /dev/null takes it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except EnvelopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

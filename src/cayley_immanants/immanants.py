@@ -5,8 +5,8 @@ over the permutation class P(m) = {sigma : prod_u x_{u+sigma(u)} = m}.
 Conjugating sigma by an affine map u -> phi(u) + gamma (phi an automorphism)
 keeps its cycle type and relabels m by g -> phi(g) + 2*gamma, so every
 coefficient is constant on the orbits of those relabellings.  The engine
-therefore reads the coefficient of one representative per orbit of the
-Hall support, and `supports.per_monomial` gives it to the orbit's members.
+therefore reads the coefficient of each `supports.orbit_representatives`
+entry, and `supports.per_monomial` gives it to the entry's whole orbit.
 
 The determinant (lam = 1^n) reads the partition formula
 `supports.det_coeff`, which `count_D` already evaluates on the same

@@ -20,13 +20,11 @@ The Hall support is enumerated in lexicographic order by one walk,
 `_walk_hall_support`, which descends only into exponents that the
 completion table `_completions` says can still be completed.  The orbits
 of `groups.affine_maps`, on which det_coeff and the near-hook scalar are
-constant, reach callers by two routes.  Counts stream:
-`orbit_representatives` keeps each orbit's least member and its size from
-one pass of the walk, and D and I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes
-over them.  Rows label: `hall_support` stores the walk, `hall_orbits`
-labels it with one int per monomial in order of first appearance, and
-`per_monomial` evaluates each orbit's first monomial, then gives the value
-to the later members as the rows are read.
+constant, reach every caller by one route: `orbit_representatives` keeps
+each orbit's least member and its size from one pass of the walk.  D and
+I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes over them, and `per_monomial`
+gives each one's value to its images, the orbit, for the rows.  Only the
+checks that read every monomial store the walk (`hall_support`).
 
 The p-adic profile is a size certificate: a term's valuation charges each
 block by its size alone, so `block_size_certificate` bounds every
@@ -229,41 +227,17 @@ def _affine_pullbacks(spec: GroupSpec) -> list[itemgetter]:
 
 
 @lru_cache(maxsize=None)
-def hall_orbits(spec: GroupSpec, /) -> tuple[int, ...]:
-    """One affine orbit label per monomial of `hall_support(spec)`, in its order.
-
-    The row routes' labelling.  Labels are numbered in order of first
-    appearance, so the first monomial with label k is the least member of
-    orbit k: its representative.  The labelling stores no monomials.
-    Raises ArithmeticError as `_affine_pullbacks` does.
-    """
-    monomials = hall_support(spec)
-    pullbacks = _affine_pullbacks(spec)
-    index = {mono: i for i, mono in enumerate(monomials)}
-    labels = [-1] * len(monomials)
-    count = 0
-    for i, mono in enumerate(monomials):
-        if labels[i] >= 0:
-            continue
-        for pullback in pullbacks:
-            labels[index[pullback(mono)]] = count
-        count += 1
-    return tuple(labels)
-
-
-@lru_cache(maxsize=None)
 def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...]:
     """(least member, orbit size) per affine orbit of the Hall support, ascending.
 
-    The count paths' route: one pass over the Hall enumeration that keeps
-    only the representatives, the least members that `hall_orbits(spec)`
-    labels first.  A monomial is the least member of its orbit iff no
-    pulled-back image is smaller, and its orbit size is |A| over the number
-    of maps that fix it.  Raises ArithmeticError if `affine_maps(spec)` is
-    not a group acting on the Hall support: a map that leaves it, no
-    identity, a stabilizer whose size does not divide |A|, or orbit sizes
-    that do not sum to P.  Raises EnvelopeError, before any table is built,
-    above MAX_HALL_MONOMIALS.
+    The orbit route of the counts and of the rows (`per_monomial`): one pass
+    over the Hall enumeration that keeps only the representatives.  A
+    monomial is the least member of its orbit iff no pulled-back image is
+    smaller, and its orbit size is |A| over the number of maps that fix it.
+    Raises ArithmeticError if `affine_maps(spec)` is not a group acting on
+    the Hall support: a map that leaves it, no identity, a stabilizer whose
+    size does not divide |A|, or orbit sizes that do not sum to P.  Raises
+    EnvelopeError, before any table is built, above MAX_HALL_MONOMIALS.
     """
     check_hall_envelope(spec)
     pullbacks = _affine_pullbacks(spec)
@@ -298,17 +272,24 @@ def per_monomial(spec: GroupSpec, value):
     """An iterator of (monomial, value) over the Hall support, in lexicographic order.
 
     `value` must be constant on the affine orbits: it is called once per
-    orbit, on the representative (the orbit's first monomial), and its
-    result is given to every later member.  Every call is made before this
-    returns, so a value that raises does so before the first row.
+    orbit, on the representative from `orbit_representatives`, and its
+    result is given to every image of the representative.  Every call is
+    made before this returns, so a value that raises does so before the
+    first row.  Raises ArithmeticError if the images of a representative do
+    not number its orbit size, so the rows are exactly the P Hall monomials.
     """
-    monomials = hall_support(spec)
-    labels = hall_orbits(spec)
-    values: list = []
-    for mono, label in zip(monomials, labels, strict=True):
-        if label == len(values):
-            values.append(value(mono))
-    return zip(monomials, map(values.__getitem__, labels))
+    reps = orbit_representatives(spec)
+    pullbacks = _affine_pullbacks(spec)
+    rows = []
+    for rep, size in reps:
+        orbit = {pullback(rep) for pullback in pullbacks}
+        if len(orbit) != size:
+            raise ArithmeticError(f"{rep!r} has {len(orbit)} images under the relabellings "
+                                  f"of {spec.name}, not its orbit size {size}")
+        result = value(rep)
+        rows.extend([(mono, result) for mono in orbit])
+    rows.sort(key=itemgetter(0))
+    return iter(rows)
 
 
 @lru_cache(maxsize=None)

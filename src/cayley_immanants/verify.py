@@ -333,8 +333,9 @@ def _hall_permanent_support(spec, seed):
     if got != expected:
         extra = sorted(got ^ expected)[:3]
         return f"support mismatch, e.g. {extra}"
-    # the engine reads its monomials from hall_support, so a missing
-    # orbit would be missing from both sides above
+    # the engine expands orbit_representatives and the check reads the
+    # stored walk, so a monomial lost by one route fails above; the closed
+    # form sees one lost by both
     closed = count_P(spec)
     if len(expected) != closed:
         return f"|hall_support| = {len(expected)} != closed-form P = {closed}"

@@ -112,9 +112,9 @@ def test_hall_envelope_refuses_before_any_table(capsys):
     assert supports._completions.cache_info().misses == 0
     assert supports.orbit_representatives.cache_info().currsize == 0
     assert groups.affine_maps.cache_info().currsize == 0
-    # a direct labelling call is refused before its map set is built too
+    # a direct row call is refused before its map set is built too
     with pytest.raises(EnvelopeError):
-        supports.hall_orbits(GroupSpec((14,)))
+        supports.per_monomial(GroupSpec((14,)), lambda rep: None)
     assert supports._completions.cache_info().misses == 0
     assert groups.affine_maps.cache_info().currsize == 0
 
@@ -194,12 +194,34 @@ def test_padic_all_stores_no_hall_support(capsys):
     from cayley_immanants import supports
 
     supports.hall_support.cache_clear()
-    supports.hall_orbits.cache_clear()
     code, out = run_cli(capsys, "padic", "--group", "c9", "--all")
     assert code == 0
     assert len(out.splitlines()) == 1 + supports.count_P(GroupSpec((9,))) == 2705
     assert supports.hall_support.cache_info().currsize == 0
-    assert supports.hall_orbits.cache_info().currsize == 0
+
+
+def test_support_full_report_reads_one_orbit_stream(capsys):
+    # the counts and the rows read the same representatives; neither stores
+    # the Hall support
+    from cayley_immanants import supports
+
+    supports.hall_support.cache_clear()
+    supports.orbit_representatives.cache_clear()
+    code, doc = run_json(capsys, "support", "--group", "c9", "--report", "full")
+    assert code == 0
+    assert len(doc["monomials"]) == doc["P"] == 2704
+    assert supports.hall_support.cache_info().currsize == 0
+    assert supports.orbit_representatives.cache_info().misses == 1
+
+
+def test_imm_rows_store_no_hall_support(capsys):
+    from cayley_immanants import supports
+
+    supports.hall_support.cache_clear()
+    code, doc = run_json(capsys, "imm", "--group", "c9", "--partition", "8,1")
+    assert code == 0
+    assert doc["support_size"] == 0
+    assert supports.hall_support.cache_info().currsize == 0
 
 
 def test_padic_single_sequence(capsys):
@@ -556,13 +578,57 @@ def test_failed_check_outside_verify_exits_1_with_a_message(capsys, monkeypatch,
     assert captured.err == f"error: {type(exc).__name__}: {exc}\n"
 
 
-def test_crash_outside_verify_exits_4_with_a_traceback(capsys, tmp_path):
-    # an --out path whose directory does not exist
-    code = main(["support", "--group", "c3", "--out", str(tmp_path / "missing" / "out.json")])
+def test_crash_outside_verify_exits_4_with_a_traceback(capsys, monkeypatch, tmp_path):
+    # an OSError after the --out file is open, such as a full disk
+    from cayley_immanants import cli
+
+    def json_blocks(doc):
+        yield "{"
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_json", json_blocks)
+    code = main(["support", "--group", "c3", "--out", str(tmp_path / "out.json")])
     captured = capsys.readouterr()
     assert code == 4
+    assert captured.out == ""
     assert captured.err.startswith("Traceback")
-    assert "FileNotFoundError" in captured.err
+    assert "OSError: [Errno 28] No space left on device" in captured.err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("imm", "--group", "c3", "--partition", "1,1,1", "--out", "{tmp}/missing/x.json"),
+     "No such file or directory"),
+    (("support", "--group", "c3", "--out", "{tmp}"), "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_out_file_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path, argv, reason):
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot open --out file: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, lines", [
+    # unbuffered (-u): the rows, about 1.3 MB, more than a pipe holds, fail
+    # at a write, after the reader took the first line as `head -1` does
+    (("-u", "-m", "cayley_immanants", "padic", "--group", "c11", "--all"), 1),
+    # block-buffered: the whole document fails at the flush
+    (("-m", "cayley_immanants", "imm", "--group", "c9", "--partition", "8,1"), 0),
+], ids=["padic-write", "imm-flush"])
+def test_stdout_closed_by_its_reader_exits_141_quietly(argv, lines):
+    src = Path(cayley_immanants.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait() == 141
+    assert stderr == b""
 
 
 def test_verify_charlayer_selectable(capsys):

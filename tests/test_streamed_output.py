@@ -104,6 +104,9 @@ class _Discard:
     def write(self, text: str) -> int:
         return len(text)
 
+    def flush(self) -> None:
+        pass
+
 
 @pytest.mark.parametrize("argv", [
     # the polynomial and one block of 256 terms: 0.8 MB traced; a dict per

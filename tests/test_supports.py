@@ -38,7 +38,6 @@ from cayley_immanants.supports import (
     count_I_nearhook,
     count_P,
     det_coeff,
-    hall_orbits,
     hall_support,
     near_hook_coeff,
     near_hook_scalar_numerator,
@@ -234,7 +233,7 @@ def oracle_hall_support(spec):
     ids=str,
 )
 def test_hall_support_matches_brute_force_in_lexicographic_order(factors):
-    # `hall_orbits` and `per_monomial` read the order, not just the set
+    # `padic --all` writes its rows in the walk's order
     spec = GroupSpec(factors)
     assert hall_support(spec) == oracle_hall_support(spec)
 
@@ -457,9 +456,8 @@ def _blocks_by_key(spec, counts):
 
 
 def affine_representatives(spec):
-    """The first monomial of each affine orbit: the ones `det_coeff` is read on."""
-    labels = hall_orbits(spec)
-    return [orbit_members(spec, labels, k)[0] for k in range(max(labels) + 1)]
+    """The least monomial of each affine orbit: the ones `det_coeff` is read on."""
+    return [orbit[0] for orbit in oracle_orbits(spec)]
 
 
 @pytest.mark.parametrize(
@@ -605,9 +603,29 @@ def relabel(mono, r):
     return tuple(image)
 
 
-def orbit_members(spec, labels, label):
-    """The monomials of one orbit of `hall_orbits`, ascending; the first is its rep."""
-    return [m for m, k in zip(hall_support(spec), labels, strict=True) if k == label]
+@functools.lru_cache(maxsize=None)
+def oracle_orbits(spec):
+    """The affine orbits of the Hall support, each ascending, by least member.
+
+    The test-side labelling: each monomial of `hall_support(spec)` that no
+    orbit holds yet starts one, its images under every map of
+    `affine_maps(spec)` by `relabel`.  It shares no code with the pullbacks
+    or the least-member test of `orbit_representatives`, and it checks that
+    the orbits stay in the Hall support and partition it.
+    """
+    support = hall_support(spec)
+    members = set(support)
+    labelled = set()
+    orbits = []
+    for mono in support:
+        if mono in labelled:
+            continue
+        orbit = sorted({relabel(mono, r) for r in affine_maps(spec)})
+        assert labelled.isdisjoint(orbit) and members.issuperset(orbit)
+        labelled.update(orbit)
+        orbits.append(tuple(orbit))
+    assert len(labelled) == len(support)
+    return tuple(orbits)
 
 
 LABEL_SPECS = [
@@ -618,65 +636,57 @@ LABEL_SPECS = [
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_hall_orbits_label_the_hall_support(data):
+def test_per_monomial_rows_are_the_hall_support_valued_per_orbit(data):
     spec = data.draw(st.sampled_from(LABEL_SPECS), label="spec")
     support = hall_support(spec)
     assert all(a < b for a, b in zip(support, support[1:]))
-    labels = hall_orbits(spec)
-    # the labelling stores one int per monomial, no monomials
-    assert len(labels) == len(support)
-    assert all(type(k) is int for k in labels)
-    count = max(labels) + 1
-    assert set(labels) == set(range(count))
-    position = {m: i for i, m in enumerate(support)}
-    maps = affine_maps(spec)
-    for i, mono in enumerate(support):
-        for r in maps:
-            assert labels[position[relabel(mono, r)]] == labels[i]
-    # labels are numbered in order of first appearance
-    first = [labels.index(k) for k in range(count)]
-    assert first == sorted(first)
-    members = [orbit_members(spec, labels, k) for k in range(count)]
-    assert all(orbit[0] == min(orbit) for orbit in members)
-    assert sum(map(len, members)) == count_P(spec)
+    rows = list(per_monomial(spec, lambda rep: rep))
+    assert [mono for mono, _ in rows] == list(support)
+    # each row carries the least member of its oracle orbit
+    least = {mono: orbit[0] for orbit in oracle_orbits(spec) for mono in orbit}
+    assert all(rep == least[mono] for mono, rep in rows)
+    assert len(rows) == count_P(spec)
 
 
-def test_hall_orbits_refuse_a_map_that_leaves_the_hall_support(fake_affine_maps):
-    # swapping x_0 and x_1 of c4 is a bijection but not an affine map; a
-    # refusal is not cached, so only the cold cache needs clearing
-    hall_orbits.cache_clear()
+def test_per_monomial_refuses_a_map_that_leaves_the_hall_support(fake_affine_maps):
+    # swapping x_0 and x_1 of c4 is a bijection but not an affine map
     fake_affine_maps([(0, 1, 2, 3), (1, 0, 2, 3)])
     with pytest.raises(ArithmeticError, match=r"\(1, 0, 2, 3\).*outside the Hall support of c4"):
-        hall_orbits(C4)
+        per_monomial(C4, lambda rep: 1)
 
 
-def test_hall_orbits_hold_one_entry_per_spec():
+def test_orbit_representatives_hold_one_entry_per_spec():
     # affine orbits only: no map set is a parameter, so none is a cache key
     spec = GroupSpec((6,))
     with pytest.raises(TypeError):
-        hall_orbits(spec, affine_maps)
+        orbit_representatives(spec, affine_maps)
     with pytest.raises(TypeError):
-        hall_orbits(spec=spec)
+        orbit_representatives(spec=spec)
     with pytest.raises(TypeError):
-        list(per_monomial(spec, lambda rep: None, affine_maps))
-    hall_orbits.cache_clear()
+        per_monomial(spec, lambda rep: None, affine_maps)
+    orbit_representatives.cache_clear()
     list(per_monomial(spec, lambda rep: None))
-    labels = hall_orbits(spec)
-    info = hall_orbits.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
-    assert len(labels) == count_P(spec)
+    reps = orbit_representatives(spec)
+    info = orbit_representatives.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 1, 1)
+    assert sum(size for _, size in reps) == count_P(spec)
 
 
-def test_per_monomial_refuses_a_support_that_does_not_match_its_labels(monkeypatch):
-    # the labelling stores no monomials, so only the lengths can disagree
+def test_per_monomial_refuses_images_that_miss_the_orbit_size(monkeypatch):
+    # a representative whose recorded size disagrees with its images would
+    # give rows that are not the P Hall monomials; no value is read after it
     import cayley_immanants.supports as supports
 
     spec = GroupSpec((5,))
-    real = hall_support(spec)
-    hall_orbits(spec)
-    monkeypatch.setattr(supports, "hall_support", lambda spec: real[:-1])
-    with pytest.raises(ValueError):
-        list(per_monomial(spec, lambda rep: 1))
+    (rep, size), *rest = orbit_representatives(spec)
+    for wrong in (size + 1, size - 1):
+        monkeypatch.setattr(supports, "orbit_representatives",
+                            lambda spec: ((rep, wrong), *rest))
+        calls = []
+        with pytest.raises(ArithmeticError, match=f"{size} images under the relabellings "
+                                                  f"of c5, not its orbit size {wrong}"):
+            per_monomial(spec, calls.append)
+        assert calls == []
 
 
 def test_per_monomial_reads_each_representative_once():
@@ -688,8 +698,7 @@ def test_per_monomial_reads_each_representative_once():
         return rep
 
     rows = list(per_monomial(spec, value))
-    labels = hall_orbits(spec)
-    assert calls == [orbit_members(spec, labels, k)[0] for k in range(max(labels) + 1)]
+    assert calls == [orbit[0] for orbit in oracle_orbits(spec)]
     assert [mono for mono, _ in rows] == sorted(hall_support(spec))
     maps = affine_maps(spec)
     for mono, rep in rows:
@@ -699,13 +708,9 @@ def test_per_monomial_reads_each_representative_once():
 
 @pytest.mark.parametrize("order", range(2, 13))
 def test_orbit_representatives_are_the_first_members_of_the_labels(order):
+    # the oracle's orbits, ordered by their least members, against the stream
     for spec in _abelian_groups_of_order(order):
-        labels = hall_orbits(spec)
-        first = {}
-        for mono, label in zip(hall_support(spec), labels, strict=True):
-            first.setdefault(label, mono)
-        sizes = collections.Counter(labels)
-        expected = [(first[k], sizes[k]) for k in range(len(first))]
+        expected = [(orbit[0], len(orbit)) for orbit in oracle_orbits(spec)]
         assert list(orbit_representatives(spec)) == expected
 
 
@@ -795,14 +800,13 @@ def test_orbit_representatives_refuse_orbit_sizes_that_miss_P(fake_affine_maps, 
 
 
 def test_counts_store_no_hall_support():
-    # the counts read the stream of representatives, not the labelled support
+    # the counts read the stream of representatives, not a stored support
     spec = GroupSpec((3, 3))
-    for cache in (hall_support, hall_orbits, orbit_representatives):
+    for cache in (hall_support, orbit_representatives):
         cache.cache_clear()
     count_D(spec)
     count_I_nearhook(spec)
     assert hall_support.cache_info().currsize == 0
-    assert hall_orbits.cache_info().currsize == 0
     assert orbit_representatives.cache_info().currsize == 1
 
 

@@ -8,7 +8,7 @@ from cayley_immanants.errors import EnvelopeError
 from cayley_immanants.groups import GroupSpec
 from cayley_immanants.immanants import _class_walk, immanant, perm_class_stats
 from cayley_immanants.polynomials import GroupPolynomial
-from cayley_immanants.supports import hall_orbits
+from cayley_immanants.supports import hall_support, orbit_representatives
 from cayley_immanants.verify import VerifyReport, run_suite
 
 
@@ -28,22 +28,39 @@ def test_hall_suite_small():
     assert ("c3-ground-truth", "c3") in statuses(reports)
 
 
-def test_hall_check_catches_an_orbit_missing_from_hall_support(monkeypatch):
-    # the engine reads hall_support too, so only the closed form sees the gap
-    from cayley_immanants import supports, verify
+def _without_pure_powers(real):
+    """real with the orbit of the pure powers x_g^n dropped from its result."""
 
-    real = supports.hall_support
-
-    def without_pure_powers(spec):
+    def without(spec):
         return tuple(m for m in real(spec) if max(m) < spec.order)
 
-    supports.hall_orbits.cache_clear()
-    monkeypatch.setattr(supports, "hall_support", without_pure_powers)
-    monkeypatch.setattr(verify, "hall_support", without_pure_powers)
-    try:
-        reports = run_suite("hall", groups=["c5"])
-    finally:
-        supports.hall_orbits.cache_clear()
+    return without
+
+
+def test_hall_check_catches_an_orbit_missing_from_hall_support(monkeypatch):
+    # the engine expands the orbit representatives, so it keeps the orbit
+    # that the stored support lost
+    from cayley_immanants import supports, verify
+
+    monkeypatch.setattr(supports, "hall_support", _without_pure_powers(supports.hall_support))
+    monkeypatch.setattr(verify, "hall_support", _without_pure_powers(verify.hall_support))
+    reports = run_suite("hall", groups=["c5"])
+    assert statuses(reports)[("hall-permanent-support", "c5")] == "fail"
+    assert "support mismatch" in reports[-1].witness
+
+
+def test_hall_check_catches_an_orbit_missing_from_both_routes(monkeypatch):
+    # the same orbit lost by the check's support and by the engine's
+    # permanent: the sides agree, and only the closed form sees the gap
+    from cayley_immanants import verify
+
+    def permanent(spec):
+        return GroupPolynomial.from_terms(
+            spec, {m: 1 for m in _without_pure_powers(hall_support)(spec)})
+
+    monkeypatch.setattr(verify, "hall_support", _without_pure_powers(verify.hall_support))
+    monkeypatch.setattr(verify, "permanent", permanent)
+    reports = run_suite("hall", groups=["c5"])
     assert statuses(reports)[("hall-permanent-support", "c5")] == "fail"
     assert "closed-form P" in reports[-1].witness
 
@@ -206,7 +223,7 @@ def test_c9_suites_walk_each_representative_once():
     for suite in ("thm15", "scalars"):
         assert all(r.status == "pass" for r in run_suite(suite, groups=["c9"]))
     info = _class_walk.cache_info()
-    assert info.misses == max(hall_orbits(c9)) + 1 == 70
+    assert info.misses == len(orbit_representatives(c9)) == 70
     assert info.hits >= 210
     # the envelope refuses before the memo sees the call
     with pytest.raises(EnvelopeError):
