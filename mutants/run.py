@@ -45,6 +45,7 @@ MINORS = "src/cayley_immanants/minors.py"
 VERIFY = "src/cayley_immanants/verify.py"
 SUPPORTS = "src/cayley_immanants/supports.py"
 CLI = "src/cayley_immanants/cli.py"
+IMMANANTS = "src/cayley_immanants/immanants.py"
 
 MUTANTS = (
     # every raise of an exact minor identity, replaced by pass
@@ -105,19 +106,35 @@ MUTANTS = (
     Mutant("odd-order-scalar-loop", VERIFY,
            "        if near_hook_scalar_numerator(spec, mono) != 0:", "        if False:"),
     Mutant("two-mod-four-engine", VERIFY,
-           "        if counts != (hook.support_size, cohook.support_size):", "        if False:"),
+           "        if counts != _near_hook_counts(spec):", "        if False:"),
     Mutant("master-formula", VERIFY,
            "        if got != expected:\n            return f\"coefficient mismatch",
            "        if False:\n            return f\"coefficient mismatch"),
     Mutant("odd-order-twin", VERIFY,
-           "    if not diff.is_zero:", "    if False:"),
+           "    if terms:\n        return f\"twin difference",
+           "    if False:\n        return f\"twin difference"),
     Mutant("even-cyclic-twin-x0", VERIFY,
            "    if got != expected:\n        return f\"[x_0^",
            "    if False:\n        return f\"[x_0^"),
     Mutant("regular-character", VERIFY,
-           "    if total != expected:", "    if False:"),
+           "    if [entry for entry in sums if entry[2]] != "
+           "[(doubling_counts(spec), 1, math.factorial(n))]:",
+           "    if False:"),
     Mutant("closed-character-forms", VERIFY,
            "                if got != expected:", "                if False:"),
+    # the folds of the orbit tables: the hook's zero test, the permanent's
+    # term count against P, the character column, the term count itself
+    Mutant("odd-order-hook-fold", VERIFY,
+           "    if hook:\n", "    if False:\n"),
+    Mutant("thm13-engine-P", VERIFY,
+           "        if orbit_support_size(immanant_orbits(spec, Partition((spec.order,)))) != p:",
+           "        if False:"),
+    Mutant("wrong-character-column", IMMANANTS,
+           "    return _census_fold(spec, _char_weights(lam))",
+           "    return _census_fold(spec, _char_weights(lam.conjugate()))"),
+    Mutant("orbit-count-not-size", IMMANANTS,
+           "    return sum(size for _, size, coeff in table if coeff)",
+           "    return sum(1 for _, size, coeff in table if coeff)"),
     # the engine mutants of the second mutation survey
     Mutant("block-sign", SUPPORTS,
            "        term = (-1) ** (size - 1) * n * math.factorial(size - 1)",
@@ -149,6 +166,9 @@ MUTANTS = (
            "            if status != 0:", "            if False:"),
     Mutant("missing-report-ignored", VERIFY,
            "    if missing:", "    if False:"),
+    # an --out path that cannot be opened would be found after the run
+    Mutant("out-probe-skipped", CLI,
+           "        created = _probe(args.out)\n", ""),
     # start-up: every command would load verify to name its checks
     Mutant("eager-verify-import", CLI,
            "from . import characters, immanants, verify\n",

@@ -4,9 +4,10 @@ Subcommands: imm, twin, support, padic, minors, verify, explore,
 search-pd-gap.  Output is JSON on stdout (CSV for padic) unless --out is
 given; all randomness sits behind --seed.  Exit codes: 0 ok, 1 check failed
 (a verify check, or an IdentityCheckError or ArithmeticError anywhere), 2
-usage or parse error or an --out file that cannot be opened, 3 enumeration
-envelope exceeded, 4 any other exception, with its traceback on stderr (4
-wins over 1), 141 (as for SIGPIPE) stdout closed by its reader, e.g. `head`.
+usage or parse error or an --out file that cannot be opened (probed before
+the command runs), 3 enumeration envelope exceeded, 4 any other exception,
+with its traceback on stderr (4 wins over 1), 141 (as for SIGPIPE) stdout
+closed by its reader, e.g. `head`.
 search-pd-gap writes one progress line per group to stderr.
 
 The package loads each layer on first read (see `__init__`), and this module
@@ -93,6 +94,23 @@ def _open(out: str | None):
         return open(out, "w")
     except OSError as exc:
         raise ValueError(f"cannot open --out file: {exc}") from None
+
+
+def _probe(out: str | None) -> bool:
+    """Open the --out file before the command runs; True if this created it.
+
+    An existing file is opened for appending, so it keeps its bytes until
+    the command writes it.  ValueError, as from `_open`, if it cannot be
+    opened, so a bad path costs no computation.
+    """
+    if not out:
+        return False
+    existed = os.path.lexists(out)
+    try:
+        open(out, "a").close()
+    except OSError as exc:
+        raise ValueError(f"cannot open --out file: {exc}") from None
+    return not existed
 
 
 def _emit(doc, out: str | None) -> None:
@@ -341,13 +359,14 @@ def cmd_explore(args) -> int:
     if n % 2 == 0 or n < 7:
         print("error: conjecture 3 concerns odd n >= 7", file=sys.stderr)
         return 2
-    poly = immanants.immanant(spec, characters.Partition((n - 2, 1, 1)))
+    terms = immanants.orbit_support_size(
+        immanants.immanant_orbits(spec, characters.Partition((n - 2, 1, 1))))
     doc = {
         "conjecture": 3,
         "group": spec.name,
-        "I_(n-2,1,1)": poly.support_size,
+        "I_(n-2,1,1)": terms,
         "P": count_P(spec),
-        "equal": poly.support_size == count_P(spec),
+        "equal": terms == count_P(spec),
         "note": "reported for exploration; no result is asserted",
     }
     _emit(doc, args.out)
@@ -504,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = False
     try:
+        created = _probe(args.out)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
@@ -526,6 +547,10 @@ def main(argv=None) -> int:
 
         traceback.print_exc()
         return 4
+    finally:
+        # a run that stopped before it wrote leaves no file of the probe's
+        if created and os.path.getsize(args.out) == 0:
+            os.remove(args.out)
 
 
 if __name__ == "__main__":

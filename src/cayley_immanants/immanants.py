@@ -4,9 +4,14 @@ The coefficient of a monomial m in imm_lam is the sum of chi^lam(type sigma)
 over the permutation class P(m) = {sigma : prod_u x_{u+sigma(u)} = m}.
 Conjugating sigma by an affine map u -> phi(u) + gamma (phi an automorphism)
 keeps its cycle type and relabels m by g -> phi(g) + 2*gamma, so every
-coefficient is constant on the orbits of those relabellings.  The engine
-therefore reads the coefficient of each `supports.orbit_representatives`
-entry, and `supports.per_monomial` gives it to the entry's whole orbit.
+coefficient is constant on the orbits of those relabellings.  The engine's
+one result is therefore the orbit table (`immanant_orbits`, `twin_orbits`):
+(representative, orbit size, coefficient) for each entry of
+`supports.orbit_representatives`.  A question that is constant on orbits,
+such as whether an immanant vanishes or how many terms it has
+(`orbit_support_size`), folds the table.  `immanant` and `twin_difference`
+expand it through `supports.per_monomial` into a `GroupPolynomial`, for the
+callers that need every monomial.
 
 The determinant (lam = 1^n) reads the partition formula
 `supports.det_coeff`, which `count_D` already evaluates on the same
@@ -37,9 +42,13 @@ from .characters import (
 from .errors import EnvelopeError
 from .groups import GroupSpec, add_table
 from .polynomials import GroupPolynomial, Monomial
-from .supports import det_coeff, per_monomial
+from .supports import det_coeff, orbit_representatives, per_monomial
 
 MAX_SWEEP_ORDER = 10
+
+# (orbit representative, orbit size, coefficient) per affine orbit of the
+# Hall support, in `orbit_representatives` order
+OrbitTable = tuple[tuple[Monomial, int, int], ...]
 
 
 def check_sweep_envelope(spec: GroupSpec) -> None:
@@ -129,24 +138,24 @@ def _class_walk(
     return tuple(sorted((shared[lengths], c) for lengths, c in counts.items()))
 
 
-def _sweep(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> dict[Monomial, int]:
-    """Every nonzero coefficient sum_{sigma in P(m)} weight(type(sigma)).
+def _census_fold(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> OrbitTable:
+    """The orbit table whose coefficient is sum_{sigma in P(rep)} weight(type(sigma)).
 
     One class walk per orbit representative of the Hall support.
     """
+    return tuple(
+        (rep, size, sum(weights[lengths] * c for lengths, c in _class_walk(spec, rep)))
+        for rep, size in orbit_representatives(spec)
+    )
 
-    def coefficient(rep: Monomial) -> int:
-        return sum(weights[lengths] * c for lengths, c in _class_walk(spec, rep))
 
-    return {mono: coeff for mono, coeff in per_monomial(spec, coefficient) if coeff}
+def immanant_orbits(spec: GroupSpec, lam: Partition) -> OrbitTable:
+    """The orbit table of imm_lam: (representative, orbit size, coefficient).
 
-
-def immanant(spec: GroupSpec, lam: Partition) -> GroupPolynomial:
-    """imm_lam of the Cayley-table matrix of the group, exactly.
-
-    For the sign partition 1^n (the determinant) each representative's
-    coefficient comes from the partition formula `supports.det_coeff`, so
-    no class is walked; every other lam folds the class census.
+    One entry per `orbit_representatives(spec)` entry, in its order, zero
+    coefficients included.  For the sign partition 1^n (the determinant) the
+    coefficient comes from the partition formula `supports.det_coeff`, so no
+    class is walked; every other lam folds the class census.
     """
     check_sweep_envelope(spec)
     if lam.weight != spec.order:
@@ -154,10 +163,37 @@ def immanant(spec: GroupSpec, lam: Partition) -> GroupPolynomial:
             f"partition weight {lam.weight} != group order {spec.order}"
         )
     if lam.parts == (1,) * spec.order:
-        terms = per_monomial(spec, lambda rep: det_coeff(spec, rep))
-    else:
-        terms = _sweep(spec, _char_weights(lam))
-    return GroupPolynomial.from_terms(spec, terms)
+        return tuple((rep, size, det_coeff(spec, rep))
+                     for rep, size in orbit_representatives(spec))
+    return _census_fold(spec, _char_weights(lam))
+
+
+def twin_orbits(spec: GroupSpec) -> OrbitTable:
+    """The orbit table of imm_(4,1^(n-4)) - imm_(2,2,2,1^(n-6)), in one census fold."""
+    check_sweep_envelope(spec)
+    n = spec.order
+    if n < 6:
+        raise ValueError(f"both twin shapes need group order >= 6, got {n}")
+    return _census_fold(spec, _twin_weights(n))
+
+
+def orbit_support_size(table: OrbitTable) -> int:
+    """The number of terms of the table's polynomial: the sizes of its nonzero orbits."""
+    return sum(size for _, size, coeff in table if coeff)
+
+
+def _expand(spec: GroupSpec, table: OrbitTable) -> GroupPolynomial:
+    """The table's polynomial: each coefficient given to its representative's orbit."""
+    coeffs = {rep: coeff for rep, _, coeff in table}
+    # zero rows are dropped before from_terms checks each row (all P of them
+    # for a vanishing twin)
+    return GroupPolynomial.from_terms(
+        spec, {mono: coeff for mono, coeff in per_monomial(spec, coeffs.__getitem__) if coeff})
+
+
+def immanant(spec: GroupSpec, lam: Partition) -> GroupPolynomial:
+    """imm_lam of the Cayley-table matrix of the group, exactly: its orbit table expanded."""
+    return _expand(spec, immanant_orbits(spec, lam))
 
 
 def determinant(spec: GroupSpec) -> GroupPolynomial:
@@ -169,12 +205,8 @@ def permanent(spec: GroupSpec) -> GroupPolynomial:
 
 
 def twin_difference(spec: GroupSpec) -> GroupPolynomial:
-    """imm_(4,1^(n-4)) - imm_(2,2,2,1^(n-6)) in a single weighted sweep."""
-    check_sweep_envelope(spec)
-    n = spec.order
-    if n < 6:
-        raise ValueError(f"both twin shapes need group order >= 6, got {n}")
-    return GroupPolynomial.from_terms(spec, _sweep(spec, _twin_weights(n)))
+    """imm_(4,1^(n-4)) - imm_(2,2,2,1^(n-6)): the twin orbit table expanded."""
+    return _expand(spec, twin_orbits(spec))
 
 
 @dataclass(frozen=True)

@@ -55,44 +55,15 @@ class GroupPolynomial:
                 clean[tuple(mono)] = int(coeff)
         return cls(group, clean)
 
-    @classmethod
-    def zero(cls, group: GroupSpec) -> "GroupPolynomial":
-        return cls(group, {})
-
     @property
     def support_size(self) -> int:
         return len(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def support(self) -> frozenset[Monomial]:
         return frozenset(self.terms)
 
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(tuple(mono), 0)
-
-    def add_scaled(self, other: "GroupPolynomial", scale: int = 1) -> "GroupPolynomial":
-        """self + scale * other, dropping cancelled terms."""
-        if other.group != self.group:
-            raise ValueError(
-                f"cannot combine polynomials over {self.group} and {other.group}"
-            )
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = merged.get(mono, 0) + scale * coeff
-            if new:
-                merged[mono] = new
-            else:
-                merged.pop(mono, None)
-        return GroupPolynomial(self.group, merged)
-
-    def __add__(self, other: "GroupPolynomial") -> "GroupPolynomial":
-        return self.add_scaled(other, 1)
-
-    def __sub__(self, other: "GroupPolynomial") -> "GroupPolynomial":
-        return self.add_scaled(other, -1)
 
     def evaluate(self, rho: RationalSpecialization) -> Fraction:
         """Exact value at the specialization; no floating point anywhere."""

@@ -22,9 +22,12 @@ completion table `_completions` says can still be completed.  The orbits
 of `groups.affine_maps`, on which det_coeff and the near-hook scalar are
 constant, reach every caller by one route: `orbit_representatives` keeps
 each orbit's least member and its size from one pass of the walk.  D and
-I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes over them, and `per_monomial`
-gives each one's value to its images, the orbit, for the rows.  Only the
-checks that read every monomial store the walk (`hall_support`).
+I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes over them, as the immanants'
+orbit tables do, and `per_monomial` gives each one's value to its images,
+the orbit, only where rows are the output: `support --report full` and a
+`GroupPolynomial`.  The affine maps are checked once per group
+(`_affine_pullbacks`).  Only the checks that read every monomial store the
+walk (`hall_support`).
 
 The p-adic profile is a size certificate: a term's valuation charges each
 block by its size alone, so `block_size_certificate` bounds every
@@ -196,8 +199,9 @@ def count_P(spec: GroupSpec) -> int:
     return total // n
 
 
-def _affine_pullbacks(spec: GroupSpec) -> list[itemgetter]:
-    """Pullbacks through `affine_maps(spec)`, checked to keep the Hall support.
+@lru_cache(maxsize=None)
+def _affine_pullbacks(spec: GroupSpec) -> tuple[itemgetter, ...]:
+    """Pullbacks through `affine_maps(spec)`, checked once per spec to keep the Hall support.
 
     Pulling a monomial m back through a bijection r gives the weighted sum
     sum_h m_h * r^-1(h), so an affine r keeps the Hall support; at order 3
@@ -205,7 +209,8 @@ def _affine_pullbacks(spec: GroupSpec) -> list[itemgetter]:
     bijection does.  Raises ArithmeticError, naming the map, for a map that
     is not an affine bijection, and for a map set without the identity.  The
     images of a monomial are its orbit: pulling back through r relabels by
-    r's inverse, which is in the group too.
+    r's inverse, which is in the group too.  A map set that fails is not
+    cached, so every call on it raises.
     """
     n = spec.order
     add = add_table(spec)
@@ -223,7 +228,7 @@ def _affine_pullbacks(spec: GroupSpec) -> list[itemgetter]:
     identity = tuple(range(n))
     if identity not in maps:
         raise ArithmeticError(f"the relabellings of {spec.name} lack the identity {identity!r}")
-    return [itemgetter(*r) for r in maps]
+    return tuple(itemgetter(*r) for r in maps)
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +245,7 @@ def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...
     EnvelopeError, before any table is built, above MAX_HALL_MONOMIALS.
     """
     check_hall_envelope(spec)
-    pullbacks = _affine_pullbacks(spec)
+    pullbacks = list(_affine_pullbacks(spec))  # reordered by the visits below
     n_maps = len(pullbacks)
     reps: list[tuple[Monomial, int]] = []
 

@@ -6,6 +6,7 @@ exact integer or rational equality; there are no tolerances to tune.
 """
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 from cayley_immanants.characters import (
@@ -139,8 +140,8 @@ def test_criterion_6_odd_near_hooks_vanish():
     for name in ("c3", "c5", "c7", "c9", "c3xc3"):
         spec = G(name)
         n = spec.order
-        assert immanant(spec, Partition((n - 1, 1))).is_zero, name
-        assert immanant(spec, Partition((2,) + (1,) * (n - 2))).is_zero, name
+        assert immanant(spec, Partition((n - 1, 1))).support_size == 0, name
+        assert immanant(spec, Partition((2,) + (1,) * (n - 2))).support_size == 0, name
         for mono in hall_support(spec):
             assert near_hook_scalar_numerator(spec, mono) == 0, (name, mono)
 
@@ -173,7 +174,7 @@ def test_criterion_8_master_formula():
 @report(9, "odd order >= 7: twin immanants coincide")
 def test_criterion_9_twin_difference_zero():
     for name in ("c7", "c9", "c3xc3"):
-        assert twin_difference(G(name)).is_zero, name
+        assert twin_difference(G(name)).support_size == 0, name
 
 
 @report(10, "even cyclic: twin difference at x_0^n")
@@ -240,10 +241,9 @@ def test_criterion_12_character_layer():
     for name in ("c2", "c3", "c4", "c2xc2", "c5", "c6"):
         spec = G(name)
         n = spec.order
-        total = GroupPolynomial.zero(spec)
+        total = Counter()
         for lam in partitions_of(n):
-            total = total.add_scaled(immanant(spec, lam), dimension(lam))
-        expected = GroupPolynomial.from_terms(
-            spec, {tuple(doubling_counts(spec)): math.factorial(n)}
-        )
-        assert total == expected, name
+            for mono, coeff in immanant(spec, lam).terms.items():
+                total[mono] += dimension(lam) * coeff
+        nonzero = {mono: coeff for mono, coeff in total.items() if coeff}
+        assert nonzero == {tuple(doubling_counts(spec)): math.factorial(n)}, name

@@ -101,6 +101,7 @@ def test_hall_envelope_refuses_before_any_table(capsys):
     supports.hall_support.cache_clear()
     supports._completions.cache_clear()
     supports.orbit_representatives.cache_clear()
+    supports._affine_pullbacks.cache_clear()
     groups.affine_maps.cache_clear()
     code = main(["support", "--group", "c14"])
     captured = capsys.readouterr()
@@ -112,6 +113,7 @@ def test_hall_envelope_refuses_before_any_table(capsys):
     assert supports._completions.cache_info().misses == 0
     assert supports.orbit_representatives.cache_info().currsize == 0
     assert groups.affine_maps.cache_info().currsize == 0
+    assert supports._affine_pullbacks.cache_info().currsize == 0
     # a direct row call is refused before its map set is built too
     with pytest.raises(EnvelopeError):
         supports.per_monomial(GroupSpec((14,)), lambda rep: None)
@@ -610,6 +612,39 @@ def test_out_file_that_cannot_be_opened_is_a_usage_error(capsys, tmp_path, argv,
     assert captured.err.count("\n") == 1
 
 
+def test_out_file_is_probed_before_the_run(capsys, monkeypatch, tmp_path):
+    # run_suite raising shows that nothing is computed before the refusal
+    from cayley_immanants import verify
+
+    def run_suite(*args, **kwargs):
+        raise RuntimeError("computed before the --out probe")
+
+    monkeypatch.setattr(verify, "run_suite", run_suite)
+    code = main(["verify", "--suite", "all", "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot open --out file: ")
+    assert "No such file or directory" in captured.err
+    # with a path that opens, the run is reached, and its crash leaves no file
+    target = tmp_path / "x.json"
+    assert main(["verify", "--suite", "all", "--out", str(target)]) == 4
+    assert "RuntimeError: computed before the --out probe" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_a_run_that_fails_after_the_probe_leaves_no_new_file(capsys, tmp_path):
+    target = tmp_path / "x.json"
+    assert main(["explore", "--conjecture", "3", "--n", "6", "--out", str(target)]) == 2
+    assert main(["imm", "--group", "c12", "--partition", "11,1", "--out", str(target)]) == 3
+    assert not target.exists()
+    # a file that was there keeps its bytes when the run fails
+    target.write_text("kept")
+    assert main(["imm", "--group", "c12", "--partition", "11,1", "--out", str(target)]) == 3
+    assert target.read_text() == "kept"
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, lines", [
     # unbuffered (-u): the rows, about 1.3 MB, more than a pipe holds, fail
     # at a write, after the reader took the first line as `head -1` does
@@ -697,6 +732,11 @@ STDOUT_SHA256 = {
     # per-group forked workers on a host with more than one CPU
     "verify --suite all --seed 1":
         "36df352ee8f715f8e080c49624b504410a543b2bedb91f2f67f2ee9ddcc15920",
+    # I_(n-2,1,1) folded from its orbit table against P
+    "explore --conjecture 3 --n 7":
+        "9379ab2b99ac274385eae25e22877e08d3ae2370dfd7080d54f7388c7ffd9db7",
+    "explore --conjecture 3 --n 9":
+        "88278521e8f8f6cc52d7fc91a5e4a92cf057a2f1ec27bc68a45f0da6f0f29c2e",
 }
 
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -14,6 +15,7 @@ from cayley_immanants.groups import (
     automorphisms,
     doubling_counts,
     neg_table,
+    parse_group,
     perm_parity,
 )
 from cayley_immanants.immanants import (
@@ -21,13 +23,15 @@ from cayley_immanants.immanants import (
     PermClassStats,
     _char_weights,
     _class_walk,
-    _sweep,
     _twin_weights,
     determinant,
     immanant,
+    immanant_orbits,
+    orbit_support_size,
     perm_class_stats,
     permanent,
     twin_difference,
+    twin_orbits,
 )
 from cayley_immanants.polynomials import GroupPolynomial
 from cayley_immanants.supports import (
@@ -77,7 +81,7 @@ def brute_histogram(spec: GroupSpec) -> dict:
 
 
 def brute_terms(spec: GroupSpec, weights) -> dict:
-    """The brute-force oracle of _sweep: nonzero sum of weight(type) per monomial."""
+    """The brute-force oracle of the census fold: nonzero sum of weight(type) per monomial."""
     terms = {}
     for mono, types in brute_histogram(spec).items():
         coeff = sum(weights[t] * c for t, c in types.items())
@@ -105,8 +109,8 @@ def test_c2_det_per():
 
 
 def test_near_hook_immanants_vanish_on_c5():
-    assert immanant(C5, Partition((4, 1))).is_zero
-    assert immanant(C5, Partition((2, 1, 1, 1))).is_zero
+    assert immanant(C5, Partition((4, 1))).support_size == 0
+    assert immanant(C5, Partition((2, 1, 1, 1))).support_size == 0
 
 
 def test_weight_mismatch_and_envelope():
@@ -193,22 +197,40 @@ def test_translation_fiber_counts():
                 assert n * signed[a] == mono[a] * stats.d_m
 
 
+def combination(*scaled) -> dict:
+    """The terms of sum_i c_i * p_i for (c_i, p_i) pairs, cancelled terms dropped."""
+    total = Counter()
+    for scale, poly in scaled:
+        for mono, coeff in poly.terms.items():
+            total[mono] += scale * coeff
+    return {mono: coeff for mono, coeff in total.items() if coeff}
+
+
+def expand_table(spec: GroupSpec, table) -> dict:
+    """The nonzero terms of an orbit table, expanded over the test-side orbits.
+
+    The table must hold every orbit of `oracle_orbits`, in ascending order
+    of its least member, with the orbit's size.
+    """
+    orbits = oracle_orbits(spec)
+    assert [(rep, size) for rep, size, _ in table] == [(o[0], len(o)) for o in orbits]
+    return {mono: coeff for orbit, (_, _, coeff) in zip(orbits, table) if coeff
+            for mono in orbit}
+
+
 def test_regular_character_identity_polynomials():
     # sum over lam of dim(lam) * imm_lam = n! * prod_a x_{2a}
+    from cayley_immanants.characters import dimension
+
     for spec in (C2, C3, C4, C2xC2, C5, C6):
         n = spec.order
-        total = GroupPolynomial.zero(spec)
-        from cayley_immanants.characters import dimension
-
-        for lam in partitions_of(n):
-            total = total.add_scaled(immanant(spec, lam), dimension(lam))
-        expected = GroupPolynomial.from_terms(
-            spec, {tuple(doubling_counts(spec)): math.factorial(n)}
-        )
-        assert total == expected
+        total = combination(*((dimension(lam), immanant(spec, lam)) for lam in partitions_of(n)))
+        assert total == {tuple(doubling_counts(spec)): math.factorial(n)}
 
 
 def test_conjugate_shape_is_sign_twisted_sweep():
+    # imm of the conjugate shape folds each census with the sign-twisted
+    # column; for lam = (n) that is the determinant, read from det_coeff
     for spec in (C4, C5, C6, C2xC2):
         n = spec.order
         for lam in partitions_of(n):
@@ -217,8 +239,9 @@ def test_conjugate_shape_is_sign_twisted_sweep():
                 mu: (-1 if sum(c - 1 for c in mu) % 2 else 1) * w
                 for mu, w in weights.items()
             }
-            direct = immanant(spec, lam.conjugate())
-            assert direct == GroupPolynomial.from_terms(spec, _sweep(spec, twisted))
+            folded = [(rep, size, sum(twisted[mu] * c for mu, c in _class_walk(spec, rep)))
+                      for rep, size in orbit_representatives(spec)]
+            assert list(immanant_orbits(spec, lam.conjugate())) == folded
 
 
 def test_c6_near_hook_supports_match_det_per():
@@ -227,23 +250,24 @@ def test_c6_near_hook_supports_match_det_per():
 
 
 def test_twin_difference_c7_zero():
-    assert twin_difference(C7).is_zero
+    assert twin_difference(C7).support_size == 0
 
 
 def test_twin_difference_c6_x0_coefficient():
     diff = twin_difference(C6)
     assert diff.coefficient((6, 0, 0, 0, 0, 0)) == -3
-    assert not diff.is_zero
+    assert diff.support_size > 0
     # agrees with the two immanants computed separately
-    direct = immanant(C6, Partition((4, 1, 1))) - immanant(C6, Partition((2, 2, 2)))
-    assert diff == direct
+    direct = combination((1, immanant(C6, Partition((4, 1, 1)))),
+                         (-1, immanant(C6, Partition((2, 2, 2)))))
+    assert diff.terms == direct
 
 
 def test_twin_difference_matches_immanant_difference_c7():
-    direct = immanant(C7, Partition((4, 1, 1, 1))) - immanant(
-        C7, Partition((2, 2, 2, 1))
-    )
-    assert twin_difference(C7) == direct
+    direct = combination((1, immanant(C7, Partition((4, 1, 1, 1)))),
+                         (-1, immanant(C7, Partition((2, 2, 2, 1)))))
+    assert twin_difference(C7).terms == direct == {}
+    assert orbit_support_size(twin_orbits(C7)) == 0
 
 
 def test_negation_monomial_in_every_support():
@@ -262,12 +286,16 @@ ORACLE_SPECS = [GroupSpec((n,)) for n in range(2, 9)] + [
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=str)
 def test_sweep_matches_brute_force_oracle(spec):
+    # every orbit table, expanded test-side and through per_monomial
     n = spec.order
     for lam in partitions_of(n):
-        weights = _char_weights(lam)
-        assert _sweep(spec, weights) == brute_terms(spec, weights), lam
+        expected = brute_terms(spec, _char_weights(lam))
+        table = immanant_orbits(spec, lam)
+        assert expand_table(spec, table) == immanant(spec, lam).terms == expected, lam
+        assert orbit_support_size(table) == len(expected)
     if n >= 6:
-        assert _sweep(spec, _twin_weights(n)) == brute_terms(spec, _twin_weights(n))
+        expected = brute_terms(spec, _twin_weights(n))
+        assert expand_table(spec, twin_orbits(spec)) == twin_difference(spec).terms == expected
 
 
 @pytest.mark.parametrize(
@@ -275,8 +303,42 @@ def test_sweep_matches_brute_force_oracle(spec):
 )
 def test_sweep_matches_brute_force_oracle_order_9(factors, lam):
     spec = GroupSpec(factors)
-    weights = _char_weights(Partition(lam))
-    assert _sweep(spec, weights) == brute_terms(spec, weights)
+    expected = brute_terms(spec, _char_weights(Partition(lam)))
+    assert expand_table(spec, immanant_orbits(spec, Partition(lam))) == expected
+
+
+# sha256 of every immanant's sorted terms, partition by partition, then the
+# twin difference's, as the engine gave them before it kept orbit tables
+EXPANDED_SHA256 = {
+    "c8": "72f65ae124d3ff19d227ba7fb100316bfd2ce6fe82432c122c0b59c20bb88464",
+    "c2xc4": "397b652fa3ac0178fd7438fa300d67ff93a96c462ad69d78c255cbda9aa7adff",
+    "c9": "bb45fafc8e88c934d95f27150a8aa71d8dcf59444c70fc707a30dd58372f0ded",
+    "c3xc3": "c0ee6babb79ce31a910429991c20c8d538ec88d7c65e4ae72671a08530cba408",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPANDED_SHA256))
+def test_expanded_tables_keep_every_immanant(name):
+    spec = parse_group(name)
+    digest = hashlib.sha256()
+    for lam in partitions_of(spec.order):
+        terms = expand_table(spec, immanant_orbits(spec, lam))
+        assert immanant(spec, lam).terms == terms
+        digest.update(repr((lam.parts, sorted(terms.items()))).encode())
+    terms = expand_table(spec, twin_orbits(spec))
+    digest.update(repr(("twin", sorted(terms.items()))).encode())
+    assert digest.hexdigest() == EXPANDED_SHA256[name]
+
+
+def test_orbit_tables_refuse_what_the_polynomials_refuse():
+    with pytest.raises(ValueError, match="partition weight 4 != group order 5"):
+        immanant_orbits(C5, Partition((3, 1)))
+    with pytest.raises(EnvelopeError, match="group order 11"):
+        immanant_orbits(GroupSpec((11,)), Partition((1,) * 11))
+    with pytest.raises(ValueError, match="group order >= 6, got 5"):
+        twin_orbits(C5)
+    with pytest.raises(EnvelopeError, match="group order 11"):
+        twin_orbits(GroupSpec((11,)))
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS + [GroupSpec((9,))], ids=str)
@@ -289,7 +351,9 @@ def test_determinant_matches_brute_force_oracle(spec):
 def test_determinant_matches_the_class_walks_at_c10():
     c10 = GroupSpec((10,))
     sign = _char_weights(Partition((1,) * 10))
-    assert determinant(c10) == GroupPolynomial.from_terms(c10, _sweep(c10, sign))
+    walked = [(rep, size, sum(sign[mu] * c for mu, c in _class_walk(c10, rep)))
+              for rep, size in orbit_representatives(c10)]
+    assert list(immanant_orbits(c10, Partition((1,) * 10))) == walked
 
 
 def class_size_mismatches(spec: GroupSpec, census) -> list[tuple[int, ...]]:

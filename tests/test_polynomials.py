@@ -60,12 +60,6 @@ def test_non_bijection_rejected():
         monomial_of_perm(C3, (0, 0, 2))
 
 
-def test_add_scaled_cancellation():
-    p = GroupPolynomial.from_terms(C3, {(3, 0, 0): 2, (1, 1, 1): 5})
-    assert p.add_scaled(p, -1).is_zero
-    assert p.add_scaled(p, -1).support_size == 0
-
-
 def test_coefficient_of_absent_monomial_is_zero():
     p = GroupPolynomial.from_terms(C3, {(3, 0, 0): 2})
     assert p.coefficient((1, 1, 1)) == 0
@@ -74,9 +68,8 @@ def test_coefficient_of_absent_monomial_is_zero():
 
 def test_mixed_group_rejected():
     p = GroupPolynomial.from_terms(C2, {(2, 0): 1})
-    q = GroupPolynomial.from_terms(C3, {(3, 0, 0): 1})
-    with pytest.raises(ValueError):
-        p.add_scaled(q)
+    with pytest.raises(ValueError, match="different group"):
+        p.evaluate(RationalSpecialization(C3, [1, 2, 3]))
 
 
 def test_zero_coefficients_dropped_on_build():
@@ -94,7 +87,8 @@ def test_evaluate_examples():
     per_c2 = GroupPolynomial.from_terms(C2, {(2, 0): 1, (0, 2): 1})
     assert per_c2.evaluate(RationalSpecialization(C2, [2, 3])) == 13
 
-    zero = GroupPolynomial.zero(C3)
+    zero = GroupPolynomial.from_terms(C3, {})
+    assert zero.support_size == 0
     assert zero.evaluate(RationalSpecialization(C3, [7, 8, 9])) == 0
 
 
@@ -144,14 +138,11 @@ def c3_polys(draw):
 @settings(max_examples=60)
 def test_evaluate_is_linear(p, q, c, x0, x1, x2):
     rho = RationalSpecialization(C3, [x0, x1, x2])
-    assert (p.add_scaled(q, c)).evaluate(rho) == p.evaluate(rho) + c * q.evaluate(rho)
-
-
-@given(c3_polys(), c3_polys(), c3_polys())
-@settings(max_examples=40)
-def test_merge_associative_commutative(p, q, r):
-    assert p + q == q + p
-    assert (p + q) + r == p + (q + r)
+    merged = dict(p.terms)
+    for mono, coeff in q.terms.items():
+        merged[mono] = merged.get(mono, 0) + c * coeff
+    combined = GroupPolynomial.from_terms(C3, merged)
+    assert combined.evaluate(rho) == p.evaluate(rho) + c * q.evaluate(rho)
 
 
 @given(c3_polys())

@@ -672,6 +672,23 @@ def test_orbit_representatives_hold_one_entry_per_spec():
     assert sum(size for _, size in reps) == count_P(spec)
 
 
+def test_affine_maps_are_checked_once_per_spec():
+    # the representative scan and every expansion reuse the checked pullbacks
+    from cayley_immanants import supports
+
+    spec = GroupSpec((2, 4))
+    supports._affine_pullbacks.cache_clear()
+    orbit_representatives.cache_clear()
+    for _ in range(3):
+        list(per_monomial(spec, lambda rep: rep))
+    info = supports._affine_pullbacks.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # the scan's move-to-front swaps reorder a copy, not the cached tuple
+    identity = tuple(range(spec.order))
+    assert [pullback(identity) for pullback in supports._affine_pullbacks(spec)] == list(
+        affine_maps(spec))
+
+
 def test_per_monomial_refuses_images_that_miss_the_orbit_size(monkeypatch):
     # a representative whose recorded size disagrees with its images would
     # give rows that are not the P Hall monomials; no value is read after it
@@ -760,12 +777,23 @@ def test_orbit_count_matches_burnside(factors):
 
 @pytest.fixture
 def fake_affine_maps(monkeypatch):
-    """Swap the map set that `orbit_representatives` reads, on a cold cache."""
+    """Swap the map set that `orbit_representatives` reads, on cold caches.
+
+    The checked pullbacks are cached per spec, so each swap clears them.
+    """
     from cayley_immanants import supports
 
-    orbit_representatives.cache_clear()
-    yield lambda maps: monkeypatch.setattr(supports, "affine_maps", lambda spec: maps)
-    orbit_representatives.cache_clear()
+    def clear():
+        orbit_representatives.cache_clear()
+        supports._affine_pullbacks.cache_clear()
+
+    def swap(maps):
+        clear()
+        monkeypatch.setattr(supports, "affine_maps", lambda spec: maps)
+
+    clear()
+    yield swap
+    clear()
 
 
 @pytest.mark.parametrize(

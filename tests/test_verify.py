@@ -85,6 +85,16 @@ def test_thm13_check_catches_a_walked_d_m_that_differs_from_count_d(monkeypatch)
     assert report.witness == "formula D differs from the immanant engine"
 
 
+def test_thm13_check_compares_p_with_the_permanent_folded_per_orbit(monkeypatch):
+    # count_P is the closed form; only the permanent's orbit table changes
+    from cayley_immanants import verify
+
+    monkeypatch.setattr(verify, "immanant_orbits", _zero_table)
+    report = run_suite("thm13", groups=["c5"])[0]
+    assert (report.theorem, report.status) == ("prime-power-P-equals-D", "fail")
+    assert report.witness == "formula P differs from the immanant engine"
+
+
 def test_padic_certificate_check_fails_where_the_fold_ties(monkeypatch):
     # the size certificate never reads the zero-sum fold, so a tie in the
     # fold shows only in the comparison
@@ -121,15 +131,34 @@ def test_odd_order_near_hook_check_reads_the_scalar_on_every_monomial(monkeypatc
     assert report.witness == "scalar numerator nonzero at (0, 3, 0)"
 
 
-def _zero_immanant(spec, lam):
-    return GroupPolynomial.zero(spec)
+def _zero_table(spec, lam):
+    return tuple((rep, size, 0) for rep, size in orbit_representatives(spec))
+
+
+def _first_orbit_nonzero(table):
+    """The table with its first orbit's coefficient set to 1."""
+    (rep, size, _), *rest = table
+    return ((rep, size, 1), *rest)
+
+
+def test_odd_order_near_hook_check_sums_the_sizes_of_nonzero_orbits(monkeypatch):
+    # one orbit of the hook's table made nonzero: the witness counts its
+    # terms, the orbit of x_2^3 under the three shifts of c3
+    from cayley_immanants import verify
+
+    real = verify.immanant_orbits
+    monkeypatch.setattr(verify, "immanant_orbits",
+                        lambda spec, lam: _first_orbit_nonzero(real(spec, lam)))
+    (report,) = run_suite("thm14", groups=["c3"])[:1]
+    assert (report.theorem, report.status) == ("odd-order-near-hooks-vanish", "fail")
+    assert report.witness == "imm_(n-1,1) has 3 terms"
 
 
 def test_two_mod_four_check_compares_the_formula_counts_with_the_engine(monkeypatch):
     # count_P and count_D read no immanant, so only the engine side changes
     from cayley_immanants import verify
 
-    monkeypatch.setattr(verify, "immanant", _zero_immanant)
+    monkeypatch.setattr(verify, "immanant_orbits", _zero_table)
     report = {r.theorem: r for r in run_suite("thm14", groups=["c6"])}[
         "two-mod-four-near-hook-counts"]
     assert report.status == "fail"
@@ -153,12 +182,14 @@ def _one_term_twin(spec):
 
 
 def test_odd_order_twin_check_fails_on_a_nonzero_twin(monkeypatch):
+    # the first orbit of c7, x_6^7, has 7 members: its seven shifts
     from cayley_immanants import verify
 
-    monkeypatch.setattr(verify, "twin_difference", _one_term_twin)
+    real = verify.twin_orbits
+    monkeypatch.setattr(verify, "twin_orbits", lambda spec: _first_orbit_nonzero(real(spec)))
     (report,) = run_suite("thm15", groups=["c7"])
     assert (report.theorem, report.status) == ("odd-order-twin-immanants", "fail")
-    assert report.witness == "twin difference has 1 terms"
+    assert report.witness == "twin difference has 7 terms"
 
 
 def test_even_cyclic_twin_check_reads_the_x0_coefficient(monkeypatch):
@@ -174,9 +205,9 @@ def test_regular_character_check_sums_every_immanant(monkeypatch):
     # the permanent left out of the sum sum_lam dim(lam) imm_lam
     from cayley_immanants import verify
 
-    real = verify.immanant
-    monkeypatch.setattr(verify, "immanant", lambda spec, lam: (
-        _zero_immanant(spec, lam) if lam.parts == (spec.order,) else real(spec, lam)))
+    real = verify.immanant_orbits
+    monkeypatch.setattr(verify, "immanant_orbits", lambda spec, lam: (
+        _zero_table(spec, lam) if lam.parts == (spec.order,) else real(spec, lam)))
     (report,) = run_suite("charlayer", groups=["c3"])
     assert (report.theorem, report.status) == ("regular-character-identity", "fail")
     assert report.witness == "regular-character sum differs from n! * prod x_{2a}"
@@ -243,6 +274,28 @@ def test_all_suites_walk_699_distinct_classes(monkeypatch):
     assert all(r.status in ("pass", "skipped") for r in reports)
     info = _class_walk.cache_info()
     assert (info.misses, info.hits + info.misses) == (699, 2306)
+
+
+def test_all_suites_expand_29_orbit_tables(monkeypatch):
+    # only the checks that read single monomials expand an orbit table into
+    # rows: c3-ground-truth 2, hall-permanent-support 8, the walked d_m of
+    # prime-power-P-equals-D 9, near-hook-master-formula 4, the x_0^n twin 2
+    # and the reduction twin 4
+    from cayley_immanants import immanants, supports, verify
+
+    real = supports.per_monomial
+    calls = []
+
+    def counting(spec, value):
+        calls.append(spec.name)
+        return real(spec, value)
+
+    monkeypatch.setattr(immanants, "per_monomial", counting)
+    monkeypatch.setattr(verify, "per_monomial", counting)
+    monkeypatch.setattr(verify, "_worker_count", lambda shards: 1)
+    reports = run_suite("all")
+    assert all(r.status in ("pass", "skipped") for r in reports)
+    assert len(calls) == 29
 
 
 def test_each_group_runs_in_exactly_one_shard():
