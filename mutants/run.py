@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 MINORS = "src/cayley_immanants/minors.py"
+POLYNOMIALS = "src/cayley_immanants/polynomials.py"
 VERIFY = "src/cayley_immanants/verify.py"
 SUPPORTS = "src/cayley_immanants/supports.py"
 CLI = "src/cayley_immanants/cli.py"
@@ -51,14 +52,21 @@ MUTANTS = (
     # every raise of an exact minor identity, replaced by pass
     Mutant("conv-raise", MINORS,
            '                raise IdentityCheckError(\n'
-           '                    f"sum_r x_r y_(r+s) = [s = 0] at s={s}", residual, expected\n'
+           '                    f"sum_r x_r y_(r+s) = [s = 0] at s={s}",\n'
+           '                    Fraction(residual, unit),\n'
+           '                    1 if s == 0 else 0,\n'
            '                )\n',
            "                pass\n"),
     Mutant("jacobi-raise", MINORS,
-           '            raise IdentityCheckError(f"complementary minor {list(subset)}", lhs, rhs)',
-           "            pass"),
+           '                raise IdentityCheckError(\n'
+           '                    f"complementary minor {list(subset)}",\n'
+           '                    table.minor(subset),\n'
+           '                    profile.delta * form(profile.y, *subset),\n'
+           '                )\n',
+           "                pass\n"),
     Mutant("scalars-raise", MINORS,
-           "            raise IdentityCheckError(equation, lhs, rhs)",
+           "            raise IdentityCheckError(equation, Fraction(lhs, lhs_den), "
+           "Fraction(rhs, rhs_den))",
            "            pass"),
     Mutant("reduction-raise", MINORS,
            '        raise IdentityCheckError("twin = F1 - det + 2*(T12 - T2)", lhs, rhs)',
@@ -70,7 +78,7 @@ MUTANTS = (
            '        raise IdentityCheckError("T12 = T2", lhs, rhs)',
            "        pass"),
     Mutant("b4-equation-deleted", MINORS,
-           '        ("B4 = S", b4, s_val),\n', "",
+           '        ("B4 = S", (b4, u**3), (s_sum, u**2)),\n', "",
            equivalent="B4 = B5 for every x and y (swap j and k; w is symmetric in them), "
                       "so B4 = S fails only where B5 = S does"),
     # the other lemma 4.3 sums are computed inline, with no route to patch:
@@ -83,6 +91,23 @@ MUTANTS = (
            "                b3 += w * y2i * yjk**2", "                b3 += w * yjk**2"),
     Mutant("b5-sum", MINORS,
            "                b5 += w * y2k * yij**2", "                b5 += w * yij**2"),
+    # the integer comparisons: the Jacobi check clears scale**|S|, and
+    # evaluate divides by the denominator's power at the top degree
+    Mutant("jacobi-scale-power", MINORS,
+           "        cleared = det_n ** (size - 1) * table.scale**size",
+           "        cleared = det_n ** (size - 1) * table.scale ** (size - 1)"),
+    Mutant("evaluate-degree-minus-one", POLYNOMIALS,
+           "        return Fraction(total, den**degree)",
+           "        return Fraction(total, den ** (degree - 1))"),
+    # the principal-minor tree: the zero-pivot fallback, Bareiss's division by
+    # the previous pivot, and the bound on the indices left out
+    Mutant("tree-no-zero-pivot-fallback", MINORS,
+           "        if pivot == 0 and i + 1 < n:", "        if False:"),
+    Mutant("tree-divides-by-new-pivot", MINORS,
+           "                new[c - off - 1] = (row[c] * pivot - factor * top[c]) // prev",
+           "                new[c - off - 1] = (row[c] * pivot - factor * top[c]) // pivot"),
+    Mutant("tree-one-more-left-out", MINORS,
+           "        if len(removed) < depth:", "        if len(removed) <= depth:"),
     # the mutation survey's survivors, since covered by a test each
     Mutant("thm13-walked-d", VERIFY,
            "        if walked != d:", "        if False:"),

@@ -1,22 +1,42 @@
-"""Exact-rational verification of the inverse/minor identities.
+"""Exact verification of the inverse/minor identities, in integers.
 
-Everything here is exact: every determinant is a fraction-free Bareiss
-elimination on one integer matrix, the inverse's generating values y come
-from Cramer determinants on that same matrix, and the convolution residual
-sum_r x_r y_(r+s) = [s = 0] certifies them.  That residual is the matrix
-identity M*Y = I for Y = (y_(a+b)), so it also proves the inverse
-group-Hankel.  Identity checks compare rationals for equality, never within
-a tolerance, and have one failure convention: a check raises
-IdentityCheckError(equation, lhs, rhs) at its first broken equation, and
-none returns a failure.
+The specialized Cayley matrix is cleared once: M = N / scale with N an
+integer matrix (every row holds the same values x_g, so one common
+denominator serves the whole matrix).  Every determinant is a fraction-free
+elimination (Bareiss, Math. Comp. 1968) on N.  The convolution, Jacobi and
+Lemma 4.3 identities are compared as integer equations, and a `Fraction` is
+built only for a return value or for the two sides of a failure; the
+reduction compares the returned values of the twin, F1, det, T2 and T12,
+each one integer divided once by scale**n.
+
+The principal minors come from one elimination tree per specialization.
+The tree decides the indices in order, each a pivot or left out, with at
+most three left out.  After pivots P, every remaining entry of the Bareiss
+matrix is the bordered minor det N[P+r, P+c] (Sylvester's identity), so
+leaving an index out only drops its row and column, and minors whose
+left-out sets share a prefix share the eliminations of that prefix.  A zero
+pivot would be divided by at the next step, so the minors below it go to
+`bareiss_det`, which exchanges rows.
+
+The inverse's generating values are y = Y / D with D = det N and Y the
+Cramer numerators of M y = e_0.  The convolution residual
+sum_r x_r y_(r+s) = [s = 0] certifies them; it is the matrix identity
+M*Y = I for Y = (y_(a+b)), so it also proves the inverse group-Hankel.  The
+complementary-minor identity det A(S|S) = delta * form(y) is compared as
+det N(S|S) * D**(|S|-1) * scale**|S| = form(Y), the form being homogeneous
+of degree |S|.  F1, T2 and T12 are integer sums over scale**n, and the
+Lemma 4.3 sums run on X = scale*x and Y over the common denominator
+scale * D.
+Identity checks have one failure convention: a check raises
+IdentityCheckError(equation, lhs, rhs) at its first broken equation, with
+both sides as the exact rationals the equation names, and none returns a
+failure.
 
 Each specialization (spec, rho) gets one table, kept in a small LRU cache:
-the Cayley matrix with its denominators cleared in integers (every row holds
-the same values x_g, so one common denominator serves the whole matrix),
-delta, the certified inverse profile, and every principal minor the checks
-read, each computed the first time it is asked for.  F1, T2, T12, the Jacobi
-check, the Lemma 4.3 scalars and the reduction all read that table, so a
-minor shared by several checks or seeds is eliminated once.
+N, its principal minors, the certified Cramer solution and the sums F1, T2
+and T12, each computed the first time it is read.  The Jacobi check, the
+Lemma 4.3 scalars and the reduction all read that table, so one tree and n
+Cramer eliminations serve every check at a seed.
 """
 
 from __future__ import annotations
@@ -25,12 +45,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import lcm
+from functools import cached_property, lru_cache, partial
 
 from .errors import IdentityCheckError
 from .groups import GroupSpec, add_table, double_table, neg_table
-from .polynomials import GroupPolynomial, RationalSpecialization
+from .polynomials import GroupPolynomial, RationalSpecialization, _clear_denominators
 
 
 def bareiss_det(rows: list[list[int]]) -> int:
@@ -61,17 +80,48 @@ def bareiss_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _clear_denominators(values) -> tuple[list[int], int]:
-    """Integer numerators over the least common denominator of int/Fraction values.
+def _principal_minors(rows: list[list[int]], depth: int) -> dict[tuple[int, ...], int]:
+    """det of every principal submatrix that leaves out at most depth indices.
 
-    Anything without numerator/denominator (a float, say) is refused: its
-    binary value would pass for an exact one.
+    Keyed by the sorted tuple of left-out indices, so the keys are exactly
+    the subsets of range(n) with at most depth members.  One walk of the
+    module docstring's tree: at index i, rows and columns off, off+1, ... of a
+    hold the Bareiss matrix of the undecided indices i..n-1 after the
+    node's pivots, and prev is its last pivot, det N over those pivots.
+    Leaving i out moves off on; pivoting on i eliminates into a new matrix.
     """
-    try:
-        mult = lcm(*(v.denominator for v in values))
-        return [v.numerator * (mult // v.denominator) for v in values], mult
-    except AttributeError:
-        raise TypeError(f"exact arithmetic needs int or Fraction entries: {values!r}") from None
+    n = len(rows)
+    dets: dict[tuple[int, ...], int] = {}
+
+    def walk(i, a, off, prev, removed):
+        if i == n:
+            dets[removed] = prev
+            return
+        if len(removed) < depth:
+            walk(i + 1, a, off + 1, prev, removed + (i,))
+        top = a[off]
+        pivot = top[off]
+        if pivot == 0 and i + 1 < n:
+            for size in range(depth - len(removed) + 1):
+                for extra in itertools.combinations(range(i + 1, n), size):
+                    left_out = removed + extra
+                    keep = [j for j in range(n) if j not in left_out]
+                    dets[left_out] = bareiss_det([[rows[r][c] for c in keep] for r in keep])
+            return
+        # plain index loops: on CPython 3.11 they beat a comprehension per row
+        m = len(a)
+        eliminated = []
+        for r in range(off + 1, m):
+            row = a[r]
+            factor = row[off]
+            new = [0] * (m - off - 1)
+            for c in range(off + 1, m):
+                new[c - off - 1] = (row[c] * pivot - factor * top[c]) // prev
+            eliminated.append(new)
+        walk(i + 1, eliminated, 0, pivot, removed)
+
+    walk(0, rows, 0, 1, ())
+    return dets
 
 
 def specialized_det(spec: GroupSpec, rho: RationalSpecialization) -> Fraction:
@@ -116,78 +166,87 @@ class _MinorTable:
 
     The matrix is cleared once: M = N / scale with N an integer matrix, so
     the principal minor on k kept indices is det N[keep] / scale**k, and a
-    product of k entries of M is one of N over scale**k.  Each minor, keyed
-    by its sorted tuple of removed indices, is eliminated the first time it
-    is asked for; the sums F1, T2 and T12 and the inverse profile are
-    computed once each.
+    product of k entries of M is one of N over scale**k.  The first read of
+    a minor fills `dets`, det N for every left-out set of at most three
+    indices, from one elimination tree; the Cramer solution and the sums F1,
+    T2 and T12 are computed once each.
     """
 
     def __init__(self, spec: GroupSpec, rho: RationalSpecialization) -> None:
         self.spec = spec
-        self.rho = rho
-        ints, self.scale = _clear_denominators(rho.values)
+        self.x, self.scale = _clear_denominators(rho.values)
         add = add_table(spec)
         n = spec.order
-        self.ints = [[ints[add[a][b]] for b in range(n)] for a in range(n)]
-        self.minors: dict[tuple[int, ...], Fraction] = {}
+        self.ints = [[self.x[add[a][b]] for b in range(n)] for a in range(n)]
+
+    @cached_property
+    def dets(self) -> dict[tuple[int, ...], int]:
+        return _principal_minors(self.ints, 3)
 
     def minor(self, removed: tuple[int, ...]) -> Fraction:
         """det A(removed|removed); removed is sorted, () gives delta."""
-        value = self.minors.get(removed)
-        if value is None:
-            keep = [i for i in range(self.spec.order) if i not in removed]
-            rows = self.ints
-            det = bareiss_det([[rows[r][c] for c in keep] for r in keep])
-            value = self.minors[removed] = Fraction(det, self.scale ** len(keep))
-        return value
+        return Fraction(self.dets[removed], self.scale ** (self.spec.order - len(removed)))
 
     @cached_property
-    def profile(self) -> InverseProfile:
-        # M y = e_0 is the convolution system sum_r x_r y_(r+s) = [s = 0]
-        # with its equations reordered (row a of M is equation s = -a), so
-        # Cramer on N with column t := scale*e_0 gives y_t.  The residuals
-        # are the entries of M Y - I: (M Y)[a][c] = sum_r x_r y_(r+c-a).
+    def cramer(self) -> tuple[tuple[int, ...], int]:
+        """(Y, D): y = Y / D solves M y = e_0 and D = det N, certified.
+
+        M y = e_0 is the convolution system sum_r x_r y_(r+s) = [s = 0] with
+        its equations reordered (row a of M is equation s = -a), so Cramer on
+        N with column t := scale*e_0 gives Y_t.  The residuals are the
+        entries of M Y - I: (M Y)[a][c] = sum_r x_r y_(r+c-a); cleared of
+        scale * D they are integers.
+        """
         n = self.spec.order
-        delta = self.minor(())
-        if delta == 0:
+        det_n = self.dets[()]
+        if det_n == 0:
             raise ValueError("specialized matrix is singular")
-        det_n = delta * self.scale**n
         e0 = [self.scale] + [0] * (n - 1)
         ys = tuple(
             bareiss_det([row[:t] + [e0[r]] + row[t + 1:] for r, row in enumerate(self.ints)])
-            / det_n
             for t in range(n)
         )
         add = add_table(self.spec)
-        x = self.rho.values
+        x = self.x
+        unit = self.scale * det_n
         for s in range(n):
             residual = sum(x[r] * ys[add[r][s]] for r in range(n))
-            expected = 1 if s == 0 else 0
-            if residual != expected:
+            if residual != (unit if s == 0 else 0):
                 raise IdentityCheckError(
-                    f"sum_r x_r y_(r+s) = [s = 0] at s={s}", residual, expected
+                    f"sum_r x_r y_(r+s) = [s = 0] at s={s}",
+                    Fraction(residual, unit),
+                    1 if s == 0 else 0,
                 )
-        return InverseProfile(y=ys, delta=delta)
+        return ys, det_n
+
+    @cached_property
+    def profile(self) -> InverseProfile:
+        ys, det_n = self.cramer
+        return InverseProfile(
+            y=tuple(Fraction(v, det_n) for v in ys),
+            delta=Fraction(det_n, self.scale ** self.spec.order),
+        )
 
     @cached_property
     def f1(self) -> Fraction:
-        m = self.ints
-        total = sum((m[i][i] * self.minor((i,)) for i in range(len(m))), Fraction(0))
-        return total / self.scale
+        m, dets = self.ints, self.dets
+        total = sum(m[i][i] * dets[(i,)] for i in range(len(m)))
+        return Fraction(total, self.scale ** len(m))
 
     @cached_property
     def t2(self) -> Fraction:
-        m = self.ints
-        total = Fraction(0)
-        for i, j in itertools.combinations(range(len(m)), 2):
-            total += m[i][j] * m[j][i] * self.minor((i, j))
-        return total / self.scale**2
+        m, dets = self.ints, self.dets
+        total = sum(
+            m[i][j] * m[j][i] * dets[(i, j)]
+            for i, j in itertools.combinations(range(len(m)), 2)
+        )
+        return Fraction(total, self.scale ** len(m))
 
     @cached_property
     def t12(self) -> Fraction:
         # each sorted triple a<b<c collects its three (i | j<k) splits
-        m = self.ints
-        total = Fraction(0)
+        m, dets = self.ints, self.dets
+        total = 0
         for a, b, c in itertools.combinations(range(len(m)), 3):
             weight = (
                 m[a][a] * m[b][c] * m[c][b]
@@ -195,8 +254,8 @@ class _MinorTable:
                 + m[c][c] * m[a][b] * m[b][a]
             )
             if weight:
-                total += weight * self.minor((a, b, c))
-        return total / self.scale**3
+                total += weight * dets[(a, b, c)]
+        return Fraction(total, self.scale ** len(m))
 
 
 # Bounded: one table per specialization, and the minor checks of one call
@@ -235,9 +294,9 @@ def T12(spec: GroupSpec, rho: RationalSpecialization) -> Fraction:
 
 
 def gamma_expression(
-    spec: GroupSpec, y: tuple[Fraction, ...], i: int, j: int, k: int
-) -> Fraction:
-    """The symmetric five-term minor expression in the y values.
+    spec: GroupSpec, y: tuple[int | Fraction, ...], i: int, j: int, k: int
+) -> int | Fraction:
+    """The symmetric five-term minor expression in the y values (or in Y = D*y).
 
     Adopted verbatim for every index triple; its vanishing at repeated
     indices is a checked consequence, not part of the definition.
@@ -267,25 +326,33 @@ def jacobi_check(spec: GroupSpec, rho: RationalSpecialization) -> JacobiReport:
 
     The subsets run by size, each size in lexicographic order; the first
     minor that differs raises IdentityCheckError naming its removed indices.
+    With A = N / scale and y = Y / D each comparison is the integer equation
+    det N(S|S) * D**(|S|-1) * scale**|S| = form(Y).
     """
     n = spec.order
     table = _minor_table(spec, rho)
-    y, delta = table.profile.y, table.profile.delta
+    ys, det_n = table.cramer
+    dets = table.dets
     add = add_table(spec)
     dbl = double_table(spec)
-    y_forms = itertools.chain(
-        (((i,), delta * y[dbl[i]]) for i in range(n)),
-        (((i, j), delta * (y[dbl[i]] * y[dbl[j]] - y[add[i][j]] ** 2))
-         for i, j in itertools.combinations(range(n), 2)),
-        (((i, j, k), delta * gamma_expression(spec, y, i, j, k))
-         for i, j, k in itertools.combinations(range(n), 3)),
+    # det A(S|S) / delta as a form in y, one per size |S| = 1, 2, 3
+    y_forms = (
+        lambda y, i: y[dbl[i]],
+        lambda y, i, j: y[dbl[i]] * y[dbl[j]] - y[add[i][j]] ** 2,
+        partial(gamma_expression, spec),
     )
     checked = 0
-    for subset, rhs in y_forms:
-        lhs = table.minor(subset)
-        if lhs != rhs:
-            raise IdentityCheckError(f"complementary minor {list(subset)}", lhs, rhs)
-        checked += 1
+    for size, form in enumerate(y_forms, start=1):
+        cleared = det_n ** (size - 1) * table.scale**size
+        for subset in itertools.combinations(range(n), size):
+            if dets[subset] * cleared != form(ys, *subset):
+                profile = table.profile
+                raise IdentityCheckError(
+                    f"complementary minor {list(subset)}",
+                    table.minor(subset),
+                    profile.delta * form(profile.y, *subset),
+                )
+            checked += 1
     return JacobiReport(checked=checked)
 
 
@@ -304,18 +371,14 @@ def lemma43_scalars(
     add = add_table(spec)
     dbl = double_table(spec)
     negs = neg_table(spec)
-    profile = inverse_profile(spec, rho)
-    delta = profile.delta
-    # The sums run on integer numerators over the common denominators dx of
-    # x and dy of y; each sum is divided by its power of dx*dy once, at the end.
-    x, dx = _clear_denominators(rho.values)
-    y, dy = _clear_denominators(profile.y)
-    cs_den = dx**2 * dy**2
-    c_val = Fraction(
-        sum(x[s] ** 2 * y[t] * y[add[dbl[s]][negs[t]]] for s in range(n) for t in range(n)),
-        cs_den,
-    )
-    s_val = Fraction(sum(x[s] ** 2 * y[s] ** 2 for s in range(n)), cs_den)
+    table = _minor_table(spec, rho)
+    # The sums run on the integers X = scale*x and Y = D*y, so C and S are
+    # sums over u**2 and B1..B5 sums over u**3, with u = scale*D.
+    y, det_n = table.cramer
+    x, scale = table.x, table.scale
+    u = scale * det_n
+    c = sum(x[s] ** 2 * y[t] * y[add[dbl[s]][negs[t]]] for s in range(n) for t in range(n))
+    s_sum = sum(x[s] ** 2 * y[s] ** 2 for s in range(n))
 
     b1 = b2 = b3 = b4 = b5 = 0
     for i in range(n):
@@ -334,24 +397,29 @@ def lemma43_scalars(
                 b3 += w * y2i * yjk**2
                 b4 += w * y2j * yik**2
                 b5 += w * y2k * yij**2
-    b_den = dx**3 * dy**3
-    b1, b2, b3, b4, b5 = (Fraction(b, b_den) for b in (b1, b2, b3, b4, b5))
 
     t2 = T2(spec, rho)
     t12 = T12(spec, rho)
+    # delta*(C - n*S) with delta = D / scale**n
+    reduced = (det_n * (c - n * s_sum), scale**n * u**2)
+    # (equation, lhs, rhs), each side a (numerator, denominator) pair
     checks = [
-        ("2*T2 = delta*(C - n*S)", 2 * t2, delta * (c_val - n * s_val)),
-        ("B1 = C", b1, c_val),
-        ("B2 = S", b2, s_val),
-        ("B3 = n*S", b3, n * s_val),
-        ("B4 = S", b4, s_val),
-        ("B5 = S", b5, s_val),
-        ("2*T12 = delta*(C - n*S)", 2 * t12, delta * (c_val - n * s_val)),
+        ("2*T2 = delta*(C - n*S)", (2 * t2.numerator, t2.denominator), reduced),
+        ("B1 = C", (b1, u**3), (c, u**2)),
+        ("B2 = S", (b2, u**3), (s_sum, u**2)),
+        ("B3 = n*S", (b3, u**3), (n * s_sum, u**2)),
+        ("B4 = S", (b4, u**3), (s_sum, u**2)),
+        ("B5 = S", (b5, u**3), (s_sum, u**2)),
+        ("2*T12 = delta*(C - n*S)", (2 * t12.numerator, t12.denominator), reduced),
     ]
-    for equation, lhs, rhs in checks:
-        if lhs != rhs:
-            raise IdentityCheckError(equation, lhs, rhs)
-    return (c_val, s_val, b1, b2, b3, b4, b5)
+    for equation, (lhs, lhs_den), (rhs, rhs_den) in checks:
+        if lhs * rhs_den != rhs * lhs_den:
+            raise IdentityCheckError(equation, Fraction(lhs, lhs_den), Fraction(rhs, rhs_den))
+    return (
+        Fraction(c, u**2),
+        Fraction(s_sum, u**2),
+        *(Fraction(b, u**3) for b in (b1, b2, b3, b4, b5)),
+    )
 
 
 def reduction_check(

@@ -11,10 +11,24 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .groups import GroupSpec
 
 Monomial = tuple[int, ...]
+
+
+def _clear_denominators(values) -> tuple[list[int], int]:
+    """Integer numerators over the least common denominator of int/Fraction values.
+
+    Anything without numerator/denominator (a float, say) is refused: its
+    binary value would pass for an exact one.
+    """
+    try:
+        mult = lcm(*(v.denominator for v in values))
+        return [v.numerator * (mult // v.denominator) for v in values], mult
+    except AttributeError:
+        raise TypeError(f"exact arithmetic needs int or Fraction entries: {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -66,18 +80,25 @@ class GroupPolynomial:
         return self.terms.get(tuple(mono), 0)
 
     def evaluate(self, rho: RationalSpecialization) -> Fraction:
-        """Exact value at the specialization; no floating point anywhere."""
+        """Exact value at the specialization; no floating point anywhere.
+
+        The values are cleared once to integers over their common
+        denominator; each term is raised to the top degree d of the
+        polynomial in integers, and the sum is divided by the denominator's
+        d-th power once.
+        """
         if rho.group != self.group:
             raise ValueError("specialization is for a different group")
-        vals = rho.values
-        total = Fraction(0)
+        vals, den = _clear_denominators(rho.values)
+        degree = max(map(sum, self.terms), default=0)
+        total = 0
         for mono, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for i, e in enumerate(mono):
+            term = coeff * den ** (degree - sum(mono))
+            for v, e in zip(vals, mono):
                 if e:
-                    term *= vals[i] ** e
+                    term *= v**e
             total += term
-        return total
+        return Fraction(total, den**degree)
 
     def json_terms(self) -> Iterator[dict]:
         """The terms as JSON-ready dicts, lexicographic on exponent vectors.

@@ -440,12 +440,13 @@ def test_minor_table_matches_fresh_determinants(spec, rho):
     checked, violations = oracle_jacobi(spec, rho)
     assert violations == []
     assert jacobi_check(spec, rho) == JacobiReport(checked=checked)
-    # every minor the checks filled in, read back from the table
+    # every minor of the table's integer matrix N = scale * M, read back
     table = minors._minor_table(spec, rho)
     n = spec.order
-    assert len(table.minors) == 1 + n + math.comb(n, 2) + math.comb(n, 3)
-    for removed, value in table.minors.items():
-        assert value == oracle_minor(spec, rho, set(removed))
+    assert len(table.dets) == 1 + n + math.comb(n, 2) + math.comb(n, 3)
+    for removed, det in table.dets.items():
+        kept = n - len(removed)
+        assert det == oracle_minor(spec, rho, set(removed)) * table.scale**kept
     if any(v.denominator != 1 for v in rho.values):
         assert table.scale > 1
 
@@ -470,8 +471,48 @@ def test_specializations_with_one_seed_never_share_a_table():
         assert (F1(C5, rho), T2(C5, rho), T12(C5, rho)) == oracle_sums(C5, rho)
     assert minors._minor_table(C5, narrow) is not minors._minor_table(C5, wide)
     for rho in (narrow, wide):
-        for removed, value in minors._minor_table(C5, rho).minors.items():
-            assert value == oracle_minor(C5, rho, set(removed))
+        table = minors._minor_table(C5, rho)
+        for removed, det in table.dets.items():
+            assert det == oracle_minor(C5, rho, set(removed)) * table.scale ** (5 - len(removed))
+
+
+@st.composite
+def _tree_cases(draw):
+    """(rows, depth): small integer matrices, many with zero pivots on the way."""
+    n = draw(st.integers(0, 8))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = 0
+    if n >= 2 and draw(st.booleans()):
+        # row 1 a multiple of row 0 on the first k columns: the leading
+        # k x k block is singular
+        k = draw(st.integers(2, n))
+        factor = draw(st.integers(-2, 2))
+        rows[1][:k] = [factor * v for v in rows[0][:k]]
+    return rows, draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tree_cases())
+def test_minor_tree_matches_bareiss_on_every_principal_submatrix(case):
+    rows, depth = case
+    n = len(rows)
+    dets = minors._principal_minors(rows, depth)
+    subsets = [s for k in range(depth + 1) for s in itertools.combinations(range(n), k)]
+    assert sorted(dets) == sorted(subsets)
+    for removed in subsets:
+        keep = [i for i in range(n) if i not in removed]
+        assert dets[removed] == bareiss_det([[rows[r][c] for c in keep] for r in keep])
+
+
+def test_minor_tree_falls_back_below_a_zero_pivot():
+    # a zero diagonal: every pivot of the tree's first column is 0
+    rows = [[0 if r == c else r + 2 * c + 1 for c in range(5)] for r in range(5)]
+    dets = minors._principal_minors(rows, 2)
+    for removed, det in dets.items():
+        keep = [i for i in range(5) if i not in removed]
+        assert det == leibniz_det([[rows[r][c] for c in keep] for r in keep])
 
 
 # --- the certified inverse profile ------------------------------------------
@@ -544,14 +585,16 @@ def _run_cli(capsys, *argv):
 
 @pytest.fixture
 def corrupt_minor_1(monkeypatch):
-    """The table's minor det A(1|1) comes out one too large; delta, the
-    Cramer solves and so the inverse profile stay true."""
-    true_minor = minors._MinorTable.minor
+    """The table's integer minor det N(1|1) comes out one too large; delta,
+    the Cramer solves and so the inverse profile stay true."""
+    true_minors = minors._principal_minors
 
-    def corrupted(self, removed):
-        return true_minor(self, removed) + (1 if removed == (1,) else 0)
+    def corrupted(rows, depth):
+        dets = true_minors(rows, depth)
+        dets[(1,)] += 1
+        return dets
 
-    monkeypatch.setattr(minors._MinorTable, "minor", corrupted)
+    monkeypatch.setattr(minors, "_principal_minors", corrupted)
     minors._minor_table.cache_clear()
     yield
     minors._minor_table.cache_clear()
@@ -644,6 +687,54 @@ def test_lemma43_scalars_fail_on_a_wrong_t2(monkeypatch, capsys):
 
 def test_lemma43_scalars_fail_on_a_wrong_t12(monkeypatch, capsys):
     _assert_scalars_fail_on(monkeypatch, capsys, "T12", "2*T12 = delta*(C - n*S)")
+
+
+# The counterexamples these faults gave when every identity was compared in
+# Fraction arithmetic; the integer comparisons must name the same equation
+# with the same two sides.
+_PINNED_WITNESSES = {
+    "jacobi": {"seed": 1, "equation": "complementary minor [1]",
+               "lhs": "24071", "rhs": "24070"},
+    "conv": {"seed": 1, "equation": "sum_r x_r y_(r+s) = [s = 0] at s=0",
+             "lhs": "22765516/22765511", "rhs": "1"},
+    "scalars": {"seed": 1, "equation": "2*T2 = delta*(C - n*S)",
+                "lhs": "-116568272", "rhs": "-116568274"},
+    "reduction": {"seed": 1, "equation": _REDUCTION,
+                  "lhs": "-9427536051", "rhs": "-9428067492"},
+}
+
+
+def _witness(capsys, group, check):
+    code, doc = _run_cli(capsys, "minors", "--group", group, "--seeds", "2", "--checks", check)
+    assert code == 1
+    return doc["checks"][check]["counterexample"]
+
+
+def test_integer_checks_give_the_pinned_witness_of_a_corrupted_minor(corrupt_minor_1, capsys):
+    assert _witness(capsys, "c5", "jacobi") == _PINNED_WITNESSES["jacobi"]
+
+
+def test_integer_checks_give_the_pinned_witness_of_a_corrupted_inverse(corrupt_y1, capsys):
+    assert _witness(capsys, "c5", "conv") == _PINNED_WITNESSES["conv"]
+
+
+def test_integer_checks_give_the_pinned_witness_of_a_wrong_t2(monkeypatch, capsys):
+    true_t2 = minors.T2
+    monkeypatch.setattr(minors, "T2", lambda spec, rho: true_t2(spec, rho) + 1)
+    assert _witness(capsys, "c5", "scalars") == _PINNED_WITNESSES["scalars"]
+
+
+def test_integer_checks_give_the_pinned_witness_of_a_wrong_twin(monkeypatch, capsys):
+    from cayley_immanants import verify
+
+    def twin_off_by_one(spec):
+        terms = dict(twin_difference(spec).terms)
+        x0_power = (spec.order,) + (0,) * (spec.order - 1)
+        terms[x0_power] = terms.get(x0_power, 0) + 1
+        return GroupPolynomial.from_terms(spec, terms)
+
+    monkeypatch.setattr(verify, "twin_difference", twin_off_by_one)
+    assert _witness(capsys, "c6", "reduction") == _PINNED_WITNESSES["reduction"]
 
 
 # --- Lemma 4.3: B4 = S is implied by B5 = S ----------------------------------

@@ -444,6 +444,37 @@ def test_minor_checks_build_one_table_per_seed(monkeypatch):
     assert sorted(built) == list(range(1, 10))
 
 
+def test_minor_checks_at_c11_build_one_tree_per_seed_and_eliminate_only_cramer(monkeypatch):
+    # every principal minor of a seed comes from its one elimination tree;
+    # bareiss_det runs only for the n Cramer numerators per seed (eliminating
+    # each of the 232 minors on its own made 3 * (232 + 11) = 729 calls)
+    from cayley_immanants import minors
+    from cayley_immanants.groups import GroupSpec
+    from cayley_immanants.verify import run_minor_checks
+
+    trees, eliminations = [], []
+    true_tree, true_det = minors._principal_minors, minors.bareiss_det
+
+    def counting_tree(rows, depth):
+        trees.append((len(rows), depth))
+        return true_tree(rows, depth)
+
+    def counting_det(rows):
+        eliminations.append(len(rows))
+        return true_det(rows)
+
+    monkeypatch.setattr(minors, "_principal_minors", counting_tree)
+    monkeypatch.setattr(minors, "bareiss_det", counting_det)
+    minors._minor_table.cache_clear()
+    try:
+        reports = run_minor_checks(FIVE_MINOR_CHECKS, GroupSpec((11,)), seeds=3)
+    finally:
+        minors._minor_table.cache_clear()
+    assert [r.status for r in reports] == ["pass"] * 5
+    assert trees == [(11, 3)] * 3
+    assert eliminations == [11] * 33
+
+
 def test_minor_checks_report_each_first_failure_in_check_order(monkeypatch):
     # f1 breaks at seed 3 and t2t12 at seed 2: each report names its own
     # first failing seed, and a suite's witness is the first check's
