@@ -122,7 +122,7 @@ MUTANTS = (
            "    if _least_split_valuation(p, r) <= one_block:",
            "    if _least_split_valuation(p, r) < one_block:"),
     Mutant("padic-certificate-fold", VERIFY,
-           "            if profile != certificate:", "            if False:"),
+           "        if profile != certificate:", "        if False:"),
     Mutant("hall-envelope-non-strict", SUPPORTS,
            "    if p > MAX_HALL_MONOMIALS:", "    if p >= MAX_HALL_MONOMIALS:",
            equivalent="no group has exactly 500,000 Hall monomials: P jumps from "
@@ -173,6 +173,32 @@ MUTANTS = (
     Mutant("min-valuation-default-0", SUPPORTS,
            "    return min((v for _, v in _block_valuations(spec, p, counts)), default=None)",
            "    return min((v for _, v in _block_valuations(spec, p, counts)), default=0)"),
+    # the answers folded from the orbit tables instead of rows: the walked D
+    # sums orbit sizes, and x_0^n's orbit sits under its least member
+    Mutant("thm13-walked-d-counts-orbits", VERIFY,
+           "        walked = sum(size for rep, size in orbit_representatives(spec)",
+           "        walked = sum(1 for rep, size in orbit_representatives(spec)"),
+    Mutant("x0-orbit-least-index", VERIFY,
+           "    top = max(double_table(spec))", "    top = min(double_table(spec))"),
+    # the orbit stream's guard on a map set that is not a group
+    Mutant("orbit-stream-stabilizer-guard", SUPPORTS,
+           "        if rest:\n            raise ArithmeticError(f\"{fixed} relabellings",
+           "        if False:\n            raise ArithmeticError(f\"{fixed} relabellings"),
+    # a specialization read at another group, the p-adic refusals after the
+    # DP, one draw per check and a hash per lookup
+    Mutant("minor-table-group-check", MINORS,
+           '        if rho.group != spec:\n'
+           '            raise ValueError("specialization is for a different group")\n', ""),
+    Mutant("padic-dp-before-refusals", CLI,
+           "    _prime_power(spec)\n    if args.all:",
+           "    block_size_certificate(spec)\n    if args.all:"),
+    Mutant("padic-composite-check-removed", CLI,
+           "    _prime_power(spec)\n    if args.all:", "    if args.all:"),
+    Mutant("minor-draw-per-check", VERIFY,
+           "                bodies[i](spec, rho)",
+           "                bodies[i](spec, random_specialization(spec, s, value_range))"),
+    Mutant("specialization-hash-per-lookup", POLYNOMIALS,
+           "        return self._hash", "        return hash((self.group, self.values, self.seed))"),
     # the rows' orbit expansion: order, one value per orbit, the size guard
     Mutant("per-monomial-unsorted", SUPPORTS,
            "    rows.sort(key=itemgetter(0))\n", ""),

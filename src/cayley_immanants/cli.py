@@ -33,6 +33,7 @@ from . import characters, immanants, verify
 from .errors import EnvelopeError, IdentityCheckError
 from .groups import GroupSpec, _prime_factorization, elements, parse_group
 from .supports import (
+    _prime_power,
     _walk_hall_support,
     block_size_certificate,
     check_hall_envelope,
@@ -229,11 +230,15 @@ def cmd_imm(args) -> int:
 
 
 def cmd_twin(args) -> int:
-    poly = immanants.twin_difference(args.group)
-    doc = {"group": args.group.name, "support_size": poly.support_size}
+    spec = args.group
     if args.out:
-        _emit({"group": args.group.name, "terms": poly.json_terms()}, args.out)
-        doc["out"] = args.out
+        # only the file's rows expand the orbit table
+        poly = immanants.twin_difference(spec)
+        _emit({"group": spec.name, "terms": poly.json_terms()}, args.out)
+        doc = {"group": spec.name, "support_size": poly.support_size, "out": args.out}
+    else:
+        doc = {"group": spec.name,
+               "support_size": immanants.orbit_support_size(immanants.twin_orbits(spec))}
     _emit(doc, None)
     return 0
 
@@ -291,15 +296,18 @@ _CSV_BLOCK_ROWS = 4096
 
 def cmd_padic(args) -> int:
     spec = args.group
-    # every zero-sum sequence has this profile; ValueError for a composite order
-    profile = block_size_certificate(spec)
-    tail = [profile.min_valuation, profile.strictly_minimal]
+    # refuse a composite order, then a run above the Hall envelope or a bad
+    # sequence, all before the certificate's O(n^2) DP
+    _prime_power(spec)
     if args.all:
         check_hall_envelope(spec)
         labels = [_format_element(g) for g in elements(spec)]
+        # every zero-sum sequence has this profile
+        profile = block_size_certificate(spec)
     else:
         seq = _parse_sequence(args.sequence)
-        padic_profile(spec, seq)  # refuses a wrong length or a nonzero sum
+        profile = padic_profile(spec, seq)  # refuses a wrong length or a nonzero sum
+    tail = [profile.min_valuation, profile.strictly_minimal]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["sequence", "min_valuation", "strictly_minimal"])

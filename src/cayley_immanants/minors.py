@@ -173,6 +173,8 @@ class _MinorTable:
     """
 
     def __init__(self, spec: GroupSpec, rho: RationalSpecialization) -> None:
+        if rho.group != spec:
+            raise ValueError("specialization is for a different group")
         self.spec = spec
         self.x, self.scale = _clear_denominators(rho.values)
         add = add_table(spec)

@@ -48,6 +48,11 @@ class RationalSpecialization:
         # a float's binary value would pass for an exact rational
         if not all(isinstance(v, (int, Fraction)) for v in self.values):
             raise TypeError(f"exact arithmetic needs int or Fraction values: {self.values!r}")
+        # hashed once: every minor read looks its table up by the specialization
+        object.__setattr__(self, "_hash", hash((self.group, self.values, self.seed)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)

@@ -18,22 +18,25 @@ orders.
 
 The Hall support is enumerated in lexicographic order by one walk,
 `_walk_hall_support`, which descends only into exponents that the
-completion table `_completions` says can still be completed.  The orbits
-of `groups.affine_maps`, on which det_coeff and the near-hook scalar are
-constant, reach every caller by one route: `orbit_representatives` keeps
-each orbit's least member and its size from one pass of the walk.  D and
-I_(n-1,1), I_(2,1^(n-2)) sum orbit sizes over them, as the immanants'
-orbit tables do, and `per_monomial` gives each one's value to its images,
-the orbit, only where rows are the output: `support --report full` and a
-`GroupPolynomial`.  The affine maps are checked once per group
-(`_affine_pullbacks`).  Only the checks that read every monomial store the
-walk (`hall_support`).
+completion table `_completions` says can still be completed.  Orbits reach
+every caller by one route, `orbit_stream`: one pass of the walk that keeps
+each orbit's least member and its size under a given group of maps.  The
+orbits of `groups.affine_maps`, on which det_coeff, the near-hook scalar
+and every immanant coefficient are constant, are its cached affine entry
+point `orbit_representatives`.  D and I_(n-1,1), I_(2,1^(n-2)) sum orbit
+sizes over them, as the immanants' orbit tables do, and `per_monomial`
+gives each one's value to its images, the orbit, only where rows are the
+output: `support --report full` and a `GroupPolynomial`.  The affine maps
+are checked once per group (`_affine_pullbacks`).  The `padic-certificate`
+row streams the orbits of `groups.automorphisms` instead.  Only the checks
+that read every monomial store the walk (`hall_support`):
+`hall-permanent-support`, the odd-order scalar loop and the master formula.
 
 The p-adic profile is a size certificate: a term's valuation charges each
 block by its size alone, so `block_size_certificate` bounds every
 multi-block term of every Hall monomial at once.  The zero-sum fold is its
 oracle, which `_counts_profile` reads and the `padic-certificate` row
-compares with it.
+compares with it on the least member of each automorphism orbit.
 """
 
 from __future__ import annotations
@@ -125,8 +128,8 @@ def _completions(spec: GroupSpec) -> tuple[tuple[tuple[int, ...], ...], ...]:
 def _walk_hall_support(spec: GroupSpec, visit) -> None:
     """Call visit(monomial) on every Hall monomial, in lexicographic order.
 
-    The one enumeration behind `hall_support`, `orbit_representatives` and
-    the rows of `padic --all`.
+    The one enumeration behind `hall_support`, `orbit_stream` and the rows
+    of `padic --all`.
     The backtracking tries exponents in increasing order and descends only
     into exponents that `_completions` says can still be completed, so every
     branch ends in a monomial, and the last exponent is what the degree
@@ -231,21 +234,22 @@ def _affine_pullbacks(spec: GroupSpec) -> tuple[itemgetter, ...]:
     return tuple(itemgetter(*r) for r in maps)
 
 
-@lru_cache(maxsize=None)
-def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...]:
-    """(least member, orbit size) per affine orbit of the Hall support, ascending.
+def orbit_stream(spec: GroupSpec, pullbacks) -> tuple[tuple[Monomial, int], ...]:
+    """(least member, orbit size) per orbit of a map group on the Hall support, ascending.
 
-    The orbit route of the counts and of the rows (`per_monomial`): one pass
-    over the Hall enumeration that keeps only the representatives.  A
-    monomial is the least member of its orbit iff no pulled-back image is
+    pullbacks pull a monomial back through each map of the group, as
+    `_affine_pullbacks` does.  One pass over the Hall enumeration keeps only
+    the least members: a monomial is one iff no pulled-back image is
     smaller, and its orbit size is |A| over the number of maps that fix it.
-    Raises ArithmeticError if `affine_maps(spec)` is not a group acting on
-    the Hall support: a map that leaves it, no identity, a stabilizer whose
-    size does not divide |A|, or orbit sizes that do not sum to P.  Raises
-    EnvelopeError, before any table is built, above MAX_HALL_MONOMIALS.
+    Raises ArithmeticError if the maps are not a group acting on the Hall
+    support: a stabilizer whose size does not divide |A|, or orbit sizes
+    that do not sum to P.  Raises EnvelopeError, before any table is built,
+    above MAX_HALL_MONOMIALS.  Uncached: `orbit_representatives` keeps the
+    affine orbits, and the `padic-certificate` row reads the automorphism
+    orbits once per group.
     """
     check_hall_envelope(spec)
-    pullbacks = list(_affine_pullbacks(spec))  # reordered by the visits below
+    pullbacks = list(pullbacks)  # reordered by the visits below
     n_maps = len(pullbacks)
     reps: list[tuple[Monomial, int]] = []
 
@@ -271,6 +275,21 @@ def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...
         raise ArithmeticError(f"orbit sizes of {spec.name} sum to {total}, "
                               f"not to P = {count_P(spec)}")
     return tuple(reps)
+
+
+@lru_cache(maxsize=None)
+def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...]:
+    """(least member, orbit size) per affine orbit of the Hall support, ascending.
+
+    The orbit route of the counts and of the rows (`per_monomial`):
+    `orbit_stream` over the checked pullbacks of `affine_maps(spec)`, kept
+    once per spec.  Raises ArithmeticError if the affine maps are not a
+    group acting on the Hall support (a map that leaves it, no identity, or
+    a failed guard of the stream), and EnvelopeError, before any table is
+    built, above MAX_HALL_MONOMIALS.
+    """
+    check_hall_envelope(spec)
+    return orbit_stream(spec, _affine_pullbacks(spec))
 
 
 def per_monomial(spec: GroupSpec, value):

@@ -24,10 +24,12 @@ stream and minor tables are built once.
 Every immanant coefficient is constant on the affine orbits of the Hall
 support, so a check whose answer is too folds the orbit tables of
 `immanant_orbits` and `twin_orbits` and expands no row: the near-hook zero
-tests and counts, the permanent's term count, the odd-order twin and the
-regular-character sum.  The checks that compare single monomials expand a
-`GroupPolynomial`: `c3-ground-truth`, `hall-permanent-support`, the walked
-d_m, the master formula, the x_0^n twin coefficient and the reduction twin.
+tests and counts, the permanent's term count, the walked D, the odd-order
+twin, the x_0^n twin coefficient and the regular-character sum.  The
+`padic-certificate` row reads the least member of each automorphism orbit
+from `supports.orbit_stream`.  Only the checks that compare or evaluate
+single monomials expand a `GroupPolynomial`: `c3-ground-truth`,
+`hall-permanent-support`, the master formula and the reduction twin.
 
 The suite_<name> functions are the runner bound to each suite; they stay
 only because the benchmark tracer wraps them by name.  The exact minor
@@ -68,6 +70,7 @@ from .groups import (
     GroupSpec,
     _prime_factorization,
     automorphisms,
+    double_table,
     doubling_counts,
     parse_group,
 )
@@ -101,7 +104,7 @@ from .supports import (
     hall_support,
     near_hook_coeff,
     near_hook_scalar_numerator,
-    per_monomial,
+    orbit_representatives,
 )
 
 HALL_GROUPS = ("c4", "c5", "c6", "c7", "c8", "c2xc2", "c2xc4", "c3xc3")
@@ -242,10 +245,11 @@ def _minor_outcomes(
     """(outcome, seconds) per named minor check over seeds seed, seed+1, ...
 
     Hypotheses are tested, and the twin swept, before the first seed; then
-    every live check runs at a seed before the next, so they read one minor
-    table per seed.  An outcome is the check's first counterexample, taken
-    from the IdentityCheckError it raised, None, or the exception that
-    stopped it.
+    one specialization is drawn per seed and every live check runs at it
+    before the next, so they read one minor table per seed.  An outcome is
+    the check's first counterexample, taken from the IdentityCheckError it
+    raised, None, or the exception that stopped it; a draw that raises stops
+    every live check.
     """
     checks = [MINOR_CHECKS[name] for name in names]
     bodies = [check.body for check in checks]
@@ -263,10 +267,23 @@ def _minor_outcomes(
         seconds[i] = time.perf_counter() - start
     live = [i for i in range(len(checks)) if outcomes[i] is None]
     for s in range(seed, seed + seeds):
+        if not live:
+            break
+        # one draw per seed; it fills the seed's minor table, so its time is
+        # charged to the first check that reads the table
+        start = time.perf_counter()
+        try:
+            rho = random_specialization(spec, s, value_range)
+        except Exception as exc:  # noqa: BLE001 - every live check's outcome
+            for i in live:
+                outcomes[i] = exc
+            break
+        finally:
+            seconds[live[0]] += time.perf_counter() - start
         for i in live:
             start = time.perf_counter()
             try:
-                bodies[i](spec, random_specialization(spec, s, value_range))
+                bodies[i](spec, rho)
             except IdentityCheckError as exc:
                 outcomes[i] = {"seed": s, "equation": exc.equation, "lhs": str(exc.lhs),
                                "rhs": str(exc.rhs)}
@@ -366,10 +383,10 @@ def _prime_power_p_equals_d(spec, seed):
     if spec.order <= 8:
         if orbit_support_size(immanant_orbits(spec, Partition((spec.order,)))) != p:
             return "formula P differs from the immanant engine"
-        # the engine's determinant reads det_coeff, as count_D does,
-        # so D is checked against the signed counts of the class walks
-        walked = sum(1 for _, d_m in per_monomial(
-            spec, lambda rep: perm_class_stats(spec, rep).d_m) if d_m)
+        # the engine's determinant reads det_coeff, as count_D does, so D is
+        # checked against the signed counts of the class walks, one per orbit
+        walked = sum(size for rep, size in orbit_representatives(spec)
+                     if perm_class_stats(spec, rep).d_m)
         if walked != d:
             return "formula D differs from the immanant engine"
     return None
@@ -379,13 +396,12 @@ def _padic_certificate(spec, seed):
     _require_prime_power(spec)
     certificate = block_size_certificate(spec)
     # the zero-sum fold is constant on automorphism orbits, so it is read on
-    # each orbit's least member, the monomial that no image undercuts
+    # each orbit's least member
     pullbacks = [itemgetter(*phi) for phi in automorphisms(spec)]
-    for mono in hall_support(spec):
-        if all(pullback(mono) >= mono for pullback in pullbacks):
-            profile = supports._counts_profile(spec, mono)
-            if profile != certificate:
-                return f"zero-sum fold gives {profile}, not the size certificate, at {mono}"
+    for mono, _ in supports.orbit_stream(spec, pullbacks):
+        profile = supports._counts_profile(spec, mono)
+        if profile != certificate:
+            return f"zero-sum fold gives {profile}, not the size certificate, at {mono}"
     return None
 
 
@@ -439,7 +455,11 @@ def _even_cyclic_twin_x0_coefficient(spec, seed):
         f"{spec.name} is not an even cyclic group of order >= 6",
     )
     expected = (3 - n) * (-1) ** ((n - 2) // 2)
-    got = twin_difference(spec).coefficient((n,) + (0,) * (n - 1))
+    # the orbit of x_0^n is {x_(2*gamma)^n}; its least member, the table's
+    # representative, puts n at the largest index of 2G
+    top = max(double_table(spec))
+    least = tuple(n if g == top else 0 for g in range(n))
+    got = {rep: coeff for rep, _, coeff in twin_orbits(spec)}[least]
     if got != expected:
         return f"[x_0^{n}] twin difference = {got} != {expected}"
     return None

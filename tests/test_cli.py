@@ -159,6 +159,30 @@ def test_twin_c7(capsys):
     assert doc == {"group": "c7", "support_size": 0}
 
 
+def test_twin_counts_the_orbit_table_and_expands_only_for_out(capsys, monkeypatch, tmp_path):
+    # the term count folds the orbit table; only the --out rows expand it
+    from cayley_immanants import immanants
+
+    real = immanants.per_monomial
+    calls = []
+
+    def counting(spec, value):
+        calls.append(spec.name)
+        return real(spec, value)
+
+    monkeypatch.setattr(immanants, "per_monomial", counting)
+    code, doc = run_json(capsys, "twin", "--group", "c8")
+    assert code == 0
+    assert doc == {"group": "c8", "support_size": 554}
+    assert calls == []
+    out = tmp_path / "twin.json"
+    code, doc = run_json(capsys, "twin", "--group", "c8", "--out", str(out))
+    assert code == 0
+    assert doc == {"group": "c8", "support_size": 554, "out": str(out)}
+    assert calls == ["c8"]
+    assert len(json.loads(out.read_text())["terms"]) == 554
+
+
 def test_support_counts_c3(capsys):
     code, doc = run_json(capsys, "support", "--group", "c3")
     assert code == 0
@@ -247,6 +271,34 @@ def test_padic_product_group_sequence(capsys):
 def test_padic_rejects_composite_order(capsys):
     code = main(["padic", "--group", "c6", "--all"])
     assert code == 2
+
+
+def test_padic_refuses_before_the_certificate_dp(capsys, monkeypatch):
+    # a composite order first, then a bad sequence or a run above the Hall
+    # envelope; the O(n^2) DP of the certificate runs only after them
+    from cayley_immanants import supports
+
+    real = supports._least_split_valuation
+    calls = []
+
+    def counting(p, r):
+        calls.append((p, r))
+        return real(p, r)
+
+    monkeypatch.setattr(supports, "_least_split_valuation", counting)
+    assert main(["padic", "--group", "c6", "--sequence", "0"]) == 2
+    assert "group order 6 is not a prime power" in capsys.readouterr().err
+    assert main(["padic", "--group", "c14", "--all"]) == 2
+    assert "group order 14 is not a prime power" in capsys.readouterr().err
+    assert main(["padic", "--group", "c5", "--sequence", "0"]) == 2
+    assert "sequence length 1 != group order 5" in capsys.readouterr().err
+    assert main(["padic", "--group", "c5", "--sequence", "1,0,0,0,0"]) == 2
+    assert "sequence is not zero-sum" in capsys.readouterr().err
+    assert main(["padic", "--group", "c16", "--all"]) == 3
+    assert "above the enumeration envelope" in capsys.readouterr().err
+    assert calls == []
+    assert main(["padic", "--group", "c5", "--sequence", "0,0,0,0,0"]) == 0
+    assert calls == [(5, 1)]
 
 
 def test_padic_requires_mode(capsys):

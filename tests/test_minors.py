@@ -757,3 +757,14 @@ def test_b4_and_b5_sums_agree_for_any_x_and_y(spec, data):
         b4 += w * y[dbl[j]] * y[add[i][k]] ** 2
         b5 += w * y[dbl[k]] * y[add[i][j]] ** 2
     assert b4 == b5
+
+
+def test_minor_routes_refuse_a_specialization_of_another_group():
+    # a c4 point read as a c2xc2 one, or a c7 point read at c5, would
+    # compute on another matrix
+    c4_point = random_specialization(C4, 1)
+    c7_point = random_specialization(GroupSpec((7,)), 1)
+    for spec, rho in ((GroupSpec((2, 2)), c4_point), (C5, c7_point)):
+        for route in (specialized_det, inverse_profile, F1):
+            with pytest.raises(ValueError, match="specialization is for a different group"):
+                route(spec, rho)

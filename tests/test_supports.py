@@ -394,6 +394,21 @@ def test_block_shapes_match_labelled_enumeration_on_orbit_representatives(factor
         _assert_fold_matches_oracle(spec, mono)
 
 
+@pytest.mark.parametrize("factors, count", [((4,), 8), ((8,), 264), ((9,), 481)], ids=str)
+def test_orbit_stream_keeps_the_least_member_of_each_automorphism_orbit(factors, count):
+    # the monomials the `padic-certificate` row folds, against the test-side filter
+    from operator import itemgetter
+
+    from cayley_immanants.supports import orbit_stream
+
+    spec = GroupSpec(factors)
+    reps = orbit_stream(spec, [itemgetter(*phi) for phi in automorphisms(spec)])
+    assert [mono for mono, _ in reps] == automorphism_representatives(spec)
+    assert len(reps) == count
+    maps = automorphisms(spec)
+    assert all(len({relabel(mono, phi) for phi in maps}) == size for mono, size in reps)
+
+
 def test_block_shapes_of_empty_and_non_zero_sum_multisets():
     # the empty multiset has the one empty shape, a non-zero-sum one none
     assert oracle_block_shapes(C4, ()) == frozenset({()})

@@ -177,10 +177,6 @@ def test_master_formula_check_compares_every_coefficient(monkeypatch):
     assert report.witness == "coefficient mismatch (1, 1) != (0, 0) at (0, 0, 0, 0, 0, 0, 7)"
 
 
-def _one_term_twin(spec):
-    return GroupPolynomial.from_terms(spec, {(spec.order,) + (0,) * (spec.order - 1): 1})
-
-
 def test_odd_order_twin_check_fails_on_a_nonzero_twin(monkeypatch):
     # the first orbit of c7, x_6^7, has 7 members: its seven shifts
     from cayley_immanants import verify
@@ -193,9 +189,14 @@ def test_odd_order_twin_check_fails_on_a_nonzero_twin(monkeypatch):
 
 
 def test_even_cyclic_twin_check_reads_the_x0_coefficient(monkeypatch):
+    # the orbit of x_0^6 is {x_0^6, x_2^6, x_4^6}; the twin table holds it
+    # under its least member x_4^6, here made to read 1
     from cayley_immanants import verify
 
-    monkeypatch.setattr(verify, "twin_difference", _one_term_twin)
+    real = verify.twin_orbits
+    monkeypatch.setattr(verify, "twin_orbits", lambda spec: tuple(
+        (rep, size, 1 if rep == (0, 0, 0, 0, 6, 0) else coeff)
+        for rep, size, coeff in real(spec)))
     (report,) = run_suite("prop42", groups=["c6"])
     assert (report.theorem, report.status) == ("even-cyclic-twin-x0-coefficient", "fail")
     assert report.witness == "[x_0^6] twin difference = 1 != -3"
@@ -276,13 +277,14 @@ def test_all_suites_walk_699_distinct_classes(monkeypatch):
     assert (info.misses, info.hits + info.misses) == (699, 2306)
 
 
-def test_all_suites_expand_29_orbit_tables(monkeypatch):
-    # only the checks that read single monomials expand an orbit table into
-    # rows: c3-ground-truth 2, hall-permanent-support 8, the walked d_m of
-    # prime-power-P-equals-D 9, near-hook-master-formula 4, the x_0^n twin 2
-    # and the reduction twin 4
+def test_all_suites_expand_18_orbit_tables(monkeypatch):
+    # only the checks that compare or evaluate single monomials expand an
+    # orbit table into rows: c3-ground-truth 2, hall-permanent-support 8,
+    # near-hook-master-formula 4 and the reduction twin 4; the walked D and
+    # the x_0^n twin fold their tables
     from cayley_immanants import immanants, supports, verify
 
+    assert not hasattr(verify, "per_monomial")
     real = supports.per_monomial
     calls = []
 
@@ -291,11 +293,25 @@ def test_all_suites_expand_29_orbit_tables(monkeypatch):
         return real(spec, value)
 
     monkeypatch.setattr(immanants, "per_monomial", counting)
-    monkeypatch.setattr(verify, "per_monomial", counting)
     monkeypatch.setattr(verify, "_worker_count", lambda shards: 1)
     reports = run_suite("all")
     assert all(r.status in ("pass", "skipped") for r in reports)
-    assert len(calls) == 29
+    assert len(calls) == 18
+
+
+def test_padic_certificate_refuses_automorphisms_that_are_not_a_group(monkeypatch):
+    # c8's automorphisms u -> 3u, 5u, 7u less the last: x_6^8 is fixed by
+    # the identity and by 5u, and 2 does not divide the 3 maps left
+    from cayley_immanants import verify
+
+    real = verify.automorphisms
+    monkeypatch.setattr(verify, "automorphisms", lambda spec: real(spec)[:-1])
+    reports = {r.theorem: r for r in run_suite("thm13", groups=["c8"])}
+    report = reports["padic-certificate"]
+    assert report.status == "fail"
+    assert report.witness == ("ArithmeticError: 2 relabellings of c8 fix "
+                              "(0, 0, 0, 0, 0, 0, 8, 0), which does not divide the 3 maps")
+    assert reports["prime-power-P-equals-D"].status == "pass"
 
 
 def test_each_group_runs_in_exactly_one_shard():
@@ -473,6 +489,35 @@ def test_minor_checks_at_c11_build_one_tree_per_seed_and_eliminate_only_cramer(m
     assert [r.status for r in reports] == ["pass"] * 5
     assert trees == [(11, 3)] * 3
     assert eliminations == [11] * 33
+
+
+def test_minor_checks_draw_one_specialization_per_seed(monkeypatch, built_tables):
+    # every check at a seed reads the one drawn point, so the table cache
+    # finds it by identity and compares no two specializations; each point
+    # hashes its 11 values once
+    from fractions import Fraction
+
+    from cayley_immanants.polynomials import RationalSpecialization
+    from cayley_immanants.verify import run_minor_checks
+
+    compared, hashed = [], []
+    real_eq, real_hash = RationalSpecialization.__eq__, Fraction.__hash__
+
+    def counting_eq(self, other):
+        compared.append(self.seed)
+        return real_eq(self, other)
+
+    def counting_hash(self):
+        hashed.append(self)
+        return real_hash(self)
+
+    monkeypatch.setattr(RationalSpecialization, "__eq__", counting_eq)
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    reports = run_minor_checks(FIVE_MINOR_CHECKS, GroupSpec((11,)), seeds=3)
+    assert [r.status for r in reports] == ["pass"] * 5
+    assert compared == []
+    assert built_tables == [1, 2, 3]
+    assert len(hashed) == 3 * 11
 
 
 def test_minor_checks_report_each_first_failure_in_check_order(monkeypatch):
