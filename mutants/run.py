@@ -155,8 +155,8 @@ MUTANTS = (
            "        if orbit_support_size(immanant_orbits(spec, Partition((spec.order,)))) != p:",
            "        if False:"),
     Mutant("wrong-character-column", IMMANANTS,
-           "    return _census_fold(spec, _char_weights(lam))",
-           "    return _census_fold(spec, _char_weights(lam.conjugate()))"),
+           "    return _census_fold(spec, partial(mn_character, lam))",
+           "    return _census_fold(spec, partial(mn_character, lam.conjugate()))"),
     Mutant("orbit-count-not-size", IMMANANTS,
            "    return sum(size for _, size, coeff in table if coeff)",
            "    return sum(1 for _, size, coeff in table if coeff)"),
@@ -220,6 +220,21 @@ MUTANTS = (
     # an --out path that cannot be opened would be found after the run
     Mutant("out-probe-skipped", CLI,
            "        created = _probe(args.out)\n", ""),
+    # the walk as the one holder of the Hall support: the permanent read in
+    # lockstep to the end of both routes, and the envelope refused in the walk
+    Mutant("hall-lockstep-stops-at-the-shorter", VERIFY,
+           "enumerate(itertools.zip_longest(sorted(permanent(spec).terms), hall))",
+           "enumerate(zip(sorted(permanent(spec).terms), hall))"),
+    Mutant("walk-envelope-check-removed", SUPPORTS,
+           "    check_hall_envelope(spec)\n    n = spec.order\n    add = add_table(spec)\n",
+           "    n = spec.order\n    add = add_table(spec)\n"),
+    # the two routes of one determinant coefficient in `support --report full`
+    Mutant("support-row-d-m-unchecked", CLI,
+           "            if coeff != stats.d_m:", "            if False:"),
+    # the Cramer solve's back-substitution skips U_(k,k+1)
+    Mutant("back-substitution-off-by-one", MINORS,
+           "sum(row[j] * ys[j] for j in range(k + 1, n))",
+           "sum(row[j] * ys[j] for j in range(k + 2, n))"),
     # start-up: every command would load verify to name its checks
     Mutant("eager-verify-import", CLI,
            "from . import characters, immanants, verify\n",

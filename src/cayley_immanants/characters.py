@@ -1,7 +1,9 @@
-"""Integer partitions, cycle types, and symmetric-group character values.
+"""Integer partitions and symmetric-group character values.
 
-Character evaluation goes through recursive border-strip removal, memoized on
-(partition, sorted cycle lengths).  The closed forms for near-hook and
+A partition serves as a shape lam and as a cycle type mu, the class of the
+permutations whose cycle lengths are its parts (its weight is their degree).
+Character evaluation goes through recursive border-strip removal, memoized
+on (shape parts, cycle lengths).  The closed forms for near-hook and
 depth-three shapes are plain polynomials in the cycle counts c1, c2, c3 and
 are cross-checked against the recursive rule in the test suite.
 """
@@ -33,6 +35,15 @@ class Partition:
     def weight(self) -> int:
         return sum(self.parts)
 
+    @property
+    def sign(self) -> int:
+        """The sign of a permutation of this cycle type."""
+        return -1 if (self.weight - len(self.parts)) % 2 else 1
+
+    def count(self, i: int) -> int:
+        """c_i: the number of parts equal to i, the i-cycles of a cycle type."""
+        return self.parts.count(i)
+
     def conjugate(self) -> "Partition":
         """Transpose of the Young diagram."""
         if not self.parts:
@@ -44,34 +55,6 @@ class Partition:
 
     def __str__(self) -> str:
         return "(" + ",".join(map(str, self.parts)) + ")"
-
-
-@dataclass(frozen=True)
-class CycleType:
-    """Conjugacy-class data of a permutation: cycle lengths, weakly decreasing."""
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        # keyed on by mn_character's cache, as Partition.parts is
-        object.__setattr__(self, "lengths", tuple(self.lengths))
-        for c in self.lengths:
-            if not isinstance(c, int) or c < 1:
-                raise ValueError(f"cycle lengths must be positive, got {self.lengths!r}")
-        if any(self.lengths[i] < self.lengths[i + 1] for i in range(len(self.lengths) - 1)):
-            raise ValueError(f"cycle lengths must be weakly decreasing, got {self.lengths!r}")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.lengths)
-
-    @property
-    def sign(self) -> int:
-        return -1 if sum(c - 1 for c in self.lengths) % 2 else 1
-
-    def count(self, i: int) -> int:
-        """c_i: the number of i-cycles."""
-        return self.lengths.count(i)
 
 
 @lru_cache(maxsize=None)
@@ -106,13 +89,13 @@ def binom(m: int, k: int) -> int:
     return num // math.factorial(k)
 
 
-def mn_character(lam: Partition, mu: CycleType) -> int:
-    """chi^lam on class mu, by recursive border-strip removal."""
-    if lam.weight != mu.degree:
+def mn_character(lam: Partition, mu: Partition) -> int:
+    """chi^lam on the class of cycle type mu, by recursive border-strip removal."""
+    if lam.weight != mu.weight:
         raise ValueError(
-            f"partition weight {lam.weight} != permutation degree {mu.degree}"
+            f"partition weight {lam.weight} != permutation degree {mu.weight}"
         )
-    return _mn(lam.parts, mu.lengths)
+    return _mn(lam.parts, mu.parts)
 
 
 @lru_cache(maxsize=None)
@@ -151,43 +134,43 @@ def dimension(lam: Partition) -> int:
     return d
 
 
-def hook_char_n11(mu: CycleType) -> int:
+def hook_char_n11(mu: Partition) -> int:
     """chi^(n-1,1): fixed points minus one."""
-    if mu.degree < 2:
+    if mu.weight < 2:
         raise ValueError("shape (n-1,1) needs degree >= 2")
     return mu.count(1) - 1
 
 
-def cohook_char(mu: CycleType) -> int:
+def cohook_char(mu: Partition) -> int:
     """chi^(2,1^(n-2)): the sign-twisted near-hook character."""
-    if mu.degree < 2:
+    if mu.weight < 2:
         raise ValueError("shape (2,1^(n-2)) needs degree >= 2")
     return mu.sign * (mu.count(1) - 1)
 
 
-def char_n3_111(mu: CycleType) -> int:
+def char_n3_111(mu: Partition) -> int:
     """chi^(n-3,1,1,1) as a polynomial in the cycle counts."""
-    if mu.degree < 6:
+    if mu.weight < 6:
         raise ValueError("closed form used on degree >= 6 only")
     c1, c2, c3 = mu.count(1), mu.count(2), mu.count(3)
     return binom(c1 - 1, 3) - (c1 - 1) * c2 + c3
 
 
-def char_n3_3(mu: CycleType) -> int:
+def char_n3_3(mu: Partition) -> int:
     """chi^(n-3,3) as a polynomial in the cycle counts."""
-    if mu.degree < 6:
+    if mu.weight < 6:
         raise ValueError("closed form used on degree >= 6 only")
     c1, c2, c3 = mu.count(1), mu.count(2), mu.count(3)
     return binom(c1, 3) - binom(c1, 2) + (c1 - 1) * c2 + c3
 
 
-def twin_diff_char(mu: CycleType) -> int:
+def twin_diff_char(mu: Partition) -> int:
     """chi^(4,1^(n-4)) - chi^(2,2,2,1^(n-6)) in closed form.
 
     Equals sign * (c1 - 1) * (1 - 2*c2); the two shapes are the conjugates of
     (n-3,1,1,1) and (n-3,3), so this is the sign twist of the difference of
     the two closed forms above.
     """
-    if mu.degree < 6:
+    if mu.weight < 6:
         raise ValueError("both twin shapes need degree >= 6")
     return mu.sign * (mu.count(1) - 1) * (1 - 2 * mu.count(2))

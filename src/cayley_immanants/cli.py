@@ -264,10 +264,15 @@ def cmd_support(args) -> int:
         def row(rep):
             stats = immanants.perm_class_stats(spec, rep)
             h, c = near_hook_coeff(spec, rep, stats)
+            # d_m and det_coeff are one coefficient by two routes
+            coeff = det_coeff(spec, rep)
+            if coeff != stats.d_m:
+                raise ArithmeticError(f"class walk d_m = {stats.d_m} != partition formula "
+                                      f"det_coeff = {coeff} at {rep!r}")
             return {
                 "p_m": stats.p_m,
                 "d_m": stats.d_m,
-                "det_coeff": det_coeff(spec, rep),
+                "det_coeff": coeff,
                 "hook_coeff": h,
                 "cohook_coeff": c,
             }

@@ -30,10 +30,9 @@ all`) and is emptied by `_class_walk.cache_clear()`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .characters import (
-    CycleType,
     Partition,
     mn_character,
     partitions_of,
@@ -62,18 +61,6 @@ def check_sweep_envelope(spec: GroupSpec) -> None:
             f"group order {spec.order} exceeds the immanant envelope "
             f"({MAX_SWEEP_ORDER}); use the formula paths instead"
         )
-
-
-def _char_weights(lam: Partition) -> dict[tuple[int, ...], int]:
-    """chi^lam on every class of S_n, keyed by descending cycle lengths."""
-    n = lam.weight
-    return {
-        p.parts: mn_character(lam, CycleType(p.parts)) for p in partitions_of(n)
-    }
-
-
-def _twin_weights(n: int) -> dict[tuple[int, ...], int]:
-    return {p.parts: twin_diff_char(CycleType(p.parts)) for p in partitions_of(n)}
 
 
 @lru_cache(maxsize=None)
@@ -138,11 +125,13 @@ def _class_walk(
     return tuple(sorted((shared[lengths], c) for lengths, c in counts.items()))
 
 
-def _census_fold(spec: GroupSpec, weights: dict[tuple[int, ...], int]) -> OrbitTable:
-    """The orbit table whose coefficient is sum_{sigma in P(rep)} weight(type(sigma)).
+def _census_fold(spec: GroupSpec, class_function) -> OrbitTable:
+    """The orbit table whose coefficient is sum_{sigma in P(rep)} class_function(type(sigma)).
 
-    One class walk per orbit representative of the Hall support.
+    class_function is read once per cycle type of S_n, then one class walk
+    per orbit representative of the Hall support.
     """
+    weights = {mu.parts: class_function(mu) for mu in partitions_of(spec.order)}
     return tuple(
         (rep, size, sum(weights[lengths] * c for lengths, c in _class_walk(spec, rep)))
         for rep, size in orbit_representatives(spec)
@@ -165,7 +154,7 @@ def immanant_orbits(spec: GroupSpec, lam: Partition) -> OrbitTable:
     if lam.parts == (1,) * spec.order:
         return tuple((rep, size, det_coeff(spec, rep))
                      for rep, size in orbit_representatives(spec))
-    return _census_fold(spec, _char_weights(lam))
+    return _census_fold(spec, partial(mn_character, lam))
 
 
 def twin_orbits(spec: GroupSpec) -> OrbitTable:
@@ -174,7 +163,7 @@ def twin_orbits(spec: GroupSpec) -> OrbitTable:
     n = spec.order
     if n < 6:
         raise ValueError(f"both twin shapes need group order >= 6, got {n}")
-    return _census_fold(spec, _twin_weights(n))
+    return _census_fold(spec, twin_diff_char)
 
 
 def orbit_support_size(table: OrbitTable) -> int:

@@ -19,14 +19,14 @@ pivot would be divided by at the next step, so the minors below it go to
 `bareiss_det`, which exchanges rows.
 
 The inverse's generating values are y = Y / D with D = det N and Y the
-Cramer numerators of M y = e_0.  The convolution residual
-sum_r x_r y_(r+s) = [s = 0] certifies them; it is the matrix identity
-M*Y = I for Y = (y_(a+b)), so it also proves the inverse group-Hankel.  The
-complementary-minor identity det A(S|S) = delta * form(y) is compared as
-det N(S|S) * D**(|S|-1) * scale**|S| = form(Y), the form being homogeneous
-of degree |S|.  F1, T2 and T12 are integer sums over scale**n, and the
-Lemma 4.3 sums run on X = scale*x and Y over the common denominator
-scale * D.
+Cramer numerators of M y = e_0, all from one elimination (`bareiss_solve`).
+The convolution residual sum_r x_r y_(r+s) = [s = 0] certifies them; it is
+the matrix identity M*Y = I for Y = (y_(a+b)), so it also proves the inverse
+group-Hankel.  The complementary-minor identity det A(S|S) = delta * form(y)
+is compared as det N(S|S) * D**(|S|-1) * scale**|S| = form(Y), the form
+being homogeneous of degree |S|.  F1, T2 and T12 are integer sums over
+scale**n, and the Lemma 4.3 sums run on X = scale*x and Y over the common
+denominator scale * D.
 Identity checks have one failure convention: a check raises
 IdentityCheckError(equation, lhs, rhs) at its first broken equation, with
 both sides as the exact rationals the equation names, and none returns a
@@ -35,8 +35,8 @@ failure.
 Each specialization (spec, rho) gets one table, kept in a small LRU cache:
 N, its principal minors, the certified Cramer solution and the sums F1, T2
 and T12, each computed the first time it is read.  The Jacobi check, the
-Lemma 4.3 scalars and the reduction all read that table, so one tree and n
-Cramer eliminations serve every check at a seed.
+Lemma 4.3 scalars and the reduction all read that table, so one tree and
+one Cramer elimination serve every check at a seed.
 """
 
 from __future__ import annotations
@@ -52,12 +52,15 @@ from .groups import GroupSpec, add_table, double_table, neg_table
 from .polynomials import GroupPolynomial, RationalSpecialization, _clear_denominators
 
 
-def bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix; empty matrix gives 1."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in rows]
+def _eliminate(m: list[list[int]]) -> int:
+    """Fraction-free elimination of m in place; the sign of its row exchanges.
+
+    m is n x n, or n x (n+1) with a right-hand column that the row operations
+    carry along.  Row k ends as row k of the echelon form U, and the sign
+    times U[n-1][n-1] is the determinant.  0 if a column has no pivot.
+    """
+    n = len(m)
+    width = len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -73,11 +76,39 @@ def bareiss_det(rows: list[list[int]]) -> int:
         for i in range(k + 1, n):
             row_i, row_k = m[i], m[k]
             factor = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign
+
+
+def bareiss_det(rows: list[list[int]]) -> int:
+    """Fraction-free determinant of an integer matrix; empty matrix gives 1."""
+    if not rows:
+        return 1
+    m = [list(map(int, row)) for row in rows]
+    return _eliminate(m) * m[-1][-1]
+
+
+def bareiss_solve(rows: list[list[int]], column: list[int]) -> tuple[tuple[int, ...], int]:
+    """(Y, D) for the integer system rows * y = column: D = det(rows) and Y = D * y.
+
+    Y_k is the k-th Cramer numerator, the determinant of rows with column k
+    replaced by column.  One elimination of rows augmented with column gives
+    U and the carried column c, then Y_k = (D * c_k - sum_(j>k) U_kj * Y_j) /
+    U_kk, exact since Y = adj(rows) * column.  ValueError if D = 0.
+    """
+    n = len(rows)
+    m = [[*map(int, row), int(b)] for row, b in zip(rows, column)]
+    det = _eliminate(m) * m[-1][n - 1]
+    if det == 0:
+        raise ValueError("matrix is singular")
+    ys = [0] * n
+    for k in reversed(range(n)):
+        row = m[k]
+        ys[k] = (det * row[n] - sum(row[j] * ys[j] for j in range(k + 1, n))) // row[k]
+    return tuple(ys), det
 
 
 def _principal_minors(rows: list[list[int]], depth: int) -> dict[tuple[int, ...], int]:
@@ -194,20 +225,16 @@ class _MinorTable:
         """(Y, D): y = Y / D solves M y = e_0 and D = det N, certified.
 
         M y = e_0 is the convolution system sum_r x_r y_(r+s) = [s = 0] with
-        its equations reordered (row a of M is equation s = -a), so Cramer on
-        N with column t := scale*e_0 gives Y_t.  The residuals are the
-        entries of M Y - I: (M Y)[a][c] = sum_r x_r y_(r+c-a); cleared of
-        scale * D they are integers.
+        its equations reordered (row a of M is equation s = -a), so Y is the
+        Cramer numerators of N y = scale*e_0.  The residuals are the entries
+        of M Y - I: (M Y)[a][c] = sum_r x_r y_(r+c-a); cleared of scale * D
+        they are integers.
         """
         n = self.spec.order
         det_n = self.dets[()]
         if det_n == 0:
             raise ValueError("specialized matrix is singular")
-        e0 = [self.scale] + [0] * (n - 1)
-        ys = tuple(
-            bareiss_det([row[:t] + [e0[r]] + row[t + 1:] for r, row in enumerate(self.ints)])
-            for t in range(n)
-        )
+        ys, _ = bareiss_solve(self.ints, [self.scale] + [0] * (n - 1))
         add = add_table(self.spec)
         x = self.x
         unit = self.scale * det_n

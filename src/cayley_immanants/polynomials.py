@@ -78,9 +78,6 @@ class GroupPolynomial:
     def support_size(self) -> int:
         return len(self.terms)
 
-    def support(self) -> frozenset[Monomial]:
-        return frozenset(self.terms)
-
     def coefficient(self, mono: Monomial) -> int:
         return self.terms.get(tuple(mono), 0)
 

@@ -28,9 +28,10 @@ sizes over them, as the immanants' orbit tables do, and `per_monomial`
 gives each one's value to its images, the orbit, only where rows are the
 output: `support --report full` and a `GroupPolynomial`.  The affine maps
 are checked once per group (`_affine_pullbacks`).  The `padic-certificate`
-row streams the orbits of `groups.automorphisms` instead.  Only the checks
-that read every monomial store the walk (`hall_support`):
-`hall-permanent-support`, the odd-order scalar loop and the master formula.
+row streams the orbits of `groups.automorphisms` instead.  No route keeps
+the walk: `hall_support` lists it afresh per call, for the checks that read
+every monomial (`hall-permanent-support`, the odd-order scalar loop and the
+master formula).
 
 The p-adic profile is a size certificate: a term's valuation charges each
 block by its size alone, so `block_size_certificate` bounds every
@@ -79,9 +80,9 @@ def _multiple_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
 
 
 # The largest Hall support that is enumerated.  It bounds time only: the
-# routes that store the support sit under the order-10 sweep envelope, and
-# `support --group c13` and `padic --group c13 --all` (400,024 monomials)
-# stream at about 20 and 19 MB.  c14 has 1,432,860.
+# routes that hold all P monomials at once sit under the order-10 sweep
+# envelope, and `support --group c13` and `padic --group c13 --all`
+# (400,024 monomials) stream at about 20 and 19 MB.  c14 has 1,432,860.
 MAX_HALL_MONOMIALS = 500_000
 
 
@@ -129,12 +130,13 @@ def _walk_hall_support(spec: GroupSpec, visit) -> None:
     """Call visit(monomial) on every Hall monomial, in lexicographic order.
 
     The one enumeration behind `hall_support`, `orbit_stream` and the rows
-    of `padic --all`.
-    The backtracking tries exponents in increasing order and descends only
-    into exponents that `_completions` says can still be completed, so every
-    branch ends in a monomial, and the last exponent is what the degree
-    leaves.  Callers check the Hall envelope first.
+    of `padic --all`; no route keeps a copy.  Raises EnvelopeError, before
+    any table is built, above MAX_HALL_MONOMIALS.  The backtracking tries
+    exponents in increasing order and descends only into exponents that
+    `_completions` says can still be completed, so every branch ends in a
+    monomial, and the last exponent is what the degree leaves.
     """
+    check_hall_envelope(spec)
     n = spec.order
     add = add_table(spec)
     mult = _multiple_table(spec)
@@ -170,15 +172,13 @@ def _walk_hall_support(spec: GroupSpec, visit) -> None:
     descend(0, n, 0)
 
 
-@lru_cache(maxsize=None)
 def hall_support(spec: GroupSpec) -> tuple[Monomial, ...]:
     """All degree-n exponent vectors whose weighted element sum is zero, ascending.
 
-    By Hall's theorem these are exactly the monomials of the permanent.
-    Raises EnvelopeError, before any table is built, above
-    MAX_HALL_MONOMIALS.
+    By Hall's theorem these are exactly the monomials of the permanent.  A
+    fresh tuple per call, listed from the walk, which raises EnvelopeError
+    above MAX_HALL_MONOMIALS.
     """
-    check_hall_envelope(spec)
     out: list[Monomial] = []
     _walk_hall_support(spec, out.append)
     return tuple(out)
@@ -190,7 +190,7 @@ def count_P(spec: GroupSpec) -> int:
     Closed form (1/n) sum_d N_d C(2n/d - 1, n/d), where N_d counts the
     elements (equally, the characters) of order d; a character of order d
     gives prod_g (1 - chi(g) t) = (1 - t^d)^(n/d).  O(n) and
-    enumeration-free, so it is an oracle for `hall_support`.
+    enumeration-free, so it is an oracle for the walk.
     """
     n = spec.order
     total = 0
@@ -243,12 +243,11 @@ def orbit_stream(spec: GroupSpec, pullbacks) -> tuple[tuple[Monomial, int], ...]
     smaller, and its orbit size is |A| over the number of maps that fix it.
     Raises ArithmeticError if the maps are not a group acting on the Hall
     support: a stabilizer whose size does not divide |A|, or orbit sizes
-    that do not sum to P.  Raises EnvelopeError, before any table is built,
-    above MAX_HALL_MONOMIALS.  Uncached: `orbit_representatives` keeps the
-    affine orbits, and the `padic-certificate` row reads the automorphism
-    orbits once per group.
+    that do not sum to P.  The walk raises EnvelopeError, before any table
+    is built, above MAX_HALL_MONOMIALS.  Uncached: `orbit_representatives`
+    keeps the affine orbits, and the `padic-certificate` row reads the
+    automorphism orbits once per group.
     """
-    check_hall_envelope(spec)
     pullbacks = list(pullbacks)  # reordered by the visits below
     n_maps = len(pullbacks)
     reps: list[tuple[Monomial, int]] = []
@@ -285,8 +284,8 @@ def orbit_representatives(spec: GroupSpec, /) -> tuple[tuple[Monomial, int], ...
     `orbit_stream` over the checked pullbacks of `affine_maps(spec)`, kept
     once per spec.  Raises ArithmeticError if the affine maps are not a
     group acting on the Hall support (a map that leaves it, no identity, or
-    a failed guard of the stream), and EnvelopeError, before any table is
-    built, above MAX_HALL_MONOMIALS.
+    a failed guard of the stream), and EnvelopeError above
+    MAX_HALL_MONOMIALS before the affine maps are built.
     """
     check_hall_envelope(spec)
     return orbit_stream(spec, _affine_pullbacks(spec))

@@ -28,8 +28,9 @@ tests and counts, the permanent's term count, the walked D, the odd-order
 twin, the x_0^n twin coefficient and the regular-character sum.  The
 `padic-certificate` row reads the least member of each automorphism orbit
 from `supports.orbit_stream`.  Only the checks that compare or evaluate
-single monomials expand a `GroupPolynomial`: `c3-ground-truth`,
-`hall-permanent-support`, the master formula and the reduction twin.
+single monomials expand a `GroupPolynomial`: `c3-ground-truth`, the master
+formula, the reduction twin and `hall-permanent-support`, which reads the
+permanent's sorted monomials and the Hall walk in lockstep.
 
 The suite_<name> functions are the runner bound to each suite; they stay
 only because the benchmark tracer wraps them by name.  The exact minor
@@ -42,6 +43,7 @@ equation and its two sides are the counterexample.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -53,7 +55,6 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, NoReturn
 
 from .characters import (
-    CycleType,
     Partition,
     char_n3_3,
     char_n3_111,
@@ -361,17 +362,16 @@ def _c3_ground_truth(spec, seed):
 
 
 def _hall_permanent_support(spec, seed):
-    got = permanent(spec).support()
-    expected = frozenset(hall_support(spec))
-    if got != expected:
-        extra = sorted(got ^ expected)[:3]
-        return f"support mismatch, e.g. {extra}"
-    # the engine expands orbit_representatives and the check reads the
-    # stored walk, so a monomial lost by one route fails above; the closed
-    # form sees one lost by both
+    # the engine expands orbit_representatives and the check reads the walk,
+    # both ascending, so a monomial lost by one route fails at the first
+    # position where they part; the closed form sees one lost by both
+    hall = hall_support(spec)
+    for i, (got, walked) in enumerate(itertools.zip_longest(sorted(permanent(spec).terms), hall)):
+        if got != walked:
+            return f"support mismatch at monomial {i}: permanent {got}, Hall walk {walked}"
     closed = count_P(spec)
-    if len(expected) != closed:
-        return f"|hall_support| = {len(expected)} != closed-form P = {closed}"
+    if len(hall) != closed:
+        return f"|hall_support| = {len(hall)} != closed-form P = {closed}"
     return None
 
 
@@ -485,8 +485,7 @@ def _closed_character_forms(spec, seed):
         j3 = Partition((n - 3, 3))
         twin_a = Partition((4,) + (1,) * (n - 4))
         twin_b = Partition((2, 2, 2) + (1,) * (n - 6))
-        for p in partitions_of(n):
-            mu = CycleType(p.parts)
+        for mu in partitions_of(n):
             pairs = [
                 (hook_char_n11(mu), mn_character(hook, mu)),
                 (cohook_char(mu), mn_character(cohook, mu)),
@@ -496,7 +495,7 @@ def _closed_character_forms(spec, seed):
             ]
             for got, expected in pairs:
                 if got != expected:
-                    return f"closed form {got} != MN {expected} on class {mu.lengths}"
+                    return f"closed form {got} != MN {expected} on class {mu.parts}"
     return None
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cayley_immanants.characters import (
-    CycleType,
     Partition,
     binom,
     char_n3_3,
@@ -21,13 +20,13 @@ from cayley_immanants.characters import (
 
 def classes_of(n):
     """All cycle types of S_n."""
-    return [CycleType(p.parts) for p in partitions_of(n)]
+    return list(partitions_of(n))
 
 
-def centralizer_order(mu: CycleType) -> int:
+def centralizer_order(mu: Partition) -> int:
     """prod_i i^(c_i) c_i!, with c_i the number of i-cycles."""
     z = 1
-    for i in set(mu.lengths):
+    for i in set(mu.parts):
         c = mu.count(i)
         z *= i**c * math.factorial(c)
     return z
@@ -41,13 +40,23 @@ def test_partition_validation():
     assert Partition((3, 1, 1)).weight == 5
 
 
+def test_a_partition_as_a_cycle_type():
+    # (3, 2, 2, 1): one 3-cycle, two transpositions and a fixed point; a
+    # k-cycle has sign (-1)^(k-1)
+    mu = Partition((3, 2, 2, 1))
+    assert [mu.count(i) for i in range(5)] == [0, 1, 2, 1, 0]
+    assert mu.sign == 1
+    assert Partition((2, 1)).sign == Partition((4,)).sign == -1
+    assert Partition(()).sign == 1
+
+
 def test_list_built_shapes_are_tuples_and_hashable():
     # mn_character's cache is keyed on the parts and the cycle lengths
-    lam, mu = Partition([2, 1]), CycleType([2, 1])
-    assert (lam, mu) == (Partition((2, 1)), CycleType((2, 1)))
-    assert mn_character(lam, CycleType((2, 1))) == 0
+    lam, mu = Partition([2, 1]), Partition([2, 1])
+    assert lam == mu == Partition((2, 1))
+    assert mn_character(lam, Partition((2, 1))) == 0
     assert mn_character(Partition((2, 1)), mu) == 0
-    assert mn_character(lam, CycleType([3])) == -1
+    assert mn_character(lam, Partition([3])) == -1
 
 
 def test_partitions_of_counts():
@@ -83,10 +92,10 @@ def test_twin_shapes_are_conjugate():
 
 def test_mn_character_small_values():
     # chi^(2,1) on the 3-cycle class of S_3
-    assert mn_character(Partition((2, 1)), CycleType((3,))) == -1
+    assert mn_character(Partition((2, 1)), Partition((3,))) == -1
     # full S_3 character table
     triv, std, sgn = Partition((3,)), Partition((2, 1)), Partition((1, 1, 1))
-    id3, tr3, cy3 = CycleType((1, 1, 1)), CycleType((2, 1)), CycleType((3,))
+    id3, tr3, cy3 = Partition((1, 1, 1)), Partition((2, 1)), Partition((3,))
     assert [mn_character(triv, c) for c in (id3, tr3, cy3)] == [1, 1, 1]
     assert [mn_character(std, c) for c in (id3, tr3, cy3)] == [2, 0, -1]
     assert [mn_character(sgn, c) for c in (id3, tr3, cy3)] == [1, -1, 1]
@@ -101,7 +110,7 @@ def test_trivial_and_sign_characters():
 
 def test_weight_mismatch_rejected():
     with pytest.raises(ValueError):
-        mn_character(Partition((2, 1)), CycleType((2, 2)))
+        mn_character(Partition((2, 1)), Partition((2, 2)))
 
 
 def test_dimension_examples():
@@ -114,7 +123,7 @@ def test_dimension_examples():
 def test_dimension_matches_identity_character():
     for n in range(1, 9):
         for lam in partitions_of(n):
-            assert dimension(lam) == mn_character(lam, CycleType((1,) * n))
+            assert dimension(lam) == mn_character(lam, Partition((1,) * n))
 
 
 def test_dimension_sum_of_squares():
@@ -140,7 +149,7 @@ def test_regular_character():
     for n in range(1, 8):
         for mu in classes_of(n):
             total = sum(dimension(lam) * mn_character(lam, mu) for lam in partitions_of(n))
-            expected = math.factorial(n) if mu == CycleType((1,) * n) else 0
+            expected = math.factorial(n) if mu == Partition((1,) * n) else 0
             assert total == expected
 
 
@@ -154,16 +163,16 @@ def test_binom_convention():
 
 
 def test_hook_char_examples():
-    assert hook_char_n11(CycleType((1,) * 5)) == 4
-    tr4 = CycleType((2, 1, 1))
+    assert hook_char_n11(Partition((1,) * 5)) == 4
+    tr4 = Partition((2, 1, 1))
     assert hook_char_n11(tr4) == 1
     assert cohook_char(tr4) == -1
-    assert hook_char_n11(CycleType((6,))) == -1
+    assert hook_char_n11(Partition((6,))) == -1
 
 
 def test_char_n3_111_examples():
-    assert char_n3_111(CycleType((1,) * 7)) == 20
-    three_cycle_s7 = CycleType((3, 1, 1, 1, 1))
+    assert char_n3_111(Partition((1,) * 7)) == 20
+    three_cycle_s7 = Partition((3, 1, 1, 1, 1))
     assert char_n3_111(three_cycle_s7) == 2
 
 
@@ -193,8 +202,8 @@ def test_twin_diff_char():
             expected = mn_character(twin_a, mu) - mn_character(twin_b, mu)
             assert twin_diff_char(mu) == expected
     # a single fixed point kills the difference
-    assert twin_diff_char(CycleType((3, 2, 1))) == 0
+    assert twin_diff_char(Partition((3, 2, 1))) == 0
     # involutions with two fixed points: value (-1)^((n-2)/2) * (3-n)
     for n in (6, 8):
-        mu = CycleType((2,) * ((n - 2) // 2) + (1, 1))
+        mu = Partition((2,) * ((n - 2) // 2) + (1, 1))
         assert twin_diff_char(mu) == (-1) ** ((n - 2) // 2) * (3 - n)

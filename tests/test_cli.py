@@ -79,26 +79,22 @@ def test_envelope_exit_code(capsys):
     assert code == 3
 
 
-def test_determinant_keeps_the_sweep_envelope(capsys):
+def test_determinant_keeps_the_sweep_envelope(capsys, hall_support_calls):
     # the determinant walks no class, but `imm` still refuses above order 10
-    # before the Hall support is built
-    from cayley_immanants import supports
-
-    supports.hall_support.cache_clear()
+    # before the Hall support is walked
     code = main(["imm", "--group", "c11", "--partition", ",".join(["1"] * 11)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "exceeds the immanant envelope" in captured.err
-    assert supports.hall_support.cache_info().currsize == 0
+    assert hall_support_calls == []
 
 
-def test_hall_envelope_refuses_before_any_table(capsys):
+def test_hall_envelope_refuses_before_any_table(capsys, hall_support_calls):
     # c14 has 1,432,860 Hall monomials: the closed form refuses it before the
     # completion table or the enumeration is built
     from cayley_immanants import groups, supports
 
-    supports.hall_support.cache_clear()
     supports._completions.cache_clear()
     supports.orbit_representatives.cache_clear()
     supports._affine_pullbacks.cache_clear()
@@ -108,7 +104,7 @@ def test_hall_envelope_refuses_before_any_table(capsys):
     assert code == 3
     assert captured.out == ""
     assert "enumeration envelope" in captured.err
-    assert supports.hall_support.cache_info().currsize == 0
+    assert hall_support_calls == []
     assert supports._completions.cache_info().currsize == 0
     assert supports._completions.cache_info().misses == 0
     assert supports.orbit_representatives.cache_info().currsize == 0
@@ -206,6 +202,24 @@ def test_support_full_report(capsys):
     assert all(r["d_m"] == r["det_coeff"] for r in doc["monomials"])
 
 
+def test_support_full_report_fails_where_the_class_walk_and_the_formula_part(
+        capsys, monkeypatch):
+    # d_m is the signed count of P(m) and det_coeff the partition formula of
+    # the same coefficient: one representative off by one fails the report,
+    # and every row is evaluated before the first is written
+    from cayley_immanants import cli
+
+    target = (0, 0, 1, 1, 1, 3)  # a c6 representative with d_m = -12
+    real = cli.det_coeff
+    monkeypatch.setattr(cli, "det_coeff", lambda spec, mono: real(spec, mono) + (mono == target))
+    code = main(["support", "--group", "c6", "--report", "full"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: ArithmeticError: class walk d_m = -12 != partition formula "
+                            "det_coeff = -11 at (0, 0, 1, 1, 1, 3)\n")
+
+
 def test_padic_all_c4(capsys):
     code, out = run_cli(capsys, "padic", "--group", "c4", "--all")
     assert code == 0
@@ -215,39 +229,37 @@ def test_padic_all_c4(capsys):
     assert {r["sequence"] for r in rows} >= {"0 0 0 0", "1 1 1 1", "0 0 2 2"}
 
 
-def test_padic_all_stores_no_hall_support(capsys):
+def test_padic_all_stores_no_hall_support(capsys, hall_support_calls):
     # the rows stream from the Hall walk: nothing is stored or labelled
     from cayley_immanants import supports
 
-    supports.hall_support.cache_clear()
     code, out = run_cli(capsys, "padic", "--group", "c9", "--all")
     assert code == 0
     assert len(out.splitlines()) == 1 + supports.count_P(GroupSpec((9,))) == 2705
-    assert supports.hall_support.cache_info().currsize == 0
+    assert hall_support_calls == []
 
 
-def test_support_full_report_reads_one_orbit_stream(capsys):
+def test_support_full_report_reads_one_orbit_stream(capsys, hall_support_calls):
     # the counts and the rows read the same representatives; neither stores
     # the Hall support
     from cayley_immanants import supports
 
-    supports.hall_support.cache_clear()
     supports.orbit_representatives.cache_clear()
     code, doc = run_json(capsys, "support", "--group", "c9", "--report", "full")
     assert code == 0
     assert len(doc["monomials"]) == doc["P"] == 2704
-    assert supports.hall_support.cache_info().currsize == 0
+    assert hall_support_calls == []
     assert supports.orbit_representatives.cache_info().misses == 1
 
 
-def test_imm_rows_store_no_hall_support(capsys):
-    from cayley_immanants import supports
-
-    supports.hall_support.cache_clear()
+def test_imm_rows_store_no_hall_support(capsys, hall_support_calls):
     code, doc = run_json(capsys, "imm", "--group", "c9", "--partition", "8,1")
     assert code == 0
     assert doc["support_size"] == 0
-    assert supports.hall_support.cache_info().currsize == 0
+    code, doc = run_json(capsys, "imm", "--group", "c10", "--partition", ",".join(["1"] * 10))
+    assert code == 0
+    assert doc["support_size"] == len(doc["terms"]) == 7492
+    assert hall_support_calls == []
 
 
 def test_padic_single_sequence(capsys):
@@ -418,10 +430,7 @@ def test_verify_that_checks_nothing_is_a_usage_error(capsys, argv):
     ("padic", "--group", "c16", "--all"),
     ("search-pd-gap", "--max-order", "14"),
 ])
-def test_hall_envelope_refuses_before_enumerating(capsys, argv):
-    from cayley_immanants import supports
-
-    supports.hall_support.cache_clear()
+def test_hall_envelope_refuses_before_enumerating(capsys, argv, hall_support_calls):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 3
@@ -429,21 +438,19 @@ def test_hall_envelope_refuses_before_enumerating(capsys, argv):
     # the refusal comes first: no group was counted, not even the small ones
     assert "above the enumeration envelope" in captured.err
     assert "order" not in captured.err
-    assert supports.hall_support.cache_info().currsize == 0
+    assert hall_support_calls == []
 
 
 @pytest.mark.parametrize("group", ["c11", "c12", "c13"])
-def test_support_full_report_refuses_above_the_sweep_envelope(capsys, group):
+def test_support_full_report_refuses_above_the_sweep_envelope(capsys, group,
+                                                              hall_support_calls):
     # c13 passes the Hall envelope, but its rows would walk order-13 classes
-    from cayley_immanants import supports
-
-    supports.hall_support.cache_clear()
     code = main(["support", "--group", group, "--report", "full"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "exceeds the immanant envelope" in captured.err
-    assert supports.hall_support.cache_info().currsize == 0
+    assert hall_support_calls == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cayley_immanants.characters import Partition, partitions_of
+from cayley_immanants.characters import Partition, mn_character, partitions_of, twin_diff_char
 from cayley_immanants.groups import (
     GroupSpec,
     affine_maps,
@@ -21,9 +21,7 @@ from cayley_immanants.groups import (
 from cayley_immanants.immanants import (
     EnvelopeError,
     PermClassStats,
-    _char_weights,
     _class_walk,
-    _twin_weights,
     determinant,
     immanant,
     immanant_orbits,
@@ -57,6 +55,16 @@ C5 = GroupSpec((5,))
 C6 = GroupSpec((6,))
 C7 = GroupSpec((7,))
 C2xC2 = GroupSpec((2, 2))
+
+
+def char_weights(lam: Partition) -> dict:
+    """chi^lam on every class of S_n, keyed by descending cycle lengths."""
+    return {mu.parts: mn_character(lam, mu) for mu in partitions_of(lam.weight)}
+
+
+def twin_weights(n: int) -> dict:
+    """The twin difference's class function on every class of S_n."""
+    return {mu.parts: twin_diff_char(mu) for mu in partitions_of(n)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,14 +170,14 @@ def test_perm_class_stats_match_det_per_coefficients():
     for spec in (C3, C4, C2xC2, C5):
         per = permanent(spec)
         det = determinant(spec)
-        for mono in sorted(per.support()):
+        for mono in sorted(per.terms):
             stats = perm_class_stats(spec, mono)
             assert stats.p_m == per.coefficient(mono)
             assert stats.d_m == det.coefficient(mono)
         # a monomial outside the support has an empty class
         n = spec.order
         absent = (n - 1, 1) + (0,) * (n - 2)
-        if absent not in per.support():
+        if absent not in per.terms:
             empty = perm_class_stats(spec, absent)
             assert empty == PermClassStats(0, 0)
 
@@ -234,7 +242,7 @@ def test_conjugate_shape_is_sign_twisted_sweep():
     for spec in (C4, C5, C6, C2xC2):
         n = spec.order
         for lam in partitions_of(n):
-            weights = _char_weights(lam)
+            weights = char_weights(lam)
             twisted = {
                 mu: (-1 if sum(c - 1 for c in mu) % 2 else 1) * w
                 for mu, w in weights.items()
@@ -245,8 +253,9 @@ def test_conjugate_shape_is_sign_twisted_sweep():
 
 
 def test_c6_near_hook_supports_match_det_per():
-    assert immanant(C6, Partition((5, 1))).support() == permanent(C6).support()
-    assert immanant(C6, Partition((2, 1, 1, 1, 1))).support() == determinant(C6).support()
+    assert frozenset(immanant(C6, Partition((5, 1))).terms) == frozenset(permanent(C6).terms)
+    assert (frozenset(immanant(C6, Partition((2, 1, 1, 1, 1))).terms)
+            == frozenset(determinant(C6).terms))
 
 
 def test_twin_difference_c7_zero():
@@ -274,7 +283,7 @@ def test_negation_monomial_in_every_support():
     # sigma: a -> -a always contributes x_0^n
     for spec in (C3, C4, C6, C2xC2):
         n = spec.order
-        assert (n,) + (0,) * (n - 1) in permanent(spec).support()
+        assert (n,) + (0,) * (n - 1) in permanent(spec).terms
         images = tuple(neg_table(spec))
         assert monomial_of_perm(spec, images) == (n,) + (0,) * (n - 1)
 
@@ -289,12 +298,12 @@ def test_sweep_matches_brute_force_oracle(spec):
     # every orbit table, expanded test-side and through per_monomial
     n = spec.order
     for lam in partitions_of(n):
-        expected = brute_terms(spec, _char_weights(lam))
+        expected = brute_terms(spec, char_weights(lam))
         table = immanant_orbits(spec, lam)
         assert expand_table(spec, table) == immanant(spec, lam).terms == expected, lam
         assert orbit_support_size(table) == len(expected)
     if n >= 6:
-        expected = brute_terms(spec, _twin_weights(n))
+        expected = brute_terms(spec, twin_weights(n))
         assert expand_table(spec, twin_orbits(spec)) == twin_difference(spec).terms == expected
 
 
@@ -303,7 +312,7 @@ def test_sweep_matches_brute_force_oracle(spec):
 )
 def test_sweep_matches_brute_force_oracle_order_9(factors, lam):
     spec = GroupSpec(factors)
-    expected = brute_terms(spec, _char_weights(Partition(lam)))
+    expected = brute_terms(spec, char_weights(Partition(lam)))
     assert expand_table(spec, immanant_orbits(spec, Partition(lam))) == expected
 
 
@@ -344,13 +353,13 @@ def test_orbit_tables_refuse_what_the_polynomials_refuse():
 @pytest.mark.parametrize("spec", ORACLE_SPECS + [GroupSpec((9,))], ids=str)
 def test_determinant_matches_brute_force_oracle(spec):
     # the determinant reads det_coeff, not the class walks that _sweep folds
-    sign = _char_weights(Partition((1,) * spec.order))
+    sign = char_weights(Partition((1,) * spec.order))
     assert determinant(spec).terms == brute_terms(spec, sign)
 
 
 def test_determinant_matches_the_class_walks_at_c10():
     c10 = GroupSpec((10,))
-    sign = _char_weights(Partition((1,) * 10))
+    sign = char_weights(Partition((1,) * 10))
     walked = [(rep, size, sum(sign[mu] * c for mu, c in _class_walk(c10, rep)))
               for rep, size in orbit_representatives(c10)]
     assert list(immanant_orbits(c10, Partition((1,) * 10))) == walked
@@ -434,7 +443,7 @@ def test_relabelling_keeps_oracle_coefficients(data):
     spec = data.draw(st.sampled_from(SMALL_SPECS), label="spec")
     r = data.draw(st.sampled_from(affine_maps(spec)), label="map")
     lam = data.draw(st.sampled_from(partitions_of(spec.order)), label="lam")
-    terms = brute_terms(spec, _char_weights(lam))
+    terms = brute_terms(spec, char_weights(lam))
     for mono in hall_support(spec):
         assert terms.get(relabel(mono, r), 0) == terms.get(mono, 0)
     members = oracle_orbits(spec)

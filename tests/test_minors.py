@@ -159,6 +159,34 @@ def test_singular_matrix_det_zero():
     assert bareiss_det([[1, 2], [2, 4]]) == 0
 
 
+# mostly zeros, so that many pivots are zero and rows are exchanged
+_SPARSE_INTS = st.sampled_from((0, 0, 0, 1, -1, 2, -3, 7))
+
+
+@st.composite
+def _systems(draw):
+    n = draw(st.integers(1, 5))
+    rows = [[draw(_SPARSE_INTS) for _ in range(n)] for _ in range(n)]
+    return rows, [draw(_INTS) for _ in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_systems())
+def test_bareiss_solve_gives_the_cramer_numerators(system):
+    # Y_k is det(rows) times y_k: the determinant with column k replaced by
+    # the right-hand side, here by the Leibniz formula
+    rows, column = system
+    det = leibniz_det(rows)
+    if det == 0:
+        with pytest.raises(ValueError, match="singular"):
+            minors.bareiss_solve(rows, column)
+        return
+    numerators = tuple(
+        leibniz_det([row[:k] + [b] + row[k + 1:] for row, b in zip(rows, column)])
+        for k in range(len(rows)))
+    assert minors.bareiss_solve(rows, column) == (numerators, det)
+
+
 def test_random_specialization_deterministic():
     a = random_specialization(C5, seed=42)
     b = random_specialization(C5, seed=42)
@@ -536,20 +564,18 @@ def test_inverse_profile_matches_gauss_jordan(name):
 
 @pytest.fixture
 def corrupt_y1(monkeypatch):
-    """One Cramer determinant, the one for y_1, comes out one too large.
+    """One Cramer numerator, Y_1, comes out one too large from the solve.
 
-    A Cramer matrix is the only one whose column 1 is zero below row 0: the
-    seeded points have no zero entry, so every minor stays true.
+    Only the Cramer solution goes through `bareiss_solve`, so every minor
+    stays true.
     """
-    true_det = minors.bareiss_det
+    true_solve = minors.bareiss_solve
 
-    def corrupted(rows):
-        det = true_det(rows)
-        if len(rows) > 1 and rows[0][1] and not any(row[1] for row in rows[1:]):
-            return det + 1
-        return det
+    def corrupted(rows, column):
+        ys, det = true_solve(rows, column)
+        return (ys[0], ys[1] + 1, *ys[2:]), det
 
-    monkeypatch.setattr(minors, "bareiss_det", corrupted)
+    monkeypatch.setattr(minors, "bareiss_solve", corrupted)
     minors._minor_table.cache_clear()
     yield
     minors._minor_table.cache_clear()

@@ -208,32 +208,30 @@ def test_hall_support_members_are_zero_sum():
 
 
 def oracle_hall_support(spec):
-    """Every composition of n into n parts with zero weighted sum, sorted.
+    """Every degree-n multiset of elements with zero sum, as sorted exponent vectors.
 
-    The compositions come from stars and bars, and the sums from the residue
-    vectors, so neither shares code with the backtracking or its tables.
+    The multisets come from `itertools.combinations_with_replacement`, and
+    the sums from the residue vectors, so neither shares code with the walk
+    or its tables.
     """
     n = spec.order
     els = elements(spec)
     out = []
-    for bars in itertools.combinations(range(2 * n - 1), n - 1):
-        cuts = (-1, *bars, 2 * n - 1)
-        mono = tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
-        total = [0] * spec.rank
-        for g, e in zip(els, mono):
-            total = [(t + e * x) % f for t, x, f in zip(total, g, spec.factors)]
-        if not any(total):
-            out.append(mono)
+    for multiset in itertools.combinations_with_replacement(range(n), n):
+        if not any(sum(els[g][i] for g in multiset) % f for i, f in enumerate(spec.factors)):
+            counts = collections.Counter(multiset)
+            out.append(tuple(counts[g] for g in range(n)))
     return tuple(sorted(out))
 
 
 @pytest.mark.parametrize(
     "factors",
-    [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (2, 4), (2, 2, 2), (8,), (3, 3), (9,)],
+    [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (2, 4), (2, 2, 2), (8,), (3, 3), (9,), (10,)],
     ids=str,
 )
 def test_hall_support_matches_brute_force_in_lexicographic_order(factors):
-    # `padic --all` writes its rows in the walk's order
+    # every group of order <= 10; `padic --all` writes its rows in the
+    # walk's order
     spec = GroupSpec(factors)
     assert hall_support(spec) == oracle_hall_support(spec)
 
@@ -252,7 +250,7 @@ def test_completion_table_counts_the_hall_support(order):
 
 def test_hall_support_equals_permanent_support():
     for spec in (C3, C4, C5, C2xC2, C6):
-        assert frozenset(hall_support(spec)) == permanent(spec).support()
+        assert frozenset(hall_support(spec)) == frozenset(permanent(spec).terms)
 
 
 def test_zero_sum_partition_enumeration_against_oracle():
@@ -599,6 +597,34 @@ def test_hall_envelope_admits_c13_and_refuses_c14():
             hall_support(spec)
 
 
+def test_the_walk_refuses_above_the_envelope_before_any_table():
+    # hall_support and orbit_stream hold no check of their own: they refuse
+    # through the walk they read
+    from cayley_immanants import errors, supports
+
+    spec = GroupSpec((14,))
+    supports._completions.cache_clear()
+
+    def visit(mono):
+        raise AssertionError(f"the walk visited {mono}")
+
+    readers = (lambda: supports._walk_hall_support(spec, visit),
+               lambda: hall_support(spec),
+               lambda: supports.orbit_stream(spec, []))
+    for read in readers:
+        with pytest.raises(errors.EnvelopeError, match="c14 has 1432860 zero-sum monomials"):
+            read()
+    assert supports._completions.cache_info().misses == 0
+
+
+def test_hall_support_is_a_fresh_walk_per_call():
+    # the walk is the one holder of the Hall support: no call keeps a copy
+    first, second = hall_support(C4), hall_support(C4)
+    assert first == second
+    assert first is not second
+    assert not hasattr(hall_support, "cache_info")
+
+
 @pytest.mark.parametrize("factors", [(8,), (9,), (2, 4), (3, 3)], ids=str)
 def test_orbit_weighted_counts_match_per_monomial_scan(factors):
     spec = GroupSpec(factors)
@@ -781,8 +807,13 @@ def burnside_orbit_count(spec, maps):
     return orbits
 
 
-@pytest.mark.parametrize("factors", [(11,), (2, 6), (13,)], ids=str)
+@pytest.mark.parametrize(
+    "factors",
+    [spec.factors for order in range(2, 14) for spec in _abelian_groups_of_order(order)],
+    ids=str,
+)
 def test_orbit_count_matches_burnside(factors):
+    # all 17 groups of order 2 to 13
     spec = GroupSpec(factors)
     reps = orbit_representatives(spec)
     assert len(reps) == burnside_orbit_count(spec, affine_maps(spec))
@@ -842,14 +873,13 @@ def test_orbit_representatives_refuse_orbit_sizes_that_miss_P(fake_affine_maps, 
         orbit_representatives(C5)
 
 
-def test_counts_store_no_hall_support():
-    # the counts read the stream of representatives, not a stored support
+def test_counts_store_no_hall_support(hall_support_calls):
+    # the counts read the stream of representatives, not a listed support
     spec = GroupSpec((3, 3))
-    for cache in (hall_support, orbit_representatives):
-        cache.cache_clear()
+    orbit_representatives.cache_clear()
     count_D(spec)
     count_I_nearhook(spec)
-    assert hall_support.cache_info().currsize == 0
+    assert hall_support_calls == []
     assert orbit_representatives.cache_info().currsize == 1
 
 

@@ -46,7 +46,27 @@ def test_hall_check_catches_an_orbit_missing_from_hall_support(monkeypatch):
     monkeypatch.setattr(verify, "hall_support", _without_pure_powers(verify.hall_support))
     reports = run_suite("hall", groups=["c5"])
     assert statuses(reports)[("hall-permanent-support", "c5")] == "fail"
-    assert "support mismatch" in reports[-1].witness
+    assert reports[-1].witness == ("support mismatch at monomial 0: permanent (0, 0, 0, 0, 5), "
+                                   "Hall walk (0, 0, 1, 3, 1)")
+
+
+def test_hall_check_reads_both_routes_to_their_ends(monkeypatch):
+    # the engine loses only its greatest monomial: the walk still has it
+    # after the permanent has ended, and the closed form agrees with the walk
+    from cayley_immanants import verify
+
+    real = verify.permanent
+
+    def permanent(spec):
+        terms = dict(real(spec).terms)
+        del terms[max(terms)]
+        return GroupPolynomial.from_terms(spec, terms)
+
+    monkeypatch.setattr(verify, "permanent", permanent)
+    reports = run_suite("hall", groups=["c5"])
+    assert statuses(reports)[("hall-permanent-support", "c5")] == "fail"
+    assert reports[-1].witness == ("support mismatch at monomial 25: permanent None, "
+                                   "Hall walk (5, 0, 0, 0, 0)")
 
 
 def test_hall_check_catches_an_orbit_missing_from_both_routes(monkeypatch):
@@ -62,7 +82,7 @@ def test_hall_check_catches_an_orbit_missing_from_both_routes(monkeypatch):
     monkeypatch.setattr(verify, "permanent", permanent)
     reports = run_suite("hall", groups=["c5"])
     assert statuses(reports)[("hall-permanent-support", "c5")] == "fail"
-    assert "closed-form P" in reports[-1].witness
+    assert reports[-1].witness == "|hall_support| = 21 != closed-form P = 26"
 
 
 def test_thm13_suite_small():
@@ -218,7 +238,7 @@ def test_closed_character_check_compares_every_closed_form(monkeypatch):
     from cayley_immanants import verify
 
     real = verify.hook_char_n11
-    monkeypatch.setattr(verify, "hook_char_n11", lambda mu: real(mu) + (mu.lengths == (6,)))
+    monkeypatch.setattr(verify, "hook_char_n11", lambda mu: real(mu) + (mu.parts == (6,)))
     # a check on S_6..S_9, not on a group: it runs only without --groups
     report = run_suite("charlayer")[0]
     assert (report.theorem, report.status) == ("closed-character-forms", "fail")
@@ -231,16 +251,18 @@ def test_thm14_hypothesis_skip():
     assert st[("odd-order-near-hooks-vanish", "c4")] == "skipped"
 
 
-def test_hall_envelope_is_a_skip_and_enumerates_nothing():
+def test_hall_envelope_is_a_skip_and_enumerates_nothing(hall_support_calls):
+    # one group is one shard, so the rows run in this process
     from cayley_immanants import supports
 
-    supports.hall_support.cache_clear()
+    supports._completions.cache_clear()
     reports = run_suite("thm14", groups=["c14"])
     refused = {(r.theorem, r.group): r for r in reports}[
         ("two-mod-four-near-hook-counts", "c14")]
     assert refused.status == "skipped"
     assert "above the enumeration envelope" in refused.witness
-    assert supports.hall_support.cache_info().currsize == 0
+    assert hall_support_calls == []
+    assert supports._completions.cache_info().misses == 0
 
 
 def test_c9_suites_walk_each_representative_once():
@@ -461,26 +483,27 @@ def test_minor_checks_build_one_table_per_seed(monkeypatch):
 
 
 def test_minor_checks_at_c11_build_one_tree_per_seed_and_eliminate_only_cramer(monkeypatch):
-    # every principal minor of a seed comes from its one elimination tree;
-    # bareiss_det runs only for the n Cramer numerators per seed (eliminating
-    # each of the 232 minors on its own made 3 * (232 + 11) = 729 calls)
+    # every principal minor of a seed comes from its one elimination tree,
+    # and the n Cramer numerators from one elimination of the augmented
+    # matrix (one elimination per numerator made 3 * 11 = 33; eliminating
+    # each of the 232 minors on its own too made 3 * (232 + 11) = 729)
     from cayley_immanants import minors
     from cayley_immanants.groups import GroupSpec
     from cayley_immanants.verify import run_minor_checks
 
     trees, eliminations = [], []
-    true_tree, true_det = minors._principal_minors, minors.bareiss_det
+    true_tree, true_eliminate = minors._principal_minors, minors._eliminate
 
     def counting_tree(rows, depth):
         trees.append((len(rows), depth))
         return true_tree(rows, depth)
 
-    def counting_det(rows):
-        eliminations.append(len(rows))
-        return true_det(rows)
+    def counting_eliminate(m):
+        eliminations.append((len(m), len(m[0])))
+        return true_eliminate(m)
 
     monkeypatch.setattr(minors, "_principal_minors", counting_tree)
-    monkeypatch.setattr(minors, "bareiss_det", counting_det)
+    monkeypatch.setattr(minors, "_eliminate", counting_eliminate)
     minors._minor_table.cache_clear()
     try:
         reports = run_minor_checks(FIVE_MINOR_CHECKS, GroupSpec((11,)), seeds=3)
@@ -488,7 +511,7 @@ def test_minor_checks_at_c11_build_one_tree_per_seed_and_eliminate_only_cramer(m
         minors._minor_table.cache_clear()
     assert [r.status for r in reports] == ["pass"] * 5
     assert trees == [(11, 3)] * 3
-    assert eliminations == [11] * 33
+    assert eliminations == [(11, 12)] * 3
 
 
 def test_minor_checks_draw_one_specialization_per_seed(monkeypatch, built_tables):
