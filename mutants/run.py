@@ -195,8 +195,8 @@ MUTANTS = (
     Mutant("padic-composite-check-removed", CLI,
            "    _prime_power(spec)\n    if args.all:", "    if args.all:"),
     Mutant("minor-draw-per-check", VERIFY,
-           "                bodies[i](spec, rho)",
-           "                bodies[i](spec, random_specialization(spec, s, value_range))"),
+           "                body(spec, rho)",
+           "                body(spec, random_specialization(spec, s, value_range))"),
     Mutant("specialization-hash-per-lookup", POLYNOMIALS,
            "        return self._hash", "        return hash((self.group, self.values, self.seed))"),
     # the rows' orbit expansion: order, one value per orbit, the size guard
@@ -235,6 +235,18 @@ MUTANTS = (
     Mutant("back-substitution-off-by-one", MINORS,
            "sum(row[j] * ys[j] for j in range(k + 1, n))",
            "sum(row[j] * ys[j] for j in range(k + 2, n))"),
+    # a failed draw is the outcome of every live minor check, not the first
+    Mutant("failed-draw-first-live-only", VERIFY,
+           "            outcomes.update(dict.fromkeys(live, exc))",
+           "            outcomes[next(iter(live))] = exc"),
+    # the refusals above the Hall envelope: before the certificate's DP and
+    # the automorphisms, and by the order alone above order 100
+    Mutant("padic-certificate-envelope-removed", VERIFY,
+           "    supports.check_hall_envelope(spec)  # before the certificate's DP and the "
+           "automorphisms\n", ""),
+    Mutant("envelope-formats-full-p", SUPPORTS,
+           'f"{spec.name} has at least C({2 * n - 1}, {n})/{n} zero-sum monomials, above the "',
+           'f"{spec.name} has {count_P(spec)} zero-sum monomials, above the "'),
     # start-up: every command would load verify to name its checks
     Mutant("eager-verify-import", CLI,
            "from . import characters, immanants, verify\n",

@@ -20,9 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
-import itertools
 import json
 import os
 import sys
@@ -312,32 +309,27 @@ def cmd_padic(args) -> int:
     else:
         seq = _parse_sequence(args.sequence)
         profile = padic_profile(spec, seq)  # refuses a wrong length or a nonzero sum
-    tail = [profile.min_valuation, profile.strictly_minimal]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["sequence", "min_valuation", "strictly_minimal"])
+    # no field ever needs CSV quoting: a sequence is digits, colons and
+    # spaces, and the other two fields are an int and a bool
+    tail = f",{profile.min_valuation},{profile.strictly_minimal}\r\n"
     with _open(args.out) as handle:
-
-        def flush():
-            handle.write(buffer.getvalue())
-            buffer.seek(0)
-            buffer.truncate()
-
+        handle.write("sequence,min_valuation,strictly_minimal\r\n")
         if args.all:
             # rows stream from the walk: each element label as often as its
             # exponent, in element order, the lexicographically smallest labelling
-            rows = itertools.count(1)
+            rows = []
 
             def visit(mono):
-                writer.writerow(
-                    [" ".join([label for label, e in zip(labels, mono) for _ in range(e)]), *tail])
-                if next(rows) % _CSV_BLOCK_ROWS == 0:
-                    flush()
+                rows.append(" ".join([label for label, e in zip(labels, mono) for _ in range(e)])
+                            + tail)
+                if len(rows) == _CSV_BLOCK_ROWS:
+                    handle.write("".join(rows))
+                    rows.clear()
 
             _walk_hall_support(spec, visit)
+            handle.write("".join(rows))
         else:
-            writer.writerow([" ".join(map(_format_element, seq)), *tail])
-        flush()
+            handle.write(" ".join(map(_format_element, seq)) + tail)
     return 0
 
 

@@ -84,14 +84,28 @@ def _multiple_table(spec: GroupSpec) -> tuple[tuple[int, ...], ...]:
 # envelope, and `support --group c13` and `padic --group c13 --all`
 # (400,024 monomials) stream at about 20 and 19 MB.  c14 has 1,432,860.
 MAX_HALL_MONOMIALS = 500_000
+# Up to this order a refusal names the exact P, n binomials of under 60
+# digits.  Above it, it names the bound P >= C(2n-1, n)/n, the identity's
+# term of count_P's closed form, and computes nothing: the bound grows with
+# n and is over the envelope from order 14, while the exact P costs n
+# binomials of up to 0.6n digits (38 s for the largest at n = 10^6) and
+# past about 4,300 digits cannot even be formatted.
+_EXACT_P_ORDERS = 100
 
 
 def check_hall_envelope(spec: GroupSpec) -> None:
     """Refuse a group whose Hall support is over MAX_HALL_MONOMIALS.
 
-    Reads the closed-form count, so the refusal costs O(n), not an
+    Reads the closed-form count up to order _EXACT_P_ORDERS and the order
+    alone above it, so the refusal costs O(n) small steps at most, not an
     enumeration.
     """
+    n = spec.order
+    if n > _EXACT_P_ORDERS:
+        raise EnvelopeError(
+            f"{spec.name} has at least C({2 * n - 1}, {n})/{n} zero-sum monomials, above the "
+            f"enumeration envelope of {MAX_HALL_MONOMIALS}"
+        )
     p = count_P(spec)
     if p > MAX_HALL_MONOMIALS:
         raise EnvelopeError(

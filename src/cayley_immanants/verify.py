@@ -35,10 +35,12 @@ permanent's sorted monomials and the Hall walk in lockstep.
 The suite_<name> functions are the runner bound to each suite; they stay
 only because the benchmark tracer wraps them by name.  The exact minor
 checks live in a second table, MINOR_CHECKS, which the jacobi/scalars rows
-and the `minors` command run in one loop: seeds outer, checks inner, so all
-checks at a seed read one minor table.  A minor check has one way to fail:
-it raises IdentityCheckError at its first broken equation, and that
-equation and its two sides are the counterexample.
+(`_minor_witness`) and the `minors` command run in one loop: seeds outer,
+checks inner, so all checks at a seed read one minor table.  A check leaves
+the loop's dict of live checks at its first counterexample or exception; the
+loop reads no clock.  A minor check has one way to fail: it raises
+IdentityCheckError at its first broken equation, and that equation and its
+two sides are the counterexample.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _require(condition: bool, reason: str) -> None:
         raise SkipCheck(reason)
 
 
-def _report(theorem: str, group: str, params: dict, outcome, seconds: float) -> VerifyReport:
+def _report(theorem: str, group: str, params: dict, outcome, seconds: float = 0.0) -> VerifyReport:
     """Sort a check's outcome: None passes, a witness fails, and an exception
     is a skip (unmet hypothesis or envelope), a failure (broken identity or
     arithmetic) or a crash, whose traceback goes to stderr.
@@ -242,8 +244,8 @@ MINOR_CHECKS = {
 
 def _minor_outcomes(
     names, spec: GroupSpec, seeds: int, seed: int, value_range: int = 32
-) -> list[tuple[dict | None | Exception, float]]:
-    """(outcome, seconds) per named minor check over seeds seed, seed+1, ...
+) -> dict[str, dict | None | Exception]:
+    """The outcome of each named minor check over seeds seed, seed+1, ...
 
     Hypotheses are tested, and the twin swept, before the first seed; then
     one specialization is drawn per seed and every live check runs at it
@@ -252,47 +254,35 @@ def _minor_outcomes(
     raised, None, or the exception that stopped it; a draw that raises stops
     every live check.
     """
-    checks = [MINOR_CHECKS[name] for name in names]
-    bodies = [check.body for check in checks]
-    outcomes: list = [None] * len(checks)
-    seconds = [0.0] * len(checks)
-    for i, check in enumerate(checks):
-        start = time.perf_counter()
+    outcomes: dict = dict.fromkeys(names)
+    live = {}  # name -> body of each check with no outcome yet
+    for name in outcomes:
+        check = MINOR_CHECKS[name]
         try:
             _require(not check.odd_order or spec.order % 2 == 1, "odd order required")
             _require(spec.order >= check.min_order, f"group order below {check.min_order}")
-            if check.uses_twin:
-                bodies[i] = partial(check.body, twin=twin_difference(spec))
+            live[name] = (partial(check.body, twin=twin_difference(spec)) if check.uses_twin
+                          else check.body)
         except Exception as exc:  # noqa: BLE001 - sorted per check by _report
-            outcomes[i] = exc
-        seconds[i] = time.perf_counter() - start
-    live = [i for i in range(len(checks)) if outcomes[i] is None]
+            outcomes[name] = exc
     for s in range(seed, seed + seeds):
         if not live:
             break
-        # one draw per seed; it fills the seed's minor table, so its time is
-        # charged to the first check that reads the table
-        start = time.perf_counter()
         try:
             rho = random_specialization(spec, s, value_range)
         except Exception as exc:  # noqa: BLE001 - every live check's outcome
-            for i in live:
-                outcomes[i] = exc
+            outcomes.update(dict.fromkeys(live, exc))
             break
-        finally:
-            seconds[live[0]] += time.perf_counter() - start
-        for i in live:
-            start = time.perf_counter()
+        for name, body in live.items():
             try:
-                bodies[i](spec, rho)
+                body(spec, rho)
             except IdentityCheckError as exc:
-                outcomes[i] = {"seed": s, "equation": exc.equation, "lhs": str(exc.lhs),
-                               "rhs": str(exc.rhs)}
+                outcomes[name] = {"seed": s, "equation": exc.equation, "lhs": str(exc.lhs),
+                                  "rhs": str(exc.rhs)}
             except Exception as exc:  # noqa: BLE001 - sorted per check by _report
-                outcomes[i] = exc
-            seconds[i] += time.perf_counter() - start
-        live = [i for i in live if outcomes[i] is None]
-    return list(zip(outcomes, seconds))
+                outcomes[name] = exc
+        live = {name: body for name, body in live.items() if outcomes[name] is None}
+    return outcomes
 
 
 def run_minor_checks(
@@ -310,14 +300,11 @@ def run_minor_checks(
         if name not in MINOR_CHECKS:
             raise ValueError(f"unknown check {name!r} (choose from {', '.join(MINOR_CHECKS)})")
     outcomes = _minor_outcomes(names, spec, seeds, seed, value_range)
-    return [
-        _report(name, spec.name, {}, outcome, seconds)
-        for name, (outcome, seconds) in zip(names, outcomes)
-    ]
+    return [_report(name, spec.name, {}, outcomes[name]) for name in names]
 
 
-def _minor_witness(names, spec: GroupSpec, seeds: int, seed: int) -> str | None:
-    for outcome, _ in _minor_outcomes(names, spec, seeds, seed):
+def _minor_witness(names, seeds: int, spec: GroupSpec, seed: int) -> str | None:
+    for outcome in _minor_outcomes(names, spec, seeds, seed).values():
         if isinstance(outcome, Exception):
             raise outcome
         if outcome is not None:
@@ -377,7 +364,8 @@ def _hall_permanent_support(spec, seed):
 
 def _prime_power_p_equals_d(spec, seed):
     _require_prime_power(spec)
-    p, d = count_P(spec), count_D(spec)
+    # D first: it refuses a group above the Hall envelope before P is counted
+    d, p = count_D(spec), count_P(spec)
     if p != d:
         return f"P = {p} != D = {d}"
     if spec.order <= 8:
@@ -394,6 +382,7 @@ def _prime_power_p_equals_d(spec, seed):
 
 def _padic_certificate(spec, seed):
     _require_prime_power(spec)
+    supports.check_hall_envelope(spec)  # before the certificate's DP and the automorphisms
     certificate = block_size_certificate(spec)
     # the zero-sum fold is constant on automorphism orbits, so it is read on
     # each orbit's least member
@@ -463,18 +452,6 @@ def _even_cyclic_twin_x0_coefficient(spec, seed):
     if got != expected:
         return f"[x_0^{n}] twin difference = {got} != {expected}"
     return None
-
-
-def _jacobi_complementary_minors(spec, seed):
-    return _minor_witness(("conv", "jacobi"), spec, MINOR_SEEDS, seed)
-
-
-def _odd_order_minor_scalars(spec, seed):
-    return _minor_witness(("f1", "t2t12", "scalars"), spec, MINOR_SEEDS, seed)
-
-
-def _principal_minor_reduction(spec, seed):
-    return _minor_witness(("reduction",), spec, REDUCTION_SEEDS, seed)
 
 
 def _closed_character_forms(spec, seed):
@@ -552,11 +529,14 @@ CHECKS = (
           _no_params),
     Check("prop42", "even-cyclic-twin-x0-coefficient", ("c6", "c8"),
           _even_cyclic_twin_x0_coefficient, _order_param),
-    Check("jacobi", "jacobi-complementary-minors", JACOBI_GROUPS, _jacobi_complementary_minors,
+    Check("jacobi", "jacobi-complementary-minors", JACOBI_GROUPS,
+          partial(_minor_witness, ("conv", "jacobi"), MINOR_SEEDS),
           lambda spec: {"seeds": MINOR_SEEDS}),
-    Check("scalars", "odd-order-minor-scalars", SCALAR_GROUPS, _odd_order_minor_scalars,
+    Check("scalars", "odd-order-minor-scalars", SCALAR_GROUPS,
+          partial(_minor_witness, ("f1", "t2t12", "scalars"), MINOR_SEEDS),
           lambda spec: {"seeds": MINOR_SEEDS}),
-    Check("scalars", "principal-minor-reduction", REDUCTION_GROUPS, _principal_minor_reduction,
+    Check("scalars", "principal-minor-reduction", REDUCTION_GROUPS,
+          partial(_minor_witness, ("reduction",), REDUCTION_SEEDS),
           lambda spec: {"seeds": REDUCTION_SEEDS}),
     Check("charlayer", "closed-character-forms", None, _closed_character_forms, _no_params),
     Check("charlayer", "regular-character-identity", REGULAR_CHAR_GROUPS,

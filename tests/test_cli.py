@@ -429,6 +429,11 @@ def test_verify_that_checks_nothing_is_a_usage_error(capsys, argv):
     ("support", "--group", "c20", "--report", "full"),
     ("padic", "--group", "c16", "--all"),
     ("search-pd-gap", "--max-order", "14"),
+    # above order 100 the order alone refuses: no P of thousands of digits
+    # to format, no binomial per element of c1000000
+    ("padic", "--group", "c8009", "--all"),
+    ("support", "--group", "c7200"),
+    ("support", "--group", "c1000000"),
 ])
 def test_hall_envelope_refuses_before_enumerating(capsys, argv, hall_support_calls):
     code = main(list(argv))

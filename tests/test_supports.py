@@ -6,6 +6,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -595,6 +596,35 @@ def test_hall_envelope_admits_c13_and_refuses_c14():
             supports.check_hall_envelope(spec)
         with pytest.raises(errors.EnvelopeError):
             hall_support(spec)
+
+
+def test_every_order_from_14_up_is_refused_and_above_100_by_the_order_alone(monkeypatch):
+    # the identity's term of the closed form bounds P >= C(2n-1, n)/n, which
+    # grows with n and is over the envelope from order 14 on; up to order 100
+    # the refusal names the exact P, above it the bound, and counts nothing
+    from cayley_immanants import errors, supports
+
+    budget = supports.MAX_HALL_MONOMIALS
+    assert math.comb(25, 13) <= 13 * budget < math.comb(27, 14)
+    for factors in [(14,), (2, 7), (2, 2, 2, 2), (100,), (2, 50)]:
+        spec = GroupSpec(factors)
+        p = count_P(spec)
+        assert p * spec.order >= math.comb(2 * spec.order - 1, spec.order)
+        with pytest.raises(errors.EnvelopeError,
+                           match=f"^{spec.name} has {p} zero-sum monomials, above the "
+                                 f"enumeration envelope of {budget}$"):
+            supports.check_hall_envelope(spec)
+    counted = []
+    monkeypatch.setattr(supports, "count_P", counted.append)
+    for factors, bound in [((101,), "C(201, 101)/101"), ((2, 4001), "C(16003, 8002)/8002"),
+                           ((8009,), "C(16017, 8009)/8009"),
+                           ((10**6,), "C(1999999, 1000000)/1000000")]:
+        spec = GroupSpec(factors)
+        with pytest.raises(errors.EnvelopeError,
+                           match=rf"^{spec.name} has at least {re.escape(bound)} zero-sum "
+                                 rf"monomials, above the enumeration envelope of {budget}$"):
+            supports.check_hall_envelope(spec)
+    assert counted == []
 
 
 def test_the_walk_refuses_above_the_envelope_before_any_table():

@@ -265,6 +265,34 @@ def test_hall_envelope_is_a_skip_and_enumerates_nothing(hall_support_calls):
     assert supports._completions.cache_info().misses == 0
 
 
+def test_thm13_rows_skip_above_the_envelope_before_their_own_work(monkeypatch):
+    # c8009 is prime, so both rows meet their hypothesis; the envelope refuses
+    # them before any automorphism, the certificate's DP or an exact P
+    from cayley_immanants import supports, verify
+
+    computed = []
+
+    def refused(name):
+        def spy(*args):
+            computed.append(name)
+            raise AssertionError(f"{name} computed above the envelope")
+        return spy
+
+    monkeypatch.setattr(verify, "automorphisms", refused("automorphisms"))
+    monkeypatch.setattr(supports, "_least_split_valuation", refused("DP"))
+    monkeypatch.setattr(supports, "count_P", refused("count_P"))
+    monkeypatch.setattr(verify, "count_P", refused("count_P"))
+    reports = run_suite("thm13", groups=["c8009"])  # one shard: no fork
+    witness = ("c8009 has at least C(16017, 8009)/8009 zero-sum monomials, above the "
+               "enumeration envelope of 500000")
+    assert [(r.theorem, r.status, r.witness) for r in reports] == [
+        ("prime-power-P-equals-D", "skipped", witness),
+        ("padic-certificate", "skipped", witness),
+    ]
+    assert verify.exit_code(reports) == 0
+    assert computed == []
+
+
 def test_c9_suites_walk_each_representative_once():
     # hook and cohook (odd-order-near-hooks-vanish), the twin of thm15 and
     # the twin of principal-minor-reduction all read one census per
@@ -560,8 +588,39 @@ def test_minor_checks_report_each_first_failure_in_check_order(monkeypatch):
     reports = verify.run_minor_checks(("conv", "f1", "t2t12"), c5, seeds=4)
     assert [r.status for r in reports] == ["pass", "fail", "fail"]
     assert [r.witness and r.witness["seed"] for r in reports] == [None, 3, 2]
-    witness = verify._minor_witness(("f1", "t2t12"), c5, 4, 1)
+    witness = verify._minor_witness(("f1", "t2t12"), 4, c5, 1)
     assert witness.startswith("F1 = det: ") and witness.endswith(" at seed 3")
+
+
+def test_a_failed_draw_stops_every_live_check(monkeypatch, capsys):
+    # t2t12 breaks at seed 1 and leaves the loop; the draw of seed 2 raises,
+    # and that is the outcome of conv and f1, both still live
+    import json
+    from fractions import Fraction
+
+    from cayley_immanants import verify
+    from cayley_immanants.cli import main
+    from cayley_immanants.groups import GroupSpec
+
+    real_draw, real_t2 = verify.random_specialization, verify.T2
+
+    def draw(spec, seed, value_range):
+        if seed == 2:
+            raise RuntimeError("no specialization at seed 2")
+        return real_draw(spec, seed, value_range)
+
+    monkeypatch.setattr(verify, "random_specialization", draw)
+    monkeypatch.setattr(verify, "T2", lambda spec, rho: (
+        Fraction(-1) if rho.seed == 1 else real_t2(spec, rho)))
+    reports = verify.run_minor_checks(("conv", "f1", "t2t12"), GroupSpec((5,)), seeds=3)
+    assert [r.status for r in reports] == ["error", "error", "fail"]
+    assert [r.witness for r in reports[:2]] == ["RuntimeError: no specialization at seed 2"] * 2
+    assert (reports[2].witness["seed"], reports[2].witness["equation"]) == (1, "T12 = T2")
+    capsys.readouterr()
+    assert main(["minors", "--group", "c5", "--seeds", "3", "--checks", "conv,f1,t2t12"]) == 4
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {name: check["status"] for name, check in checks.items()} == {
+        "conv": "error", "f1": "error", "t2t12": "fail"}
 
 
 def test_empty_group_list_is_refused():
